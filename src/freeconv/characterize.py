@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .measures import MomentSequence, RationalLike, as_fraction, format_fraction
-from .word_engine import centered_product_moment, mixed_moment, Word
+from .word_engine import centered_product_moment, expand_centered_product, iid_trace
 
 __all__ = [
     "QuadraticFormSpec",
@@ -169,26 +169,6 @@ def pattern_degree(pattern: Sequence[tuple[str, int]]) -> int:
     return sum((1 if name == "L" else 2) * exp for name, exp in pattern)
 
 
-def _canonical_word_value(
-    marginal: MomentSequence, n: int, letters: Sequence[int], cache: dict
-) -> Fraction:
-    # Identically distributed marginals: words equal up to variable
-    # relabeling share one cache slot.
-    mapping: dict[int, int] = {}
-    canon = []
-    for l in letters:
-        if l not in mapping:
-            mapping[l] = len(mapping) + 1
-        canon.append(mapping[l])
-    key = tuple(canon)
-    hit = cache.get(key)
-    if hit is None:
-        marginals = [marginal] * len(mapping)
-        hit = mixed_moment(marginals, Word(key))
-        cache[key] = hit
-    return hit
-
-
 def joint_moment(
     spec: QuadraticFormSpec,
     marginal: MomentSequence,
@@ -231,24 +211,7 @@ def joint_moment(
         key = tuple(letters)
         grouped[key] = grouped.get(key, Fraction(0)) + coeff
 
-    cache = _word_cache(marginal)
-    total = Fraction(0)
-    for letters, coeff in grouped.items():
-        if coeff == 0:
-            continue
-        total += coeff * _canonical_word_value(marginal, n, letters, cache)
-    return total
-
-
-_WORD_CACHES: dict[MomentSequence, dict] = {}
-
-
-def _word_cache(marginal: MomentSequence) -> dict:
-    cache = _WORD_CACHES.get(marginal)
-    if cache is None:
-        cache = {}
-        _WORD_CACHES[marginal] = cache
-    return cache
+    return iid_trace(marginal, grouped)
 
 
 def form_moments(
@@ -312,37 +275,6 @@ class DichotomyReport:
         return None
 
 
-def _centered_pattern_true_value(
-    spec: QuadraticFormSpec,
-    marginal: MomentSequence,
-    pattern: Pattern,
-    centers: dict[str, Fraction],
-) -> Fraction:
-    # Expand prod (W_i - c_i) over subsets of letters with nonzero center.
-    droppable = [i for i, (name, _) in enumerate(pattern) if centers[name] != 0]
-    total = Fraction(0)
-    for mask in range(1 << len(droppable)):
-        coeff = Fraction(1)
-        dropped = set()
-        for bit, idx in enumerate(droppable):
-            if mask >> bit & 1:
-                dropped.add(idx)
-                coeff *= -centers[pattern[idx][0]]
-        kept = [pattern[i] for i in range(len(pattern)) if i not in dropped]
-        if kept:
-            merged: list[tuple[str, int]] = []
-            for name, exp in kept:
-                if merged and merged[-1][0] == name:
-                    merged[-1] = (name, merged[-1][1] + exp)
-                else:
-                    merged.append((name, exp))
-            value = joint_moment(spec, marginal, merged)
-        else:
-            value = Fraction(1)
-        total += coeff * value
-    return total
-
-
 def freeness_dichotomy(
     spec: QuadraticFormSpec,
     marginal: MomentSequence,
@@ -393,7 +325,10 @@ def freeness_dichotomy(
 
     deviations: list[tuple[Pattern, Fraction]] = []
     for pattern in patterns:
-        true_value = _centered_pattern_true_value(spec, marginal, pattern, centers)
+        true_value = expand_centered_product(
+            [centers[name] for name, _ in pattern],
+            lambda kept: joint_moment(spec, marginal, [pattern[i] for i in kept]),
+        )
         letters = tuple((1 if name == "L" else 2, 1) for name, _ in pattern)
         predicted = centered_product_moment((l_moments, q_moments), letters)
         deviations.append((pattern, true_value - predicted))

@@ -108,8 +108,11 @@ def _emit(config: RunConfig, payload: dict, columns: Sequence[str], rows: list) 
             writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
         text = buf.getvalue()
     if config.output:
-        with open(config.output, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(config.output, "w") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {config.output}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

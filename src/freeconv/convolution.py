@@ -6,13 +6,14 @@ convolution of measures on [0, inf) is computed two independent ways:
 * an exact Taylor recursion on the subordination functions.  Writing
   Z_j(-x) = t_1 x + t_2 x^2 + ... for the subordination pair and r_k for
   boolean cumulants, the coupled system Z_1 Z_2 = z K_1(Z_1),
-  K_1(Z_1) = K_2(Z_2) turns into the series update
+  K_1(Z_1) = K_2(Z_2) turns into the series equations
 
-      Z_j <- -x * ( r_1(mu_k) + r_2(mu_k) Z_k + ... + r_p(mu_k) Z_k^(p-1) )
+      Z_j = -x * ( r_1(mu_k) + r_2(mu_k) Z_k + ... + r_p(mu_k) Z_k^(p-1) )
 
-  seeded with Z_j = -r_1(mu_k) x.  Each pass stabilizes one more
-  coefficient, so p passes determine the expansion to order p exactly;
-  K of the product is then K_1 composed with Z_1.
+  The coefficient of x^d in Z_j needs only the powers of Z_k at degree
+  d-1, so the power tables of Z_1 and Z_2 are filled one degree at a
+  time, O(p^3) exact operations to order p; K of the product is then
+  K_1 composed with Z_1.
 
 * a brute-force word bridge: the k-th moment of the product measure is
   the trace of the alternating word (T S)^k, evaluated by the
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -52,7 +53,6 @@ from .transforms import (
     free_from_moments,
     moments_from_boolean,
     moments_from_free,
-    _convolve_trunc,
 )
 from .word_engine import Word, mixed_moment
 
@@ -95,21 +95,6 @@ def _check_boxtimes_inputs(m1: MomentSequence, m2: MomentSequence, p: int) -> No
         raise DomainError("multiplicative convolution requires m_1 != 0")
 
 
-def _z_update(r_other: Sequence[Fraction], z_other: Sequence[Fraction], p: int) -> list[Fraction]:
-    # New Z coefficients from -x * sum_i r_i * Z_other^(i-1), truncated at x^p.
-    s = [Fraction(0)] * p
-    s[0] = r_other[0]
-    z_poly = [Fraction(0), *z_other[: p - 1]]
-    power = [Fraction(1)] + [Fraction(0)] * (p - 1)
-    for i in range(2, p + 1):
-        power = _convolve_trunc(power, z_poly, p)
-        if r_other[i - 1] == 0:
-            continue
-        for d in range(p):
-            s[d] += r_other[i - 1] * power[d]
-    return [-c for c in s]
-
-
 def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
     """Moments of the multiplicative free convolution to order p, exactly.
 
@@ -121,23 +106,27 @@ def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSe
     r1 = boolean_from_moments(m1.truncate(p)).values
     r2 = boolean_from_moments(m2.truncate(p)).values
 
-    z1 = [-r2[0]] + [Fraction(0)] * (p - 1)
-    z2 = [-r1[0]] + [Fraction(0)] * (p - 1)
-    for _ in range(p):
-        z1, z2 = _z_update(r2, z2, p), _z_update(r1, z1, p)
+    # pow1[j][d] = [x^d] Z_1(-x)^j, and pow2 likewise for Z_2.  Degree d
+    # of Z_1 needs Z_2's powers at degree d-1 only, so both tables fill
+    # one degree at a time.
+    zero = Fraction(0)
+    pow1 = [[Fraction(1)] + [zero] * p] + [[zero] * (p + 1) for _ in range(p)]
+    pow2 = [[Fraction(1)] + [zero] * p] + [[zero] * (p + 1) for _ in range(p)]
+    for d in range(1, p + 1):
+        pow1[1][d] = -sum((r2[i] * pow2[i][d - 1] for i in range(d)), start=zero)
+        pow2[1][d] = -sum((r1[i] * pow1[i][d - 1] for i in range(d)), start=zero)
+        for pw in (pow1, pow2):
+            z = pw[1]
+            for j in range(2, d + 1):
+                pw[j][d] = sum(
+                    (z[a] * pw[j - 1][d - a] for a in range(1, d - j + 2)), start=zero
+                )
 
     # K of the product as a series in x: K_1 composed with Z_1(-x).
-    z1_poly = [Fraction(0), *z1]
-    power = list(z1_poly)
-    kbox = [Fraction(0)] * (p + 1)
-    for i in range(1, p + 1):
-        if r1[i - 1] != 0:
-            for d in range(p + 1):
-                kbox[d] += r1[i - 1] * power[d]
-        if i < p:
-            power = _convolve_trunc(power, z1_poly, p + 1)
-
-    r_box = BooleanCumulants([(-1) ** k * kbox[k] for k in range(1, p + 1)])
+    r_box = BooleanCumulants(
+        (-1) ** k * sum((r1[i - 1] * pow1[i][k] for i in range(1, k + 1)), start=zero)
+        for k in range(1, p + 1)
+    )
     return moments_from_boolean(r_box)
 
 

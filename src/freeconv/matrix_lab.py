@@ -7,10 +7,9 @@ finite-dimension allowance of order 1/N.
 
 The noncommutative L^p norm is ||x||_p = tau(|x|^p)^(1/p) with
 |x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values are
-produced by a cyclic Jacobi eigensolver on x^T x (batched over stacks of
-matrices, since the inequality sweeps process thousands of small
-instances); the rotations run until the off-diagonal norm is below
-1e-12.
+the square roots of the LAPACK symmetric eigenvalues of x^T x, batched
+over stacks of matrices, since the inequality sweeps process thousands
+of small instances.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .measures import Atomic, Measure, MomentSequence, Semicircle, moments
 from .word_engine import Word, mixed_moment
 
@@ -33,7 +32,6 @@ __all__ = [
     "sample_family",
     "estimate_word_trace",
     "estimate_word_traces",
-    "jacobi_eigenvalues",
     "singular_values",
     "ncLp_norm",
     "operator_norm",
@@ -218,85 +216,18 @@ def exact_word_moment(spec: MatrixEnsembleSpec, word: Word) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigenvalues and noncommutative L^p norms
+# singular values and noncommutative L^p norms
 # ---------------------------------------------------------------------------
 
 
-def _offdiagonal_norms(stack: np.ndarray) -> np.ndarray:
-    # Summing the off-diagonal entries directly; total minus diagonal
-    # would cancel catastrophically near convergence.
-    off = np.array(stack, copy=True)
-    idx = np.arange(off.shape[-1])
-    off[..., idx, idx] = 0.0
-    return np.sqrt(np.sum(off * off, axis=(-2, -1)))
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Ascending singular values of a matrix (or of each matrix in a stack).
 
-
-def _jacobi_batch(stack: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
-    a = np.array(stack, dtype=float, copy=True)
-    if a.ndim == 2:
-        a = a[None, :, :]
-    _, n, n2 = a.shape
-    if n != n2:
-        raise DomainError("Jacobi needs square matrices")
-    for _ in range(max_sweeps):
-        if np.all(_offdiagonal_norms(a) < tol):
-            return np.sort(np.einsum("bii->bi", a), axis=1)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                active = np.abs(apq) > 0.0
-                if not np.any(active):
-                    continue
-                theta = np.zeros_like(apq)
-                np.divide(
-                    a[:, q, q] - a[:, p, p],
-                    2.0 * apq,
-                    out=theta,
-                    where=active,
-                )
-                # theta may overflow to inf for denormal pivots; the rotation
-                # then degenerates to the identity, which is what we want.
-                with np.errstate(over="ignore"):
-                    t = np.where(
-                        active,
-                        np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
-                        0.0,
-                    )
-                t = np.where(active & (theta == 0.0), 1.0, t)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                a[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                a[:, :, q] = s[:, None] * cp + c[:, None] * cq
-        a = (a + np.swapaxes(a, -1, -2)) / 2.0
-    raise ConvergenceError(f"Jacobi sweep limit {max_sweeps} hit before off-norm < {tol}")
-
-
-def jacobi_eigenvalues(
-    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix (or stack) by cyclic Jacobi.
-
-    Returns sorted eigenvalues; shape (n,) for a single matrix and
-    (batch, n) for a stack.
+    Computed as square roots of the eigenvalues of x^T x.
     """
     arr = np.asarray(matrix, dtype=float)
-    single = arr.ndim == 2
-    vals = _jacobi_batch(arr, tol, max_sweeps)
-    return vals[0] if single else vals
-
-
-def singular_values(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Singular values via Jacobi eigenvalues of x^T x."""
-    arr = np.asarray(matrix, dtype=float)
     gram = np.swapaxes(arr, -1, -2) @ arr
-    vals = jacobi_eigenvalues(gram, tol=tol)
-    return np.sqrt(np.clip(vals, 0.0, None))
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
 
 
 def _norm_from_sigma(sigma: np.ndarray, p: float) -> float:
@@ -352,7 +283,7 @@ def verify_inequalities(
       x_1 x_2^2 x_3, the splittings used to bound traces of mixed
       powers.
 
-    All norms in a call are produced by one batched Jacobi pass.  The
+    All norms in a call come from one batched singular-value call.  The
     report counts every individual inequality as one check; ``slack``
     absorbs binary64 rounding.
     """
@@ -400,17 +331,7 @@ def verify_inequalities(
             entry["word513"] = push(mats[0] @ mats[1] @ pair12)
         layout.append(entry)
 
-    sigma = np.sqrt(
-        np.clip(
-            _jacobi_batch(
-                np.einsum("bji,bjk->bik", np.array(stack), np.array(stack)),
-                1e-12,
-                100,
-            ),
-            0.0,
-            None,
-        )
-    )
+    sigma = singular_values(np.array(stack))
 
     def lp(idx: int, p: float) -> float:
         return _norm_from_sigma(sigma[idx], p)

@@ -63,16 +63,16 @@ RationalLike = Union[Fraction, int, str, float]
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 
-    Accepts Fractions, ints, "p/q" strings and floats.  Floats are
-    promoted by their exact binary64 ratio, so the quantization is the
-    one already present in the input.
+    Accepts Fractions, ints, "p/q" strings and finite floats.  Floats
+    are promoted by their exact binary64 ratio, so the quantization is
+    the one already present in the input.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str, float)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"cannot interpret {value!r} as a rational") from exc
     raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
 
@@ -160,6 +160,8 @@ class DensityGrid:
             raise DomainError("grid abscissae and density must be 1-d and equal length")
         if xa.size < 2:
             raise DomainError("density grid needs at least 2 nodes")
+        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(fa))):
+            raise ParseError("grid abscissae and density values must be finite")
         if not np.all(np.diff(xa) > 0):
             raise DomainError("grid abscissae must be strictly ascending")
         if np.any(fa < 0):
@@ -451,8 +453,8 @@ def measure_to_json(mu: Measure) -> str:
     elif isinstance(mu, Semicircle):
         payload = {
             "kind": "semicircle",
-            "center": float(mu.center),
-            "radius": float(mu.radius),
+            "center": format_fraction(mu.center),
+            "radius": format_fraction(mu.radius),
         }
     elif isinstance(mu, DensityGrid):
         payload = {"kind": "grid", "x": mu.x.tolist(), "f": mu.f.tolist()}
@@ -467,8 +469,11 @@ def measure_from_json(source: Union[str, dict]) -> Measure:
     Schemas::
 
         {"kind": "atomic", "atoms": [["0", "1/2"], ["1", "1/2"]]}
-        {"kind": "semicircle", "center": 0.0, "radius": 2.0}
+        {"kind": "semicircle", "center": "0", "radius": "2"}
         {"kind": "grid", "x": [...], "f": [...]}
+
+    Rational fields take "p/q" strings (as written by
+    :func:`measure_to_json`) or JSON numbers.
     """
     if isinstance(source, str):
         try:

@@ -204,36 +204,20 @@ class FreeCumulants:
 
 def boolean_from_moments(m: MomentSequence) -> BooleanCumulants:
     """Boolean cumulants via K = M/(1+M): r_k = m_k - sum m_i r_{k-i}."""
-    out: list[Fraction] = []
-    for k in range(1, m.order + 1):
-        acc = m.m(k)
-        for i in range(1, k):
-            acc -= m.m(i) * out[k - i - 1]
-        out.append(acc)
-    return BooleanCumulants(out)
+    mser = PowerSeries(m.moments)
+    return BooleanCumulants(mser.divide_by_one_plus(mser).coeffs)
 
 
 def moments_from_boolean(r: BooleanCumulants) -> MomentSequence:
     """Inverse conversion via M = K/(1-K): m_k = r_k + sum r_i m_{k-i}."""
-    out: list[Fraction] = []
-    for k in range(1, r.order + 1):
-        acc = r.r(k)
-        for i in range(1, k):
-            acc += r.r(i) * out[k - i - 1]
-        out.append(acc)
-    return MomentSequence(out)
-
-
-def _moment_poly(m_values: Sequence[Fraction], length: int) -> list[Fraction]:
-    return [Fraction(1), *m_values][:length] + [Fraction(0)] * max(
-        0, length - len(m_values) - 1
-    )
+    kser = PowerSeries(r.values)
+    return MomentSequence(kser.divide_by_one_plus(-kser).coeffs)
 
 
 def free_from_moments(m: MomentSequence) -> FreeCumulants:
     """Free cumulants by inverting m_n = sum_s kappa_s [z^(n-s)] M(z)^s."""
     d = m.order
-    mfull = _moment_poly(m.moments, d + 1)
+    mfull = [Fraction(1), *m.moments]
     powers = [None, list(mfull)]  # powers[s] = M^s truncated
     for s in range(2, d + 1):
         powers.append(_convolve_trunc(powers[-1], mfull, d + 1))
@@ -251,7 +235,7 @@ def moments_from_free(kappa: FreeCumulants) -> MomentSequence:
     d = kappa.order
     out: list[Fraction] = []
     for n in range(1, d + 1):
-        mfull = _moment_poly(out, n)
+        mfull = [Fraction(1), *out]
         power = list(mfull)
         acc = Fraction(0)
         for s in range(1, n + 1):

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ParseError
 from .measures import MomentSequence
@@ -31,6 +31,8 @@ __all__ = [
     "enumerate_nc",
     "Word",
     "mixed_moment",
+    "iid_trace",
+    "expand_centered_product",
     "centered_product_moment",
     "alternating_index_words",
     "alternating_centered_check",
@@ -205,6 +207,7 @@ _CUMULANT_CACHE: dict[MomentSequence, int] = {}
 _KAPPA_VALUES: list[tuple[Fraction, ...]] = []
 _KAPPA_IDS: dict[tuple[Fraction, ...], int] = {}
 _MOMENT_CACHE: dict[tuple, Fraction] = {}
+_IID_CACHES: dict[MomentSequence, dict[tuple[int, ...], Fraction]] = {}
 
 
 def clear_cache() -> None:
@@ -213,6 +216,7 @@ def clear_cache() -> None:
     _KAPPA_VALUES.clear()
     _KAPPA_IDS.clear()
     _MOMENT_CACHE.clear()
+    _IID_CACHES.clear()
 
 
 def _intern_kappa(values: tuple[Fraction, ...]) -> int:
@@ -299,16 +303,63 @@ def mixed_moment(marginals: Sequence[MomentSequence], word: Word) -> Fraction:
     return _nc_moment(*_canonical(kappa_ids, zero_based))
 
 
+def iid_trace(
+    marginal: MomentSequence, combination: Mapping[tuple[int, ...], Fraction]
+) -> Fraction:
+    """Trace of a linear combination of words in free identical copies.
+
+    ``combination`` maps letter tuples (1-based variable indices) to
+    coefficients.  Every variable has moments ``marginal``, so words equal
+    up to relabeling of variables share one memo slot per marginal.
+    """
+    cache = _IID_CACHES.setdefault(marginal, {})
+    total = Fraction(0)
+    for letters, coeff in combination.items():
+        if coeff == 0:
+            continue
+        mapping: dict[int, int] = {}
+        canon = []
+        for l in letters:
+            if l not in mapping:
+                mapping[l] = len(mapping) + 1
+            canon.append(mapping[l])
+        key = tuple(canon)
+        value = cache.get(key)
+        if value is None:
+            value = mixed_moment([marginal] * len(mapping), Word(key))
+            cache[key] = value
+        total += coeff * value
+    return total
+
+
+def expand_centered_product(
+    centers: Sequence[Fraction],
+    trace_of: Callable[[tuple[int, ...]], Fraction],
+) -> Fraction:
+    """Trace of prod_i (W_i - c_i), expanded over subsets of dropped factors.
+
+    ``trace_of(kept)`` returns the trace of the ordered product of the
+    factors W_i for i in ``kept`` (never empty).  Factors whose center
+    vanishes never contribute a dropped term, so the expansion only
+    branches on factors with nonzero c_i.
+    """
+    droppable = [i for i, c in enumerate(centers) if c != 0]
+    total = Fraction(0)
+    for k in range(len(droppable) + 1):
+        for dropped in combinations(droppable, k):
+            coeff = Fraction(1)
+            for i in dropped:
+                coeff *= -centers[i]
+            kept = tuple(i for i in range(len(centers)) if i not in dropped)
+            total += coeff * (trace_of(kept) if kept else Fraction(1))
+    return total
+
+
 def centered_product_moment(
     marginals: Sequence[MomentSequence],
     letters: Sequence[tuple[int, int]],
 ) -> Fraction:
-    """Trace of a product of centered powers prod_l (T_{j_l}^{p_l} - m_{p_l}).
-
-    Expands the product over subsets of letters; letters whose centering
-    constant vanishes never contribute a dropped term, so the expansion
-    only branches on letters with nonzero m_{p_l}.
-    """
+    """Trace of a product of centered powers prod_l (T_{j_l}^{p_l} - m_{p_l})."""
     letters = [(int(v), int(p)) for v, p in letters]
     if not letters:
         raise DomainError("empty centered product")
@@ -322,23 +373,11 @@ def centered_product_moment(
         centers.append(marginals[v - 1].m(p))
     kappa_ids = tuple(_cumulants_of(m) for m in marginals)
 
-    droppable = [i for i, c in enumerate(centers) if c != 0]
-    total = Fraction(0)
-    for k in range(len(droppable) + 1):
-        for dropped in combinations(droppable, k):
-            coeff = Fraction(1)
-            for i in dropped:
-                coeff *= -centers[i]
-            flat: list[int] = []
-            for i, (v, p) in enumerate(letters):
-                if i not in dropped:
-                    flat.extend([v - 1] * p)
-            if flat:
-                value = _nc_moment(*_canonical(kappa_ids, tuple(flat)))
-            else:
-                value = Fraction(1)
-            total += coeff * value
-    return total
+    def trace_of(kept: tuple[int, ...]) -> Fraction:
+        flat = tuple(letters[i][0] - 1 for i in kept for _ in range(letters[i][1]))
+        return _nc_moment(*_canonical(kappa_ids, flat))
+
+    return expand_centered_product(centers, trace_of)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ enumerated exhaustively and filtered, cumulant relations are solved
 directly from their defining sums, and the lattice Moebius function is
 assembled from the complementation map.  The library must agree with
 these exactly.
+
+Two references are former library engines kept for comparison: the
+O(p^4) multiplicative-convolution recursion that reruns full fixed-point
+passes, and a batched cyclic Jacobi eigensolver, which float results
+must match within a tolerance.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
+
+from freeconv.errors import ConvergenceError, DomainError
 
 
 def set_partitions(elems: list) -> list[list[list]]:
@@ -199,3 +208,121 @@ class WordPoly:
                 continue
             total += c * (Fraction(1) if not w else tau(w))
         return total
+
+
+def _trunc_mul(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
+    out = [Fraction(0)] * length
+    for i, ai in enumerate(a[:length]):
+        for j, bj in enumerate(b[: length - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _z_update(r_other: list[Fraction], z_other: list[Fraction], p: int) -> list[Fraction]:
+    # New Z coefficients from -x * sum_i r_i * Z_other^(i-1), truncated at x^p.
+    s = [Fraction(0)] * p
+    s[0] = r_other[0]
+    z_poly = [Fraction(0), *z_other[: p - 1]]
+    power = [Fraction(1)] + [Fraction(0)] * (p - 1)
+    for i in range(2, p + 1):
+        power = _trunc_mul(power, z_poly, p)
+        if r_other[i - 1] == 0:
+            continue
+        for d in range(p):
+            s[d] += r_other[i - 1] * power[d]
+    return [-c for c in s]
+
+
+def boxtimes_moments_by_passes(
+    r1: list[Fraction], r2: list[Fraction], p: int
+) -> list[Fraction]:
+    """Boolean cumulants of mu_1 boxtimes mu_2 by p full fixed-point passes.
+
+    Takes the factors' boolean cumulants r_1..r_p.  Each pass rebuilds
+    every power of the subordination series Z_j(-x) and fixes one more
+    coefficient, so the cost is O(p^4); K of the product is K_1(Z_1).
+    """
+    z1 = [-r2[0]] + [Fraction(0)] * (p - 1)
+    z2 = [-r1[0]] + [Fraction(0)] * (p - 1)
+    for _ in range(p):
+        z1, z2 = _z_update(r2, z2, p), _z_update(r1, z1, p)
+
+    z1_poly = [Fraction(0), *z1]
+    power = list(z1_poly)
+    kbox = [Fraction(0)] * (p + 1)
+    for i in range(1, p + 1):
+        if r1[i - 1] != 0:
+            for d in range(p + 1):
+                kbox[d] += r1[i - 1] * power[d]
+        if i < p:
+            power = _trunc_mul(power, z1_poly, p + 1)
+    return [(-1) ** k * kbox[k] for k in range(1, p + 1)]
+
+
+def _offdiagonal_norms(stack: np.ndarray) -> np.ndarray:
+    # Summing the off-diagonal entries directly; total minus diagonal
+    # would cancel catastrophically near convergence.
+    off = np.array(stack, copy=True)
+    idx = np.arange(off.shape[-1])
+    off[..., idx, idx] = 0.0
+    return np.sqrt(np.sum(off * off, axis=(-2, -1)))
+
+
+def _jacobi_batch(stack: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+    a = np.array(stack, dtype=float, copy=True)
+    if a.ndim == 2:
+        a = a[None, :, :]
+    _, n, n2 = a.shape
+    if n != n2:
+        raise DomainError("Jacobi needs square matrices")
+    for _ in range(max_sweeps):
+        if np.all(_offdiagonal_norms(a) < tol):
+            return np.sort(np.einsum("bii->bi", a), axis=1)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[:, p, q]
+                active = np.abs(apq) > 0.0
+                if not np.any(active):
+                    continue
+                theta = np.zeros_like(apq)
+                np.divide(
+                    a[:, q, q] - a[:, p, p],
+                    2.0 * apq,
+                    out=theta,
+                    where=active,
+                )
+                # theta may overflow to inf for denormal pivots; the rotation
+                # then degenerates to the identity, which is what we want.
+                with np.errstate(over="ignore"):
+                    t = np.where(
+                        active,
+                        np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
+                        0.0,
+                    )
+                t = np.where(active & (theta == 0.0), 1.0, t)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp = a[:, p, :].copy()
+                rq = a[:, q, :].copy()
+                a[:, p, :] = c[:, None] * rp - s[:, None] * rq
+                a[:, q, :] = s[:, None] * rp + c[:, None] * rq
+                cp = a[:, :, p].copy()
+                cq = a[:, :, q].copy()
+                a[:, :, p] = c[:, None] * cp - s[:, None] * cq
+                a[:, :, q] = s[:, None] * cp + c[:, None] * cq
+        a = (a + np.swapaxes(a, -1, -2)) / 2.0
+    raise ConvergenceError(f"Jacobi sweep limit {max_sweeps} hit before off-norm < {tol}")
+
+
+def jacobi_eigenvalues(
+    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
+) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix (or stack) by cyclic Jacobi.
+
+    Returns sorted eigenvalues; shape (n,) for a single matrix and
+    (batch, n) for a stack.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    single = arr.ndim == 2
+    vals = _jacobi_batch(arr, tol, max_sweeps)
+    return vals[0] if single else vals

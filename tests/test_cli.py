@@ -82,6 +82,22 @@ class TestExitCodes:
         assert code == 4
         assert "numerical" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "semicircle", "center": 0, "radius": 1e999}',
+            '{"kind": "grid", "x": [0, 1, 2], "f": [NaN, 1, 0]}',
+            '{"kind": "grid", "x": [0, 1, Infinity], "f": [0, 1, 0]}',
+        ],
+    )
+    def test_non_finite_measure_is_two(self, tmp_path, capsys, text):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        code, _, err = run(["moments", str(path), "--order", "2"], capsys)
+        assert code == 2
+        assert err.startswith("freeconv: parse error:")
+        assert err.count("\n") == 1
+
 
 class TestMomentsAndCumulants:
     def test_boolean_cumulants_table(self, files, capsys):
@@ -266,3 +282,13 @@ class TestOutputFile:
         with open(files["out"]) as handle:
             doc = json.load(handle)
         assert doc["rows"][0][1] == "1/2"
+
+    def test_missing_output_directory_is_two(self, files, tmp_path, capsys):
+        target = str(tmp_path / "no-such-dir" / "out.json")
+        code, out, err = run(
+            ["moments", files["bernoulli"], "--order", "2", "--output", target],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err

@@ -8,7 +8,12 @@ import pytest
 
 from freeconv.errors import ConvergenceError, DomainError
 from freeconv.measures import Atomic, MomentSequence, Semicircle, krein_k_exact, moments
-from freeconv.transforms import boolean_from_moments, free_from_moments
+from freeconv.transforms import (
+    BooleanCumulants,
+    boolean_from_moments,
+    free_from_moments,
+    moments_from_boolean,
+)
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
     boxplus_moments,
@@ -20,6 +25,7 @@ from freeconv.convolution import (
     fractional_diagnostics,
     solve_subordination,
 )
+from oracles import boxtimes_moments_by_passes
 
 
 def atomic(*pairs):
@@ -100,6 +106,20 @@ class TestBoxtimesExact:
             m1 = moments(mu1, 5)
             m2 = moments(mu2, 5)
             assert boxtimes_moments(m1, m2, 5) == boxtimes_word_oracle(m1, m2, 5)
+
+    def test_matches_pass_recursion_to_order_sixteen(self):
+        # the replaced O(p^4) recursion is the reference
+        cases = [(2, 3, p) for p in range(1, 17)] + [(0, 4, 16), (4, 6, 16), (6, 5, 16)]
+        for i, j, p in cases:
+            m1 = moments(ATOM_POOL[i], p)
+            m2 = moments(ATOM_POOL[j], p)
+            r_box = boxtimes_moments_by_passes(
+                list(boolean_from_moments(m1).values),
+                list(boolean_from_moments(m2).values),
+                p,
+            )
+            want = moments_from_boolean(BooleanCumulants(r_box))
+            assert boxtimes_moments(m1, m2, p) == want
 
     def test_commutativity(self):
         m1 = moments(ATOM_POOL[3], 6)

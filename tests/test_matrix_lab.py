@@ -12,13 +12,13 @@ from freeconv.matrix_lab import (
     estimate_word_traces,
     exact_word_moment,
     haar_orthogonal,
-    jacobi_eigenvalues,
     ncLp_norm,
     operator_norm,
     sample_family,
     singular_values,
     verify_inequalities,
 )
+from oracles import jacobi_eigenvalues
 
 
 def goe_spec(n=128, count=2, seed=0):
@@ -186,6 +186,13 @@ class TestNorms:
         ref = np.sort(np.linalg.svd(x, compute_uv=False))
         assert np.allclose(got, ref, atol=1e-10)
         assert abs(operator_norm(x) - ref.max()) < 1e-10
+
+    def test_singular_values_match_jacobi(self):
+        rng = np.random.default_rng(36)
+        stack = rng.standard_normal((12, 16, 16))
+        gram = np.swapaxes(stack, 1, 2) @ stack
+        ref = np.sqrt(np.clip(jacobi_eigenvalues(gram), 0.0, None))
+        assert np.allclose(singular_values(stack), ref, rtol=0.0, atol=1e-10)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(DomainError):

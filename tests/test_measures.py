@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from freeconv.errors import DomainError, ParseError
@@ -69,6 +70,14 @@ class TestConstruction:
             DensityGrid([0.0, 1.0], [2.0, 2.0])
         grid = DensityGrid.normalized([0.0, 1.0], [2.0, 2.0])
         assert abs(np.trapezoid(grid.f, grid.x) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize(
+        "x, f",
+        [([0.0, 1.0, 2.0], [math.nan, 1.0, 0.0]), ([0.0, 1.0, math.inf], [0.0, 1.0, 0.0])],
+    )
+    def test_grid_rejects_non_finite_values(self, x, f):
+        with pytest.raises(ParseError):
+            DensityGrid(x, f)
 
     def test_grid_must_ascend(self):
         with pytest.raises(DomainError):
@@ -242,6 +251,46 @@ class TestJson:
         back = measure_from_json(measure_to_json(standard_semicircle))
         assert float(back.radius) == 2.0
 
+    def test_semicircle_accepts_numbers_and_strings(self):
+        text = '{"kind": "semicircle", "center": 0.5, "radius": "1/3"}'
+        assert measure_from_json(text) == Semicircle(Fraction(1, 2), Fraction(1, 3))
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=12),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+        st.lists(st.integers(1, 9), min_size=5, max_size=5),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_atomic_round_trip_is_lossless(self, locs, raw):
+        total = sum(raw[: len(locs)])
+        mu = Atomic([(x, Fraction(w, total)) for x, w in zip(locs, raw)])
+        assert measure_from_json(measure_to_json(mu)) == mu
+
+    @given(
+        st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+        st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_semicircle_round_trip_is_lossless(self, center, radius):
+        mu = Semicircle(center, radius)
+        assert measure_from_json(measure_to_json(mu)) == mu
+
+    @given(
+        st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8),
+        st.lists(st.floats(0.1, 10.0), min_size=8, max_size=8),
+        st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_grid_round_trip_is_lossless(self, gaps, heights, start):
+        x = start + np.cumsum(gaps)
+        grid = DensityGrid.normalized(x, heights[: len(x)])
+        back = measure_from_json(measure_to_json(grid))
+        assert np.array_equal(back.x, grid.x) and np.array_equal(back.f, grid.f)
+
     def test_grid_round_trip(self):
         grid = DensityGrid.normalized([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         back = measure_from_json(measure_to_json(grid))
@@ -262,4 +311,6 @@ class TestJson:
     def test_as_fraction_rejects_garbage(self):
         with pytest.raises(ParseError):
             as_fraction("one half")
+        with pytest.raises(ParseError):
+            as_fraction(1e999)
         assert as_fraction(0.5) == Fraction(1, 2)

@@ -107,11 +107,12 @@ class TestBooleanCumulants:
         assert moments_from_boolean(boolean_from_moments(m)) == m
 
     def test_series_route_agrees(self):
-        # K = M/(1+M) through explicit series division
-        m = seq(["1/3", "2/5", "-1/7", "4/9"])
-        mser = PowerSeries(m.moments)
+        # K = M/(1+M) and M = K/(1-K) by series division, against the closed forms
+        ms = [Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7), Fraction(4, 9)]
+        mser = PowerSeries(ms)
         kser = mser.divide_by_one_plus(mser)
-        assert kser.coeffs == boolean_from_moments(m).values
+        assert list(kser.coeffs) == boolean_cumulants_closed_form(ms)
+        assert list(kser.divide_by_one_plus(-kser).coeffs) == ms
 
 
 class TestFreeCumulants:

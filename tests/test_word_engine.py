@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeconv import word_engine
 from freeconv.errors import DomainError, ParseError
 from freeconv.measures import Atomic, MomentSequence, moments
 from freeconv.word_engine import (
@@ -145,6 +146,20 @@ class TestMixedMoment:
         v1 = mixed_moment((m, m), Word((1, 2, 1, 2)))
         clear_cache()
         assert mixed_moment((m, m), Word((1, 2, 1, 2))) == v1
+
+    def test_clear_cache_empties_every_memo(self, bernoulli):
+        m = moments(bernoulli, 4)
+        word_engine.iid_trace(m, {(1, 2, 1, 2): Fraction(1)})
+        assert word_engine._IID_CACHES and word_engine._MOMENT_CACHE
+        clear_cache()
+        memos = (
+            word_engine._CUMULANT_CACHE,
+            word_engine._KAPPA_VALUES,
+            word_engine._KAPPA_IDS,
+            word_engine._MOMENT_CACHE,
+            word_engine._IID_CACHES,
+        )
+        assert not any(memos)
 
 
 class TestCenteredProducts:
