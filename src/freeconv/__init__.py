@@ -16,6 +16,7 @@ from .measures import (
     Measure,
     MomentSequence,
     Semicircle,
+    catalan,
     krein_k,
     measure_from_json,
     measure_to_json,
@@ -36,7 +37,6 @@ from .word_engine import (
     NonCrossingPartition,
     Word,
     alternating_centered_check,
-    catalan,
     enumerate_nc,
     mixed_moment,
 )

@@ -29,7 +29,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .measures import MomentSequence, RationalLike, as_fraction, format_fraction
+from .measures import MomentSequence, RationalLike, as_fraction
 from .word_engine import centered_product_moment, expand_centered_product, iid_trace
 
 __all__ = [

@@ -17,19 +17,12 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, ParseError
-from .measures import (
-    Measure,
-    MomentSequence,
-    format_fraction,
-    measure_from_json,
-    moments,
-)
+from .measures import Measure, measure_from_json, moments
 from .transforms import boolean_from_moments, free_from_moments
 from .word_engine import Word
 from .convolution import (
@@ -60,8 +53,6 @@ EXIT_NUMERIC = 4
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_fraction(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, complex):
@@ -73,13 +64,11 @@ def _fmt(value) -> str:
 class RunConfig:
     """Full description of one CLI run, echoed into the output header."""
 
-    command: str
     argv: tuple[str, ...]
     seed: Optional[int] = None
     threads: int = 1
     output: Optional[str] = None
     fmt: str = "json"
-    params: dict = field(default_factory=dict)
 
     def header(self) -> dict:
         meta = {
@@ -138,6 +127,8 @@ def _load_form_spec(path: str) -> QuadraticFormSpec:
         return QuadraticFormSpec(data["A"], data["b"])
     except KeyError as exc:
         raise ParseError(f"form JSON missing field {exc}") from exc
+    except TypeError as exc:
+        raise ParseError(f"malformed form JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +139,7 @@ def _load_form_spec(path: str) -> QuadraticFormSpec:
 def cmd_moments(args, config: RunConfig) -> None:
     mu = _load_measure(args.measure)
     seq = moments(mu, args.order)
-    rows = [(k, format_fraction(seq.m(k))) for k in range(1, args.order + 1)]
+    rows = [(k, str(seq.m(k))) for k in range(1, args.order + 1)]
     _emit(config, {"measure": args.measure, "order": args.order}, ("k", "m_k"), rows)
 
 
@@ -161,7 +152,7 @@ def cmd_cumulants(args, config: RunConfig) -> None:
     else:
         values = free_from_moments(seq).values
         label = "kappa_k"
-    rows = [(k + 1, format_fraction(v)) for k, v in enumerate(values)]
+    rows = [(k + 1, str(v)) for k, v in enumerate(values)]
     _emit(
         config,
         {"measure": args.measure, "order": args.order, "kind": args.kind},
@@ -174,7 +165,7 @@ def cmd_boxplus(args, config: RunConfig) -> None:
     m1 = moments(_load_measure(args.mu1), args.order)
     m2 = moments(_load_measure(args.mu2), args.order)
     out = boxplus_moments(m1, m2)
-    rows = [(k, format_fraction(out.m(k))) for k in range(1, args.order + 1)]
+    rows = [(k, str(out.m(k))) for k in range(1, args.order + 1)]
     _emit(config, {"order": args.order}, ("k", "m_k"), rows)
 
 
@@ -188,13 +179,13 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
 
     if args.method == "taylor":
         out = boxtimes_moments(m1, m2, p)
-        payload["moments"] = [format_fraction(v) for v in out.moments]
-        rows = [(k, format_fraction(out.m(k))) for k in range(1, p + 1)]
+        payload["moments"] = [str(v) for v in out.moments]
+        rows = [(k, str(out.m(k))) for k in range(1, p + 1)]
         _emit(config, payload, ("k", "m_k"), rows)
     elif args.method == "oracle":
         out = boxtimes_word_oracle(m1, m2, p)
-        payload["moments"] = [format_fraction(v) for v in out.moments]
-        rows = [(k, format_fraction(out.m(k))) for k in range(1, p + 1)]
+        payload["moments"] = [str(v) for v in out.moments]
+        rows = [(k, str(out.m(k))) for k in range(1, p + 1)]
         _emit(config, payload, ("k", "m_k"), rows)
     elif args.method == "subordination":
         ms, residuals, iterations = boxtimes_via_subordination(mu1, mu2, p)
@@ -216,8 +207,8 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
         rows = [
             (
                 k,
-                format_fraction(taylor.m(k)),
-                format_fraction(oracle.m(k)),
+                str(taylor.m(k)),
+                str(oracle.m(k)),
                 _fmt(ms[k - 1]),
             )
             for k in range(1, p + 1)
@@ -305,13 +296,13 @@ def cmd_characterize(args, config: RunConfig) -> None:
         (
             " ".join(name for name, _ in pattern),
             pattern_degree(pattern),
-            format_fraction(dev),
+            str(dev),
         )
         for pattern, dev in result.deviations
     ]
     payload = {
         "verdict": result.verdict,
-        "max_abs_deviation": format_fraction(result.max_abs_deviation),
+        "max_abs_deviation": str(result.max_abs_deviation),
         "max_word_length": result.max_word_length,
         "note": result.note,
     }
@@ -470,7 +461,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
 
     config = RunConfig(
-        command=args.command,
         argv=tuple(argv),
         seed=getattr(args, "seed", None),
         threads=_resolve_threads(args),

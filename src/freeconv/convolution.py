@@ -12,8 +12,8 @@ convolution of measures on [0, inf) is computed two independent ways:
 
   The coefficient of x^d in Z_j needs only the powers of Z_k at degree
   d-1, so the power tables of Z_1 and Z_2 are filled one degree at a
-  time, O(p^3) exact operations to order p; K of the product is then
-  K_1 composed with Z_1.
+  time by the transforms module's power-table kernel, O(p^3) exact
+  operations to order p; K of the product is then K_1 composed with Z_1.
 
 * a brute-force word bridge: the k-th moment of the product measure is
   the trace of the alternating word (T S)^k, evaluated by the
@@ -21,8 +21,10 @@ convolution of measures on [0, inf) is computed two independent ways:
 
 The two routes must agree as exact rationals, which is the module's main
 internal consistency check.  A damped fixed-point solver provides the
-same subordination data numerically at arbitrary points, and fractional
-moment diagnostics bound m_alpha through the integral of K on (0, 1].
+same subordination data numerically at arbitrary points; its fitted
+boolean cumulants become moments through the same exact recursion as
+the Taylor route.  Fractional moment diagnostics bound m_alpha through
+the integral of K on (0, 1].
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ from .measures import (
 from .transforms import (
     BooleanCumulants,
     boolean_from_moments,
+    fill_power_degree,
     free_from_moments,
     moments_from_boolean,
     moments_from_free,
+    power_table,
 )
 from .word_engine import Word, mixed_moment
 
@@ -110,17 +114,13 @@ def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSe
     # of Z_1 needs Z_2's powers at degree d-1 only, so both tables fill
     # one degree at a time.
     zero = Fraction(0)
-    pow1 = [[Fraction(1)] + [zero] * p] + [[zero] * (p + 1) for _ in range(p)]
-    pow2 = [[Fraction(1)] + [zero] * p] + [[zero] * (p + 1) for _ in range(p)]
+    pow1 = power_table(p)
+    pow2 = power_table(p)
     for d in range(1, p + 1):
         pow1[1][d] = -sum((r2[i] * pow2[i][d - 1] for i in range(d)), start=zero)
         pow2[1][d] = -sum((r1[i] * pow1[i][d - 1] for i in range(d)), start=zero)
-        for pw in (pow1, pow2):
-            z = pw[1]
-            for j in range(2, d + 1):
-                pw[j][d] = sum(
-                    (z[a] * pw[j - 1][d - a] for a in range(1, d - j + 2)), start=zero
-                )
+        fill_power_degree(pow1, d)
+        fill_power_degree(pow2, d)
 
     # K of the product as a series in x: K_1 composed with Z_1(-x).
     r_box = BooleanCumulants(
@@ -262,7 +262,10 @@ def fit_boolean_cumulants_from_subordination(
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
     if radius is None:
-        radius = min(0.25, 1.0 / (2.0 * _support_bound(mu1) * _support_bound(mu2)))
+        scale = _support_bound(mu1) * _support_bound(mu2)
+        if not scale > 0:
+            raise DomainError("the fit needs both measures to have mass on (0, inf)")
+        radius = min(0.25, 1.0 / (2.0 * scale))
     if n_points % 2:
         n_points += 1
     upper = []
@@ -285,7 +288,8 @@ def boxtimes_via_subordination(
     """Product moments from the numerical subordination route.
 
     Returns (moments, worst residuals over the fit grid, worst iteration
-    count).  Accuracy degrades with p; the exact Taylor route is the
+    count).  Only the fit adds error: its boolean cumulants become moments
+    exactly.  Accuracy degrades with p; the exact Taylor route is the
     reference.
     """
     if p < 1:
@@ -297,13 +301,10 @@ def boxtimes_via_subordination(
         sol = solve_subordination(mu1, mu2, complex(-x))
         worst = (max(worst[0], sol.residuals[0]), max(worst[1], sol.residuals[1]))
         iterations = max(iterations, sol.iterations)
-    ms: list[float] = []
-    for k in range(1, p + 1):
-        acc = r_fit[k - 1]
-        for i in range(1, k):
-            acc += r_fit[i - 1] * ms[k - i - 1]
-        ms.append(acc)
-    return ms, worst, iterations
+    if not all(math.isfinite(r) for r in r_fit):
+        raise ConvergenceError("subordination fit produced a non-finite boolean cumulant")
+    ms = moments_from_boolean(BooleanCumulants(r_fit)).moments
+    return [float(v) for v in ms], worst, iterations
 
 
 # ---------------------------------------------------------------------------

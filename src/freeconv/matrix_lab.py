@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import Atomic, Measure, MomentSequence, Semicircle, moments
+from .measures import Atomic, Measure, Semicircle, moments
 from .word_engine import Word, mixed_moment
 
 __all__ = [

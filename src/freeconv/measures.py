@@ -36,7 +36,7 @@ __all__ = [
     "Measure",
     "MomentSequence",
     "as_fraction",
-    "format_fraction",
+    "catalan",
     "moments",
     "absolute_moment",
     "fractional_moment",
@@ -75,11 +75,6 @@ def as_fraction(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"cannot interpret {value!r} as a rational") from exc
     raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def format_fraction(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or plain "p" for integers)."""
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +241,11 @@ class MomentSequence:
         return iter(self.moments)
 
 
-def _catalan(k: int) -> int:
-    return math.comb(2 * k, k) // (k + 1)
+def catalan(n: int) -> int:
+    """n-th Catalan number: |NC(n)|, and the 2n-th moment of Semicircle(0, 2)."""
+    if n < 0:
+        raise DomainError("Catalan index must be >= 0")
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def _semicircle_centered_moments(radius: Fraction, order: int) -> list[Fraction]:
@@ -256,7 +254,7 @@ def _semicircle_centered_moments(radius: Fraction, order: int) -> list[Fraction]
         if k % 2:
             out.append(Fraction(0))
         else:
-            out.append(_catalan(k // 2) * (radius / 2) ** k)
+            out.append(catalan(k // 2) * (radius / 2) ** k)
     return out
 
 
@@ -294,7 +292,12 @@ def moments(mu: Measure, order: int) -> MomentSequence:
     else:
         raise TypeError(f"not a measure: {mu!r}")
     seq = MomentSequence(vals)
-    if not hankel_psd(seq, shifted=is_positive_supported(mu)):
+    shifted = is_positive_supported(mu)
+    if isinstance(mu, DensityGrid):
+        passed = hankel_psd(seq, shifted=shifted)
+    else:
+        passed = all(_exact_psd(h) for h in _hankel_matrices(seq, shifted))
+    if not passed:
         raise DomainError("moment sequence from measure failed the Hankel check")
     return seq
 
@@ -342,32 +345,46 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
     raise TypeError(f"not a measure: {mu!r}")
 
 
+def _hankel_matrices(seq: MomentSequence, shifted: bool) -> list[list[list[Fraction]]]:
+    """The largest Hankel matrix (m_(i+j)) the sequence fills, and with
+    ``shifted`` also the once-shifted one (m_(i+j+1))."""
+    ms = [Fraction(1), *seq.moments]
+    sizes = [(0, (len(ms) + 1) // 2)] + ([(1, len(ms) // 2)] if shifted else [])
+    return [[[ms[i + j + s] for j in range(n)] for i in range(n)] for s, n in sizes]
+
+
+def _exact_psd(mat: list[list[Fraction]]) -> bool:
+    """Exact positive semidefiniteness by symmetric elimination (LDL^T): a
+    zero pivot passes only when the rest of its Schur-complement row is zero."""
+    a = [list(row) for row in mat]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1 :])):
+            return False
+        if row[k]:
+            for lower in a[k + 1 :]:
+                factor = lower[k] / row[k]
+                for j in range(k + 1, len(a)):
+                    lower[j] -= factor * row[j]
+    return True
+
+
 def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) -> bool:
     """Check positive semidefiniteness of the Hankel matrices of a sequence.
 
     ``shifted`` additionally checks the once-shifted Hankel matrix, the
     extra condition satisfied by measures on [0, inf).  The check runs in
-    binary64 with tolerance ``tol`` relative to the matrix scale.
+    binary64 with tolerance ``tol`` relative to the matrix scale; it
+    serves grid quadratures, and :func:`moments` checks exact measures
+    exactly.
     """
-    ms = [Fraction(1)] + list(seq.moments)
 
     def psd(mat: np.ndarray) -> bool:
         scale = max(1.0, float(np.abs(mat).max()))
         return bool(np.linalg.eigvalsh(mat).min() >= -tol * scale)
 
-    n = (len(ms) - 1) // 2 + 1
-    hank = np.array([[float(ms[i + j]) for j in range(n)] for i in range(n)])
-    if not psd(hank):
-        return False
-    if shifted:
-        n1 = len(ms) // 2
-        if n1 >= 1:
-            hank1 = np.array(
-                [[float(ms[i + j + 1]) for j in range(n1)] for i in range(n1)]
-            )
-            if not psd(hank1):
-                return False
-    return True
+    return all(
+        psd(np.array(mat, dtype=float)) for mat in _hankel_matrices(seq, shifted)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +465,13 @@ def measure_to_json(mu: Measure) -> str:
     if isinstance(mu, Atomic):
         payload = {
             "kind": "atomic",
-            "atoms": [[format_fraction(loc), format_fraction(w)] for loc, w in mu.atoms],
+            "atoms": [[str(loc), str(w)] for loc, w in mu.atoms],
         }
     elif isinstance(mu, Semicircle):
         payload = {
             "kind": "semicircle",
-            "center": format_fraction(mu.center),
-            "radius": format_fraction(mu.radius),
+            "center": str(mu.center),
+            "radius": str(mu.radius),
         }
     elif isinstance(mu, DensityGrid):
         payload = {"kind": "grid", "x": mu.x.tolist(), "f": mu.f.tolist()}

@@ -7,24 +7,28 @@ generating series M(z) = sum m_k z^k, boolean cumulant series
 K(z) = sum r_k z^k, and the subordination expansions in the convolution
 module.
 
+Every recursion on powers of such a series u runs on one power table
+pw[j][d] = [z^d] u(z)^j, filled a degree at a time in O(D^3) exact
+operations (:func:`fill_power_degree`): composition, both free-cumulant
+conversions, and the subordination recursion of the convolution module.
+
 Boolean cumulants are the Taylor coefficients of the Krein transform at
-0: K = M/(1+M), inverted by M = K/(1-K).  Free cumulants satisfy the
-non-crossing partition moment formula m_n = sum over NC(n) of products
-kappa_|V|; both conversions are exact rational recursions and round-trip
-to the identity.
+0: K = M/(1+M), inverted by M = K/(1-K).  Free cumulants satisfy
+m_n = sum_s kappa_s [z^n] u(z)^s with u(z) = z(1 + M(z)), the
+non-crossing partition moment formula summed by outer block; one
+recursion solves it for kappa_n or for m_n, so the conversions
+round-trip to the identity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
     Atomic,
-    DensityGrid,
     Measure,
     MomentSequence,
     RationalLike,
@@ -47,17 +51,26 @@ __all__ = [
 ]
 
 
-def _convolve_trunc(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> list[Fraction]:
-    """Cauchy product of raw coefficient lists (index = degree), truncated."""
-    out = [Fraction(0)] * length
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= length:
-            continue
-        top = min(len(b), length - i)
-        for j in range(top):
-            if b[j] != 0:
-                out[i + j] += ai * b[j]
-    return out
+def power_table(order: int) -> list[list[Fraction]]:
+    """Zeroed table pw[j][d] for j, d = 0..order, except pw[0][0] = 1 (u^0)."""
+    pw = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
+    pw[0][0] = Fraction(1)
+    return pw
+
+
+def fill_power_degree(pw: list[list[Fraction]], d: int) -> None:
+    """Fill degree d of u^2..u^d in a power table, where u = pw[1].
+
+    u must have zero constant term and be known through degree d, and
+    every power must be filled below degree d.  Then u^j starts at degree
+    j, so [z^d] u^j = sum over a = 1..d-j+1 of u[a] [z^(d-a)] u^(j-1).
+    """
+    u = pw[1]
+    for j in range(2, d + 1):
+        prev = pw[j - 1]
+        pw[j][d] = sum(
+            (u[a] * prev[d - a] for a in range(1, d - j + 2)), start=Fraction(0)
+        )
 
 
 @dataclass(frozen=True)
@@ -115,11 +128,11 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         # (z * a)(z * b) has valuation 2; degree-D output keeps c_2..c_D.
         self._check_order(other)
-        d = self.order
-        raw = _convolve_trunc(
-            [Fraction(0), *self.coeffs], [Fraction(0), *other.coeffs], d + 1
+        a, b = self.coeffs, other.coeffs
+        return PowerSeries(
+            sum((a[i - 1] * b[k - i - 1] for i in range(1, k)), start=Fraction(0))
+            for k in range(1, self.order + 1)
         )
-        return PowerSeries(raw[1:])
 
     def divide_by_one_plus(self, denom: "PowerSeries") -> "PowerSeries":
         """self / (1 + denom); the only division the carriers ever need."""
@@ -137,17 +150,14 @@ class PowerSeries:
         """self(inner(z)); valid because inner has zero constant term."""
         self._check_order(inner)
         d = self.order
-        inner_raw = [Fraction(0), *inner.coeffs]
-        power = list(inner_raw)
-        acc = [Fraction(0)] * (d + 1)
-        for j in range(1, d + 1):
-            cj = self.coeffs[j - 1]
-            if cj != 0:
-                for deg in range(j, d + 1):
-                    acc[deg] += cj * power[deg]
-            if j < d:
-                power = _convolve_trunc(power, inner_raw, d + 1)
-        return PowerSeries(acc[1:])
+        pw = power_table(d)
+        pw[1][1:] = inner.coeffs
+        for deg in range(1, d + 1):
+            fill_power_degree(pw, deg)
+        return PowerSeries(
+            sum((c * pw[j][deg] for j, c in enumerate(self.coeffs, 1)), start=Fraction(0))
+            for deg in range(1, d + 1)
+        )
 
     def __call__(self, point: RationalLike) -> Fraction:
         """Evaluate the truncated polynomial at a rational point."""
@@ -214,36 +224,33 @@ def moments_from_boolean(r: BooleanCumulants) -> MomentSequence:
     return MomentSequence(kser.divide_by_one_plus(-kser).coeffs)
 
 
+def _split_blocks(pw: list[list[Fraction]], n: int, m_prev: Fraction, kappa) -> Fraction:
+    """sum_{s<n} kappa_s [z^n] u^s, once u = z(1 + M) gains u[n] = m_(n-1).
+
+    These are the partitions of NC(n) whose block of 1 has s < n elements;
+    the one-block term is kappa_n itself, since [z^n] u^n = 1.
+    """
+    pw[1][n] = m_prev
+    fill_power_degree(pw, n)
+    return sum((kappa[s - 1] * pw[s][n] for s in range(1, n)), start=Fraction(0))
+
+
 def free_from_moments(m: MomentSequence) -> FreeCumulants:
-    """Free cumulants by inverting m_n = sum_s kappa_s [z^(n-s)] M(z)^s."""
-    d = m.order
-    mfull = [Fraction(1), *m.moments]
-    powers = [None, list(mfull)]  # powers[s] = M^s truncated
-    for s in range(2, d + 1):
-        powers.append(_convolve_trunc(powers[-1], mfull, d + 1))
+    """Free cumulants: kappa_n = m_n - sum_{s<n} kappa_s [z^n] u(z)^s."""
+    pw = power_table(m.order)
     kappa: list[Fraction] = []
-    for n in range(1, d + 1):
-        acc = m.m(n)
-        for s in range(1, n):
-            acc -= kappa[s - 1] * powers[s][n - s]
-        kappa.append(acc)
+    for n in range(1, m.order + 1):
+        kappa.append(m.m(n) - _split_blocks(pw, n, m.m(n - 1), kappa))
     return FreeCumulants(kappa)
 
 
 def moments_from_free(kappa: FreeCumulants) -> MomentSequence:
-    """Moments from free cumulants by the same recursion run forward."""
-    d = kappa.order
-    out: list[Fraction] = []
-    for n in range(1, d + 1):
-        mfull = [Fraction(1), *out]
-        power = list(mfull)
-        acc = Fraction(0)
-        for s in range(1, n + 1):
-            acc += kappa.kappa(s) * power[n - s]
-            if s < n:
-                power = _convolve_trunc(power, mfull, n)
-        out.append(acc)
-    return MomentSequence(out)
+    """Moments by the same recursion run forward: m_n = kappa_n + split blocks."""
+    pw = power_table(kappa.order)
+    ms = [Fraction(1)]
+    for n in range(1, kappa.order + 1):
+        ms.append(kappa.kappa(n) + _split_blocks(pw, n, ms[n - 1], kappa.values))
+    return MomentSequence(ms[1:])
 
 
 # ---------------------------------------------------------------------------

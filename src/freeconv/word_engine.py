@@ -14,7 +14,6 @@ verdicts of the alternating-word checks downstream.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,6 @@ from .measures import MomentSequence
 from .transforms import free_from_moments
 
 __all__ = [
-    "catalan",
     "NonCrossingPartition",
     "enumerate_nc",
     "Word",
@@ -41,13 +39,6 @@ __all__ = [
 ]
 
 MAX_NC_ORDER = 14  # Catalan(14) = 2674440 caps enumeration cost
-
-
-def catalan(n: int) -> int:
-    """n-th Catalan number, the cardinality of NC(n)."""
-    if n < 0:
-        raise DomainError("Catalan index must be >= 0")
-    return math.comb(2 * n, n) // (n + 1)
 
 
 @dataclass(frozen=True)
@@ -205,34 +196,26 @@ def _run_lengths(letters: Sequence[int]) -> list[tuple[int, int]]:
 
 _CUMULANT_CACHE: dict[MomentSequence, int] = {}
 _KAPPA_VALUES: list[tuple[Fraction, ...]] = []
-_KAPPA_IDS: dict[tuple[Fraction, ...], int] = {}
 _MOMENT_CACHE: dict[tuple, Fraction] = {}
-_IID_CACHES: dict[MomentSequence, dict[tuple[int, ...], Fraction]] = {}
 
 
 def clear_cache() -> None:
     """Drop all memoized cumulants and word moments."""
     _CUMULANT_CACHE.clear()
     _KAPPA_VALUES.clear()
-    _KAPPA_IDS.clear()
     _MOMENT_CACHE.clear()
-    _IID_CACHES.clear()
-
-
-def _intern_kappa(values: tuple[Fraction, ...]) -> int:
-    kid = _KAPPA_IDS.get(values)
-    if kid is None:
-        kid = len(_KAPPA_VALUES)
-        _KAPPA_IDS[values] = kid
-        _KAPPA_VALUES.append(values)
-    return kid
 
 
 def _cumulants_of(marginal: MomentSequence) -> int:
-    """Free-cumulant id of a marginal; memo keys stay small integers."""
+    """Free-cumulant id of a marginal; memo keys stay small integers.
+
+    Moments and free cumulants of one order determine each other, so
+    keying by the marginal already gives equal cumulants one id.
+    """
     kid = _CUMULANT_CACHE.get(marginal)
     if kid is None:
-        kid = _intern_kappa(free_from_moments(marginal).values)
+        kid = len(_KAPPA_VALUES)
+        _KAPPA_VALUES.append(free_from_moments(marginal).values)
         _CUMULANT_CACHE[marginal] = kid
     return kid
 
@@ -310,24 +293,22 @@ def iid_trace(
 
     ``combination`` maps letter tuples (1-based variable indices) to
     coefficients.  Every variable has moments ``marginal``, so words equal
-    up to relabeling of variables share one memo slot per marginal.
+    up to relabeling of variables share one slot of the word-moment memo.
     """
-    cache = _IID_CACHES.setdefault(marginal, {})
+    kid = _cumulants_of(marginal)
     total = Fraction(0)
     for letters, coeff in combination.items():
         if coeff == 0:
             continue
-        mapping: dict[int, int] = {}
-        canon = []
-        for l in letters:
-            if l not in mapping:
-                mapping[l] = len(mapping) + 1
-            canon.append(mapping[l])
-        key = tuple(canon)
-        value = cache.get(key)
+        first_seen: dict[int, int] = {}
+        canon = tuple(first_seen.setdefault(l, len(first_seen)) for l in letters)
+        kappa_ids = (kid,) * len(first_seen)
+        value = _MOMENT_CACHE.get((kappa_ids, canon))
         if value is None:
-            value = mixed_moment([marginal] * len(mapping), Word(key))
-            cache[key] = value
+            # a memo hit passed this check when it was computed
+            if max(map(canon.count, range(len(kappa_ids)))) > marginal.order:
+                raise DomainError(f"marginal has order {marginal.order}, too low for {letters}")
+            value = _nc_moment(kappa_ids, canon)
         total += coeff * value
     return total
 

@@ -6,10 +6,12 @@ directly from their defining sums, and the lattice Moebius function is
 assembled from the complementation map.  The library must agree with
 these exactly.
 
-Two references are former library engines kept for comparison: the
+Several references are former library engines kept for comparison: the
 O(p^4) multiplicative-convolution recursion that reruns full fixed-point
-passes, and a batched cyclic Jacobi eigensolver, which float results
-must match within a tolerance.
+passes, the free-cumulant conversions that multiply raw powers of
+1 + M(z), the float boolean-to-moment loop of the subordination route,
+and a batched cyclic Jacobi eigensolver, which float results must match
+within a tolerance.
 """
 
 from __future__ import annotations
@@ -257,6 +259,53 @@ def boxtimes_moments_by_passes(
         if i < p:
             power = _trunc_mul(power, z1_poly, p + 1)
     return [(-1) ** k * kbox[k] for k in range(1, p + 1)]
+
+
+def free_from_moments_by_powers(m: list[Fraction]) -> list[Fraction]:
+    """Free cumulants from m_n = sum_s kappa_s [z^(n-s)] (1 + M(z))^s.
+
+    Builds every power of 1 + M once by truncated products and solves
+    for kappa_n order by order.
+    """
+    d = len(m)
+    mfull = [Fraction(1), *(Fraction(v) for v in m)]
+    powers = [None, list(mfull)]
+    for _ in range(2, d + 1):
+        powers.append(_trunc_mul(powers[-1], mfull, d + 1))
+    kappa: list[Fraction] = []
+    for n in range(1, d + 1):
+        acc = mfull[n]
+        for s in range(1, n):
+            acc -= kappa[s - 1] * powers[s][n - s]
+        kappa.append(acc)
+    return kappa
+
+
+def moments_from_free_by_powers(kappa: list[Fraction]) -> list[Fraction]:
+    """The same relation run forward, rebuilding the powers of 1 + M at
+    every order n from the moments found so far: O(d^4)."""
+    out: list[Fraction] = []
+    for n in range(1, len(kappa) + 1):
+        mfull = [Fraction(1), *out]
+        power = list(mfull)
+        acc = Fraction(0)
+        for s in range(1, n + 1):
+            acc += Fraction(kappa[s - 1]) * power[n - s]
+            if s < n:
+                power = _trunc_mul(power, mfull, n)
+        out.append(acc)
+    return out
+
+
+def moments_from_boolean_float(r: list[float]) -> list[float]:
+    """m_k = r_k + sum_{i<k} r_i m_(k-i), accumulated in binary64."""
+    ms: list[float] = []
+    for k in range(1, len(r) + 1):
+        acc = r[k - 1]
+        for i in range(1, k):
+            acc += r[i - 1] * ms[k - i - 1]
+        ms.append(acc)
+    return ms
 
 
 def _offdiagonal_norms(stack: np.ndarray) -> np.ndarray:

@@ -119,6 +119,15 @@ class TestMomentsAndCumulants:
         rows = [line for line in out.splitlines() if not line.startswith("#")]
         assert rows[1:] == ["1,0", "2,1", "3,0", "4,0"]
 
+    @pytest.mark.parametrize("command", ["moments", "cumulants"])
+    def test_far_apart_atoms_at_order_60(self, tmp_path, capsys, command):
+        # binary64 overflows on these moments; the check must stay exact
+        path = tmp_path / "far.json"
+        path.write_text('{"kind": "atomic", "atoms": [[1000000, "1/2"], [1, "1/2"]]}')
+        code, out, _ = run([command, str(path), "--order", "60"], capsys)
+        assert code == 0
+        assert json.loads(out)["rows"][-1][0] == 60
+
     def test_point_mass_moments(self, files, capsys):
         code, out, _ = run(
             ["moments", files["delta2"], "--order", "3", "--format", "csv"], capsys
@@ -221,6 +230,17 @@ class TestCharacterize:
         )
         assert code == 3
         assert "mean-annihilation" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"A": 5, "b": [1, 2]}', "[1, 2]", '{"A": [[0, 0], [0, 0]], "b": 3}'],
+    )
+    def test_malformed_spec_is_two(self, files, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, _, err = run(["characterize", str(spec), files["rademacher"]], capsys)
+        assert code == 2
+        assert err.startswith("freeconv: parse error:")
 
     def test_explicit_spec_file(self, files, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -14,6 +14,7 @@ from freeconv.transforms import (
     free_from_moments,
     moments_from_boolean,
 )
+from freeconv import convolution
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
     boxplus_moments,
@@ -25,7 +26,7 @@ from freeconv.convolution import (
     fractional_diagnostics,
     solve_subordination,
 )
-from oracles import boxtimes_moments_by_passes
+from oracles import boxtimes_moments_by_passes, moments_from_boolean_float
 
 
 def atomic(*pairs):
@@ -192,6 +193,21 @@ class TestSubordination:
             assert abs(ms[k - 1] - float(exact.m(k))) < 1e-6
         assert max(residuals) < 1e-10
         assert iterations >= 1
+
+    def test_subordination_moments_match_float_loop(self, bernoulli, two_point):
+        # the replaced binary64 recursion is the reference
+        ms, _, _ = boxtimes_via_subordination(bernoulli, two_point, 8)
+        fitted = fit_boolean_cumulants_from_subordination(bernoulli, two_point, 8)
+        want = moments_from_boolean_float(fitted)
+        assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(ms, want))
+
+    def test_non_finite_fit_is_a_convergence_error(self, bernoulli, monkeypatch):
+        monkeypatch.setattr(
+            convolution, "fit_boolean_cumulants_from_subordination",
+            lambda mu1, mu2, p: [float("nan")] * p,
+        )
+        with pytest.raises(ConvergenceError):
+            boxtimes_via_subordination(bernoulli, bernoulli, 3)
 
     def test_rejects_bad_points(self, bernoulli):
         with pytest.raises(DomainError):

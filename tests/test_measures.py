@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from freeconv.errors import DomainError, ParseError
 from freeconv.measures import (
+    _exact_psd,
     Atomic,
     DensityGrid,
     MomentSequence,
@@ -150,6 +151,34 @@ class TestMoments:
         bad = MomentSequence([0, -1])  # variance would be negative
         assert hankel_psd(ok)
         assert not hankel_psd(bad)
+
+    @pytest.mark.parametrize(
+        "mat, psd",
+        [
+            ([[1, 2], [2, 4]], True),  # singular: second pivot is zero
+            ([[0, 0], [0, 3]], True),  # zero pivot with a zero row
+            ([[0, 1], [1, 5]], False),  # zero pivot with a nonzero row
+            ([[1, 2], [2, 3]], False),  # negative second pivot
+            ([[4, 2, 2], [2, 2, 1], [2, 1, Fraction(1, 2)]], False),
+        ],
+    )
+    def test_exact_psd_by_elimination(self, mat, psd):
+        assert _exact_psd([[Fraction(v) for v in row] for row in mat]) is psd
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_psd_agrees_with_eigenvalues(self, rows, shift):
+        # B^T B + shift I has integer entries; its nonzero eigenvalues are far
+        # from 0 at this size, so binary64 with a 1e-9 margin decides exactly
+        b = np.array(rows)
+        mat = b.T @ b + shift * np.eye(b.shape[1], dtype=int)
+        want = bool(np.linalg.eigvalsh(mat.astype(float)).min() >= -1e-9)
+        assert _exact_psd([[Fraction(int(v)) for v in row] for row in mat]) is want
 
 
 class TestPsi:

@@ -1,10 +1,14 @@
-"""The benchmark's traced run finds every library function it wraps."""
+"""Repository checks: the benchmark's traced run finds every library
+function it wraps, and the package source imports nothing it does not use."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACED_JOB = Path(__file__).resolve().parent.parent / "bench" / "traced_job.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_JOB = ROOT / "bench" / "traced_job.py"
+PACKAGE = ROOT / "src" / "freeconv"
 
 
 def test_trace_boundaries_resolve():
@@ -17,3 +21,31 @@ def test_trace_boundaries_resolve():
         if not callable(getattr(importlib.import_module(f"freeconv.{module}"), attr, None))
     ]
     assert traced_job.BOUNDARIES and not missing
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression in the module reads."""
+    tree = ast.parse(source)
+    bound: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_scan_flags_only_unread_names():
+    source = "import math\nimport numpy as np\nfrom typing import Iterable, Sequence\nx: Sequence = np.ones(1)\n"
+    assert unused_imports(source) == ["math", "Iterable"]
+
+
+def test_package_has_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is exempt
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
+    }
+    assert not found

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,9 @@ from oracles import (
     boolean_cumulants_closed_form,
     free_cumulants_bruteforce,
     free_cumulants_moebius,
+    free_from_moments_by_powers,
     moments_from_free_bruteforce,
+    moments_from_free_by_powers,
 )
 
 rationals = st.fractions(
@@ -159,6 +162,24 @@ class TestFreeCumulants:
     @settings(max_examples=100, deadline=None)
     def test_round_trip_exact(self, ms):
         m = seq(ms)
+        assert moments_from_free(free_from_moments(m)) == m
+
+    def test_matches_power_recursion_to_order_24(self):
+        # the replaced conversions are the reference; both are prefix-stable,
+        # so one order-24 oracle run covers every order d = 1..24
+        rng = random.Random(7)
+        two_point = moments(Atomic([(1, Fraction(1, 2)), (2, Fraction(1, 2))]), 24)
+        noise = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
+        for ms in (list(two_point.moments), noise):
+            want_kappa = free_from_moments_by_powers(ms)
+            want_m = moments_from_free_by_powers(ms)
+            for d in range(1, 25):
+                assert list(free_from_moments(seq(ms[:d])).values) == want_kappa[:d]
+                got = moments_from_free(FreeCumulants(ms[:d])).moments
+                assert list(got) == want_m[:d]
+
+    def test_round_trip_at_order_48(self):
+        m = moments(Atomic([(1, Fraction(1, 3)), (Fraction(5, 2), Fraction(2, 3))]), 48)
         assert moments_from_free(free_from_moments(m)) == m
 
     @given(st.lists(rationals, min_size=1, max_size=5))

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv import word_engine
 from freeconv.errors import DomainError, ParseError
-from freeconv.measures import Atomic, MomentSequence, moments
+from freeconv.measures import Atomic, MomentSequence, catalan, moments
 from freeconv.word_engine import (
     AlternatingCheckReport,
     NonCrossingPartition,
     Word,
     alternating_centered_check,
     alternating_index_words,
-    catalan,
     centered_product_moment,
     clear_cache,
     enumerate_nc,
@@ -147,18 +146,26 @@ class TestMixedMoment:
         clear_cache()
         assert mixed_moment((m, m), Word((1, 2, 1, 2))) == v1
 
+    def test_iid_trace_matches_mixed_moment(self, bernoulli):
+        m = moments(bernoulli, 4)
+        words = {(3, 1, 3, 1): Fraction(2), (1, 2, 2, 1): Fraction(-1, 3), (2,): Fraction(5)}
+        want = sum(c * mixed_moment([m] * max(w), Word(w)) for w, c in words.items())
+        assert word_engine.iid_trace(m, words) == want
+
+    def test_iid_trace_rejects_short_marginal(self, bernoulli):
+        with pytest.raises(DomainError):
+            word_engine.iid_trace(moments(bernoulli, 2), {(1, 2, 1, 1): Fraction(1)})
+
     def test_clear_cache_empties_every_memo(self, bernoulli):
         m = moments(bernoulli, 4)
         word_engine.iid_trace(m, {(1, 2, 1, 2): Fraction(1)})
-        assert word_engine._IID_CACHES and word_engine._MOMENT_CACHE
-        clear_cache()
         memos = (
             word_engine._CUMULANT_CACHE,
             word_engine._KAPPA_VALUES,
-            word_engine._KAPPA_IDS,
             word_engine._MOMENT_CACHE,
-            word_engine._IID_CACHES,
         )
+        assert all(memos)
+        clear_cache()
         assert not any(memos)
 
 
