@@ -6,9 +6,10 @@ Q = sum a_jk T_j T_k over free, identically distributed variables, and
 probes whether L and Q behave like a free pair.
 
 The probe compares, for every alternating pattern in the centered forms,
-the exact joint moment (multinomial expansion into words, summed through
-the non-crossing engine) against the value obtained by treating (L, Q)
-as a genuinely free pair with their individual moment sequences.  Both
+the exact joint moment (a sum over the non-crossing partitions of the
+pattern's positions, each weighted by free cumulants and contracted with
+the coefficients) against the value obtained by treating (L, Q) as a
+genuinely free pair with their individual moment sequences.  Both
 sides are exact rationals, so a verdict of "consistent with freeness" is
 a certified zero of every deviation up to the configured degree, and a
 nonzero deviation is an exact witness against freeness.
@@ -23,14 +24,19 @@ first n exponents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain
+from string import ascii_letters
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .measures import MomentSequence, RationalLike, as_fraction
-from .word_engine import centered_product_moment, expand_centered_product, iid_trace
+from .word_engine import _KAPPA_VALUES, _cumulants_of, _nc_blocks
+from .word_engine import centered_product_moment, expand_centered_product
 
 __all__ = [
     "QuadraticFormSpec",
@@ -176,9 +182,12 @@ def joint_moment(
 ) -> Fraction:
     """Exact trace of an (uncentered) L/Q pattern such as L Q^2 L.
 
-    Expands every L into its weighted letters and every Q into weighted
-    letter pairs, preserving noncommutative order, and sums the word
-    traces.  All variables carry the same marginal.
+    All variables carry the same marginal, and their mixed free cumulants
+    vanish unless every index agrees.  So the trace is a sum over the
+    non-crossing partitions pi of the pattern's d positions: the product
+    of kappa_|V| over the blocks V, times the coefficients contracted with
+    one index per block, b at an L position and A at the two positions of
+    a Q.
     """
     pattern = _normalize_pattern(pattern)
     degree = pattern_degree(pattern)
@@ -186,32 +195,26 @@ def joint_moment(
         raise DomainError(
             f"pattern has degree {degree} but marginal order is {marginal.order}"
         )
-    n = spec.n
-    factors: list[str] = []
-    for name, exp in pattern:
-        factors.extend([name] * exp)
+    kappa = _KAPPA_VALUES[_cumulants_of(marginal)]
+    # Integer coefficients keep the object-array contraction in int arithmetic.
+    den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
+    b = np.array([int(v * den) for v in spec.b], dtype=object)
+    a = np.array([[int(v * den) for v in row] for row in spec.a], dtype=object)
+    factors = [name for name, exp in pattern for _ in range(exp)]
+    operands = [b if name == "L" else a for name in factors]
+    starts = list(accumulate((1 if name == "L" else 2 for name in factors), initial=0))
 
-    l_options = [
-        (spec.b[j], (j + 1,)) for j in range(n) if spec.b[j] != 0
-    ]
-    q_options = [
-        (spec.a[j][k], (j + 1, k + 1))
-        for j in range(n)
-        for k in range(n)
-        if spec.a[j][k] != 0
-    ]
-
-    grouped: dict[tuple[int, ...], Fraction] = {}
-    for combo in product(*[l_options if f == "L" else q_options for f in factors]):
-        coeff = Fraction(1)
-        letters: list[int] = []
-        for c, ls in combo:
-            coeff *= c
-            letters.extend(ls)
-        key = tuple(letters)
-        grouped[key] = grouped.get(key, Fraction(0)) + coeff
-
-    return iid_trace(marginal, grouped)
+    total = Fraction(0)
+    index = [""] * degree
+    for blocks in _nc_blocks(tuple(range(degree)), kappa):
+        weight = Fraction(1)
+        for letter, block in zip(ascii_letters, blocks):
+            weight *= kappa[len(block) - 1]
+            for position in block:
+                index[position] = letter
+        subscripts = ",".join("".join(index[s:e]) for s, e in zip(starts, starts[1:]))
+        total += weight * np.einsum(subscripts + "->", *operands)
+    return total / den ** len(factors)
 
 
 def form_moments(
@@ -283,11 +286,12 @@ def freeness_dichotomy(
     """Compare true joint moments of (L, Q) against the free prediction.
 
     For every alternating pattern in the centered forms with total degree
-    up to ``max_word_length``, the true side expands the pattern into
-    words of the underlying variables, while the prediction side treats
-    (L, Q) as a free pair with their individual moment sequences and
-    evaluates the same centered pattern through the word engine.  The two
-    code paths share no intermediate results, so agreement is a genuine
+    up to ``max_word_length``, the true side sums the pattern over the
+    non-crossing partitions of its positions in the underlying variables
+    (``joint_moment``), while the prediction side treats (L, Q) as a free
+    pair with their individual moment sequences and evaluates the same
+    centered pattern through the word engine.  The two code paths share
+    only the marginal's free cumulants, so agreement is a genuine
     cross-check.  Scanning runs in increasing degree; the verdict names
     the first degree at which a deviation appears, if any.
     """

@@ -177,13 +177,9 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
     m2 = moments(mu2, p)
     payload: dict = {"order": p, "method": args.method}
 
-    if args.method == "taylor":
-        out = boxtimes_moments(m1, m2, p)
-        payload["moments"] = [str(v) for v in out.moments]
-        rows = [(k, str(out.m(k))) for k in range(1, p + 1)]
-        _emit(config, payload, ("k", "m_k"), rows)
-    elif args.method == "oracle":
-        out = boxtimes_word_oracle(m1, m2, p)
+    if args.method in ("taylor", "oracle"):
+        engine = boxtimes_moments if args.method == "taylor" else boxtimes_word_oracle
+        out = engine(m1, m2, p)
         payload["moments"] = [str(v) for v in out.moments]
         rows = [(k, str(out.m(k))) for k in range(1, p + 1)]
         _emit(config, payload, ("k", "m_k"), rows)

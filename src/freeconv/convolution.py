@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
@@ -73,6 +72,14 @@ __all__ = [
     "ClosureReport",
     "boxtimes_fractional_closure_check",
 ]
+
+
+def quad(func: Callable[[float], float], a: float, b: float, **options):
+    """``scipy.integrate.quad``; scipy is imported on first use, since it
+    takes most of the package's import time and only quadrature needs it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **options)
 
 
 def boxplus_moments(m1: MomentSequence, m2: MomentSequence) -> MomentSequence:
@@ -346,7 +353,8 @@ def _c_mu(mu: Measure) -> float:
     if isinstance(mu, Atomic):
         denom = sum((w / (1 + u) for u, w in mu.atoms), start=Fraction(0))
         return float(1 / denom)
-    integrand = mu.f / (1.0 + mu.x)
+    # a node with f = 0 may sit at x = -1
+    integrand = np.divide(mu.f, 1.0 + mu.x, out=np.zeros_like(mu.f), where=mu.f > 0)
     return float(1.0 / np.trapezoid(integrand, mu.x))
 
 

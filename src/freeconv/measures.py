@@ -189,8 +189,9 @@ def is_positive_supported(mu: Measure) -> bool:
     if isinstance(mu, Semicircle):
         return mu.center - mu.radius >= 0
     if isinstance(mu, DensityGrid):
-        lo = float(mu.x[0])
-        return lo >= 0 or (lo < 0 and not np.any(mu.f[mu.x < 0] > 0))
+        # the trapezoid density is positive inside an interval with a positive end
+        starts_below = mu.x[:-1] < 0
+        return not np.any(starts_below & ((mu.f[:-1] > 0) | (mu.f[1:] > 0)))
     raise TypeError(f"not a measure: {mu!r}")
 
 
@@ -414,7 +415,8 @@ def psi(mu: Measure, z: complex) -> complex:
             complex(w) * z * complex(loc) / (1.0 - z * complex(loc))
             for loc, w in mu.atoms
         )
-    vals = z * mu.x / (1.0 - z * mu.x)
+    # a node with f = 0 may sit at the pole x = 1/z
+    vals = np.divide(z * mu.x, 1.0 - z * mu.x, out=np.zeros(mu.x.shape, complex), where=mu.f > 0)
     return complex(np.trapezoid(mu.f * vals, mu.x))
 
 

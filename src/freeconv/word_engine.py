@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, ParseError
 from .measures import MomentSequence
@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_nc",
     "Word",
     "mixed_moment",
-    "iid_trace",
     "expand_centered_product",
     "centered_product_moment",
     "alternating_index_words",
@@ -87,13 +86,19 @@ def enumerate_nc(n: int) -> Iterator[NonCrossingPartition]:
         yield NonCrossingPartition(blocks)
 
 
-def _nc_blocks(elements: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
-    # The block of elements[0] splits the rest into independent gaps.
+def _nc_blocks(
+    elements: tuple[int, ...], kappa: Optional[Sequence[Fraction]] = None
+) -> Iterator[list[tuple[int, ...]]]:
+    # The block of elements[0] splits the rest into independent gaps.  With
+    # kappa, partitions with a block of size s where kappa[s - 1] == 0 are
+    # skipped: they add nothing to a cumulant sum.
     if not elements:
         yield []
         return
     first, rest = elements[0], elements[1:]
     for k in range(len(rest) + 1):
+        if kappa is not None and kappa[k] == 0:
+            continue
         for chosen in combinations(range(len(rest)), k):
             block = (first,) + tuple(rest[i] for i in chosen)
             bounds = [*chosen, len(rest)]
@@ -102,17 +107,19 @@ def _nc_blocks(elements: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
             for b in bounds:
                 gaps.append(rest[prev + 1 : b])
                 prev = b
-            for combo in _product_of_gap_partitions(gaps):
+            for combo in _product_of_gap_partitions(gaps, kappa):
                 yield [block, *combo]
 
 
-def _product_of_gap_partitions(gaps: Sequence[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+def _product_of_gap_partitions(
+    gaps: Sequence[tuple[int, ...]], kappa: Optional[Sequence[Fraction]]
+) -> Iterator[list[tuple[int, ...]]]:
     if not gaps:
         yield []
         return
     head, tail = gaps[0], gaps[1:]
-    for head_blocks in _nc_blocks(head):
-        for tail_blocks in _product_of_gap_partitions(tail):
+    for head_blocks in _nc_blocks(head, kappa):
+        for tail_blocks in _product_of_gap_partitions(tail, kappa):
             yield [*head_blocks, *tail_blocks]
 
 
@@ -284,33 +291,6 @@ def mixed_moment(marginals: Sequence[MomentSequence], word: Word) -> Fraction:
     kappa_ids = tuple(_cumulants_of(m) for m in marginals)
     zero_based = tuple(l - 1 for l in word.letters)
     return _nc_moment(*_canonical(kappa_ids, zero_based))
-
-
-def iid_trace(
-    marginal: MomentSequence, combination: Mapping[tuple[int, ...], Fraction]
-) -> Fraction:
-    """Trace of a linear combination of words in free identical copies.
-
-    ``combination`` maps letter tuples (1-based variable indices) to
-    coefficients.  Every variable has moments ``marginal``, so words equal
-    up to relabeling of variables share one slot of the word-moment memo.
-    """
-    kid = _cumulants_of(marginal)
-    total = Fraction(0)
-    for letters, coeff in combination.items():
-        if coeff == 0:
-            continue
-        first_seen: dict[int, int] = {}
-        canon = tuple(first_seen.setdefault(l, len(first_seen)) for l in letters)
-        kappa_ids = (kid,) * len(first_seen)
-        value = _MOMENT_CACHE.get((kappa_ids, canon))
-        if value is None:
-            # a memo hit passed this check when it was computed
-            if max(map(canon.count, range(len(kappa_ids)))) > marginal.order:
-                raise DomainError(f"marginal has order {marginal.order}, too low for {letters}")
-            value = _nc_moment(kappa_ids, canon)
-        total += coeff * value
-    return total
 
 
 def expand_centered_product(

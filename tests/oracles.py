@@ -9,8 +9,9 @@ these exactly.
 Several references are former library engines kept for comparison: the
 O(p^4) multiplicative-convolution recursion that reruns full fixed-point
 passes, the free-cumulant conversions that multiply raw powers of
-1 + M(z), the float boolean-to-moment loop of the subordination route,
-and a batched cyclic Jacobi eigensolver, which float results must match
+1 + M(z), the float boolean-to-moment loop of the subordination route, the
+(L, Q) joint moment that expands a pattern into every index word, and a
+batched cyclic Jacobi eigensolver, which float results must match
 within a tolerance.
 """
 
@@ -306,6 +307,38 @@ def moments_from_boolean_float(r: list[float]) -> list[float]:
             acc += r[i - 1] * ms[k - i - 1]
         ms.append(acc)
     return ms
+
+
+def joint_moment_by_words(spec, marginal, pattern) -> Fraction:
+    """Trace of an L/Q pattern by expanding it into all n^d index words.
+
+    Every L becomes its weighted letters and every Q its weighted letter
+    pairs, in order.  Words equal up to relabeling the variables have the
+    same trace, so each relabeling class is traced once through
+    ``mixed_moment``.
+    """
+    from freeconv.word_engine import Word, mixed_moment
+
+    n = spec.n
+    l_options = [(spec.b[j], (j,)) for j in range(n) if spec.b[j] != 0]
+    q_options = [
+        (spec.a[j][k], (j, k)) for j in range(n) for k in range(n) if spec.a[j][k] != 0
+    ]
+    factors = [name for name, exp in pattern for _ in range(exp)]
+    grouped: dict[tuple[int, ...], Fraction] = {}
+    for combo in product(*[l_options if f == "L" else q_options for f in factors]):
+        coeff = Fraction(1)
+        first_seen: dict[int, int] = {}
+        letters = []
+        for c, ls in combo:
+            coeff *= c
+            letters += [first_seen.setdefault(l, len(first_seen) + 1) for l in ls]
+        key = tuple(letters)
+        grouped[key] = grouped.get(key, Fraction(0)) + coeff
+    return sum(
+        (c * mixed_moment([marginal] * max(w), Word(w)) for w, c in grouped.items() if c != 0),
+        start=Fraction(0),
+    )
 
 
 def _offdiagonal_norms(stack: np.ndarray) -> np.ndarray:

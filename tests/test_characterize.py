@@ -16,7 +16,7 @@ from freeconv.characterize import (
     preset_sample_mean_variance,
     validate_spec,
 )
-from oracles import WordPoly
+from oracles import WordPoly, joint_moment_by_words
 
 
 @pytest.fixture
@@ -122,6 +122,37 @@ class TestJointMoments:
             ((("L", 1), ("Q", 2)), L * Q * Q),
         ]:
             assert joint_moment(spec, marginal, pattern) == poly.trace(tau)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("marginal", ["rademacher", "semicircle", "three-atom"])
+    def test_matches_word_expansion(self, marginal, n, rademacher):
+        mu = {
+            "rademacher": rademacher,
+            "semicircle": Semicircle(0, 2),
+            "three-atom": Atomic([(-2, Fraction(1, 4)), (0, Fraction(1, 2)), (2, Fraction(1, 4))]),
+        }[marginal]
+        spec = preset_sample_mean_variance(n)
+        m = moments(mu, 8)
+        for pattern in alternating_form_patterns(8):
+            assert joint_moment(spec, m, pattern) == joint_moment_by_words(spec, m, pattern)
+
+    def test_nonsymmetric_form_matches_word_expansion(self):
+        # A != A^T and distinct b_j.  Transposing A traces the reversed
+        # pattern, so only a pattern that no rotation maps to its reversal,
+        # such as L^2 Q L Q^2, catches a transposed contraction.
+        f = Fraction
+        spec = QuadraticFormSpec(
+            [[1, f(2, 3), 0], [f(-1, 2), 3, f(1, 5)], [2, 0, f(-7, 4)]],
+            [f(1, 2), f(-2, 3), f(5, 7)],
+        )
+        m = moments(Atomic([(f(-1, 2), f(1, 3)), (1, f(1, 6)), (3, f(1, 2))]), 9)
+        patterns = alternating_form_patterns(7) + [
+            (("L", 2), ("Q", 1), ("L", 1)),
+            (("Q", 3),),
+            (("L", 2), ("Q", 1), ("L", 1), ("Q", 2)),
+        ]
+        for pattern in patterns:
+            assert joint_moment(spec, m, pattern) == joint_moment_by_words(spec, m, pattern)
 
     def test_degree_guard(self, rademacher_marginal):
         spec = preset_sample_mean_variance(2)

@@ -201,6 +201,24 @@ class TestDiagnose:
         assert doc["verdict"] == "finite"
         assert doc["sandwich"].startswith("0.5 <= 1 <= 4")
 
+    def test_grid_with_mass_below_zero_is_three(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"kind": "grid", "x": [-1, 0, 1], "f": [0, 1, 0]}')
+        code, out, _ = run(["diagnose", str(grid), "--alpha", "0.5"], capsys)
+        assert code == 3
+        assert out == ""
+
+    def test_grid_with_zero_node_at_minus_one(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"kind": "grid", "x": [-1, 0, 1, 2], "f": [0, 0, 1, 0]}')
+        code, out, _ = run(["diagnose", str(grid), "--alpha", "0.5"], capsys)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        assert json.loads(out, parse_constant=reject)["c_mu"] == 2.0
+
 
 class TestCharacterize:
     def test_semicircle_preset_consistent(self, files, capsys):

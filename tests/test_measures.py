@@ -92,6 +92,11 @@ class TestConstruction:
         assert in_m_plus(Semicircle(3, 2))
         assert not is_positive_supported(Semicircle(0, 2))
 
+    def test_grid_support_counts_trapezoid_mass(self):
+        # zero at the negative node, but the trapezoid density is positive on (-1, 0)
+        assert not is_positive_supported(DensityGrid([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
+        assert is_positive_supported(DensityGrid([-1.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 0.0]))
+
 
 class TestMoments:
     def test_point_mass_powers(self, delta_one):
@@ -212,6 +217,11 @@ class TestPsi:
         z = complex(-0.7, 0.0)
         expected = z * 1.0 / (1 - z * 1.0)
         assert abs(psi(grid, z) - expected) < 5e-3
+
+    def test_grid_zero_node_at_pole(self):
+        # the node x = -1 carries f = 0, so psi(-1) stays finite
+        grid = DensityGrid([-1.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 0.0])
+        assert psi(grid, -1 + 0j) == -0.5
 
     def test_conjugate_symmetry(self, bernoulli, two_point):
         rng = np.random.default_rng(11)

@@ -1,9 +1,14 @@
 """Repository checks: the benchmark's traced run finds every library
-function it wraps, and the package source imports nothing it does not use."""
+function it wraps, every exported name exists, importing the package
+leaves scipy unloaded, and the package source imports nothing it does
+not use."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +26,33 @@ def test_trace_boundaries_resolve():
         if not callable(getattr(importlib.import_module(f"freeconv.{module}"), attr, None))
     ]
     assert traced_job.BOUNDARIES and not missing
+
+
+def test_exported_names_resolve():
+    modules = ["freeconv"] + [
+        f"freeconv.{path.stem}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+    ]
+    missing = [
+        f"{name}.{attr}"
+        for name in modules
+        for attr in getattr(importlib.import_module(name), "__all__", ())
+        if not hasattr(importlib.import_module(name), attr)
+    ]
+    assert not missing
+
+
+def test_import_leaves_scipy_unloaded():
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    probe = "import sys, freeconv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def unused_imports(source: str) -> list[str]:

@@ -146,19 +146,9 @@ class TestMixedMoment:
         clear_cache()
         assert mixed_moment((m, m), Word((1, 2, 1, 2))) == v1
 
-    def test_iid_trace_matches_mixed_moment(self, bernoulli):
-        m = moments(bernoulli, 4)
-        words = {(3, 1, 3, 1): Fraction(2), (1, 2, 2, 1): Fraction(-1, 3), (2,): Fraction(5)}
-        want = sum(c * mixed_moment([m] * max(w), Word(w)) for w, c in words.items())
-        assert word_engine.iid_trace(m, words) == want
-
-    def test_iid_trace_rejects_short_marginal(self, bernoulli):
-        with pytest.raises(DomainError):
-            word_engine.iid_trace(moments(bernoulli, 2), {(1, 2, 1, 1): Fraction(1)})
-
     def test_clear_cache_empties_every_memo(self, bernoulli):
         m = moments(bernoulli, 4)
-        word_engine.iid_trace(m, {(1, 2, 1, 2): Fraction(1)})
+        mixed_moment((m, m), Word((1, 2, 1, 2)))
         memos = (
             word_engine._CUMULANT_CACHE,
             word_engine._KAPPA_VALUES,
