@@ -5,6 +5,15 @@ so every comparison against exact word moments carries both a statistical
 tolerance (standard errors over independent trials) and an explicit
 finite-dimension allowance of order 1/N.
 
+A diagonal family D_1, Q_2 D_2 Q_2^T, ..., Q_k D_k Q_k^T leaves member 1
+unrotated.  That is exact in law: conjugating the whole family by the
+Haar matrix Q_1^T turns the fully rotated family into this one, and
+Q_j Q_1^T is again Haar and independent of everything else.  Word
+traces, singular values and L^p norms are all invariant under a common
+orthogonal conjugation, so every functional computed here has the same
+distribution either way, and a one-letter word needs no QR factorization
+at all.
+
 The noncommutative L^p norm is ||x||_p = tau(|x|^p)^(1/p) with
 |x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values are
 the square roots of the LAPACK symmetric eigenvalues of x^T x, batched
@@ -22,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .measures import Atomic, Measure, Semicircle, moments
+from .measures import Atomic, Measure, Semicircle, as_float, moments
 from .word_engine import Word, mixed_moment
 
 __all__ = [
@@ -34,7 +43,6 @@ __all__ = [
     "estimate_word_traces",
     "singular_values",
     "ncLp_norm",
-    "operator_norm",
     "InequalityReport",
     "verify_inequalities",
     "exact_word_moment",
@@ -50,9 +58,12 @@ class MatrixEnsembleSpec:
 
     ``kind`` selects standardized GOE (symmetric, off-diagonal variance
     1/N, diagonal 2/N, spectral law approaching the radius-2 semicircle),
-    Haar-rotated diagonal matrices drawn from an atomic measure, or a
-    Wishart-style Gram matrix.  The seed determines the full sample
-    stream.
+    diagonal matrices with i.i.d. entries drawn from an atomic measure, or
+    a Wishart-style Gram matrix.  In a diagonal family, member 1 stays
+    diagonal and members 2..k are each conjugated by their own Haar
+    orthogonal matrix; since only the rotations relative to member 1
+    matter to word traces, singular values and norms, this has the law of
+    rotating every member.  The seed determines the full sample stream.
     """
 
     dimension: int
@@ -92,16 +103,16 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def _sample_one(spec: MatrixEnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+def _sample_one(spec: MatrixEnsembleSpec, rng: np.random.Generator, rotate: bool) -> np.ndarray:
     n = spec.dimension
     if spec.kind == "goe":
         a = rng.standard_normal((n, n))
         return (a + a.T) / math.sqrt(2.0 * n)
     if spec.kind == "diagonal":
-        locs = np.array([float(loc) for loc, _ in spec.measure.atoms])
-        weights = np.array([float(w) for _, w in spec.measure.atoms])
-        weights = weights / weights.sum()
-        diag = rng.choice(locs, size=n, p=weights)
+        locs, weights = np.array(spec.measure.float_atoms).T
+        diag = rng.choice(locs, size=n, p=weights / weights.sum())
+        if not rotate:
+            return np.diag(diag)
         q = haar_orthogonal(n, rng)
         return (q * diag) @ q.T
     if spec.kind == "wishart":
@@ -129,7 +140,7 @@ def sample_family(
     _check_budget(spec)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
-    return [_sample_one(spec, rng) for _ in range(spec.count)]
+    return [_sample_one(spec, rng, rotate=member > 0) for member in range(spec.count)]
 
 
 def _trial_rng(spec: MatrixEnsembleSpec, trial: int) -> np.random.Generator:
@@ -212,7 +223,7 @@ def exact_word_moment(spec: MatrixEnsembleSpec, word: Word) -> float:
     else:
         raise DomainError("exact predictions cover goe and diagonal ensembles")
     marginals = [marginal] * max(word.letters)
-    return float(mixed_moment(marginals, word))
+    return as_float(mixed_moment(marginals, word))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +250,6 @@ def ncLp_norm(matrix: np.ndarray, p: float) -> float:
     if p < 1:
         raise DomainError("p must be >= 1")
     return _norm_from_sigma(singular_values(matrix), p)
-
-
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(singular_values(matrix).max())
 
 
 # ---------------------------------------------------------------------------

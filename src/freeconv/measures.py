@@ -15,6 +15,11 @@ For a measure ``mu`` supported on [0, inf) the module evaluates
 the moment generating transform and its Krein-class companion.  K is
 analytic and nonpositive on the negative real axis and vanishes at 0-;
 multiplicative free convolution is subordinated at the level of K.
+
+User rationals become floats through ``as_float``, which turns binary64
+overflow into a DomainError.  ``quad`` is the package's one quadrature
+rule (tanh-sinh), shared by the semicircle's fractional moments and the
+diagnostics of the convolution module.
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import ConvergenceError, DomainError, ParseError
 
 __all__ = [
     "Atomic",
@@ -36,9 +42,10 @@ __all__ = [
     "Measure",
     "MomentSequence",
     "as_fraction",
+    "as_float",
     "catalan",
     "moments",
-    "absolute_moment",
+    "quad",
     "fractional_moment",
     "hankel_psd",
     "psi",
@@ -77,6 +84,22 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def as_float(value: Fraction) -> float:
+    """Binary64 value of a rational from the user.
+
+    Raises DomainError when the value lies beyond the binary64 range; the
+    message gives its order of magnitude, not its digits, which may run
+    to thousands.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        sign = "-" if value < 0 else ""
+        magnitude = f"{sign}{10 ** (exponent % 1):.4g}e+{math.floor(exponent)}"
+        raise DomainError(f"{magnitude} is outside the binary64 range") from None
+
+
 # ---------------------------------------------------------------------------
 # measure kinds
 # ---------------------------------------------------------------------------
@@ -107,6 +130,14 @@ class Atomic:
         if total != 1:
             raise DomainError(f"atom weights must sum to 1, got {total}")
         object.__setattr__(self, "atoms", tuple(pairs))
+
+    @cached_property
+    def float_atoms(self) -> tuple[tuple[float, float], ...]:
+        """The atoms as binary64 (location, weight) pairs, converted once.
+
+        Raises DomainError, on every access, when a location overflows.
+        """
+        return tuple((as_float(loc), as_float(w)) for loc, w in self.atoms)
 
     def weight_at(self, location: RationalLike) -> Fraction:
         loc = as_fraction(location)
@@ -303,21 +334,59 @@ def moments(mu: Measure, order: int) -> MomentSequence:
     return seq
 
 
-def absolute_moment(mu: Measure, alpha: int) -> Fraction:
-    """Exact absolute moment of integer order: integral of |x|^alpha d mu."""
-    if alpha < 0:
-        raise DomainError("absolute moment order must be >= 0")
-    if alpha == 0:
-        return Fraction(1)
-    if isinstance(mu, Atomic):
-        return sum((w * abs(loc) ** alpha for loc, w in mu.atoms), start=Fraction(0))
-    if isinstance(mu, Semicircle):
-        if is_positive_supported(mu):
-            return moments(mu, alpha).m(alpha)
-        raise DomainError("exact absolute moments only for positively supported semicircles")
-    if isinstance(mu, DensityGrid):
-        return as_fraction(float(np.trapezoid(mu.f * np.abs(mu.x) ** alpha, mu.x)))
-    raise TypeError(f"not a measure: {mu!r}")
+#: Cutoff |t| of the tanh-sinh nodes: there the weight has fallen to
+#: 2.8e-21 of the half-length of the interval, and the nearest node sits
+#: 5.4e-23 of it from the end.
+TANH_SINH_T = 3.5
+
+#: Step halvings after the first level; the last has step 1/512 and
+#: 3,585 nodes.
+TANH_SINH_LEVELS = 8
+
+
+def quad(
+    func: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = 1e-10
+) -> tuple[float, float]:
+    """Integral of ``func`` over [a, b] by the tanh-sinh rule, with its error.
+
+    The double-exponential substitution of Takahasi and Mori (1974),
+    x = c + r tanh(pi/2 sinh t), sends the ends of [a, b] to t = -inf and
+    inf, where the weights decay doubly exponentially, so square-root or
+    power behavior at an end needs no splitting.  Node positions are
+    formed from their distance to the nearer end, which stays exact in
+    relative terms close to the ends.  The trapezoid rule in t starts at
+    step 1/2 and halves it, reusing every earlier node, until two levels
+    agree to within ``tol``; the difference of the last two levels is
+    returned as the error estimate.  ``func`` maps an array of nodes to
+    an array of values.  A non-finite sum returns at once with an
+    infinite error.
+    """
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+
+    def weighted_sum(t: np.ndarray) -> float:
+        # e = exp(-2|u|) with u = pi/2 sinh t: 1 - tanh|u| = 2e/(1+e) and
+        # sech(u)^2 = 4e/(1+e)^2
+        e = np.exp(-math.pi * np.sinh(t))
+        dist = 2.0 * r * e / (1.0 + e)
+        weight = 2.0 * math.pi * r * np.cosh(t) * e / (1.0 + e) ** 2
+        values = func(np.concatenate((a + dist, b - dist)))
+        return float(np.dot(np.concatenate((weight, weight)), values))
+
+    h = 0.5
+    total = 0.5 * math.pi * r * float(func(np.array([c]))[0]) + weighted_sum(
+        np.arange(1, int(TANH_SINH_T / h) + 1) * h
+    )
+    value = h * total
+    for _ in range(TANH_SINH_LEVELS):
+        h *= 0.5
+        total += weighted_sum(np.arange(1, int(TANH_SINH_T / h) + 1, 2) * h)
+        previous, value = value, h * total
+        error = abs(value - previous)
+        if not math.isfinite(value):
+            return value, math.inf
+        if error <= tol:
+            break
+    return value, error
 
 
 def fractional_moment(mu: Measure, alpha: float) -> float:
@@ -327,19 +396,15 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
     if not is_positive_supported(mu):
         raise DomainError("fractional moments require support in [0, inf)")
     if isinstance(mu, Atomic):
-        return sum(float(w) * float(loc) ** alpha for loc, w in mu.atoms if loc > 0) + (
+        return sum(as_float(w) * as_float(loc) ** alpha for loc, w in mu.atoms if loc > 0) + (
             float(mu.weight_at(0)) if alpha == 0 else 0.0
         )
     if isinstance(mu, Semicircle):
-        from scipy.integrate import quad
-
-        c, r = float(mu.center), float(mu.radius)
-        val, _ = quad(
-            lambda t: 2.0 / (math.pi * r * r) * math.sqrt(max(r * r - (t - c) ** 2, 0.0)) * t ** alpha,
-            c - r,
-            c + r,
-        )
-        return float(val)
+        lo, hi = as_float(mu.center - mu.radius), as_float(mu.center + mu.radius)
+        val, err = quad(lambda t: np.sqrt((t - lo) * (hi - t)) * t ** alpha, lo, hi)
+        if not err <= 1e-8 * max(1.0, abs(val)):
+            raise ConvergenceError(f"quadrature error {err:.2e} of m_alpha exceeds its bound")
+        return 8.0 / (math.pi * (hi - lo) ** 2) * val
     if isinstance(mu, DensityGrid):
         xs = np.where(mu.x > 0, mu.x, 0.0)
         return float(np.trapezoid(mu.f * xs ** alpha, mu.x))
@@ -411,10 +476,7 @@ def psi(mu: Measure, z: complex) -> complex:
     """Moment generating transform: integral of z*x/(1 - z*x) d mu(x)."""
     z = _require_transform_domain(mu, z)
     if isinstance(mu, Atomic):
-        return sum(
-            complex(w) * z * complex(loc) / (1.0 - z * complex(loc))
-            for loc, w in mu.atoms
-        )
+        return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
     # a node with f = 0 may sit at the pole x = 1/z
     vals = np.divide(z * mu.x, 1.0 - z * mu.x, out=np.zeros(mu.x.shape, complex), where=mu.f > 0)
     return complex(np.trapezoid(mu.f * vals, mu.x))

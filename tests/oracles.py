@@ -10,9 +10,11 @@ Several references are former library engines kept for comparison: the
 O(p^4) multiplicative-convolution recursion that reruns full fixed-point
 passes, the free-cumulant conversions that multiply raw powers of
 1 + M(z), the float boolean-to-moment loop of the subordination route, the
-(L, Q) joint moment that expands a pattern into every index word, and a
-batched cyclic Jacobi eigensolver, which float results must match
-within a tolerance.
+(L, Q) joint moment that expands a pattern into every index word, a
+batched cyclic Jacobi eigensolver and scipy's adaptive quadrature, which
+float results must match within a tolerance.  The operator norm and the
+integer absolute moment are former library functions with no library
+caller left.
 """
 
 from __future__ import annotations
@@ -408,3 +410,41 @@ def jacobi_eigenvalues(
     single = arr.ndim == 2
     vals = _jacobi_batch(arr, tol, max_sweeps)
     return vals[0] if single else vals
+
+
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value."""
+    from freeconv.matrix_lab import singular_values
+
+    return float(singular_values(matrix).max())
+
+
+def absolute_moment(mu, alpha: int) -> Fraction:
+    """Exact absolute moment of integer order: integral of |x|^alpha d mu."""
+    from freeconv.measures import Atomic, DensityGrid, Semicircle, as_fraction
+    from freeconv.measures import is_positive_supported, moments
+
+    if alpha < 0:
+        raise DomainError("absolute moment order must be >= 0")
+    if alpha == 0:
+        return Fraction(1)
+    if isinstance(mu, Atomic):
+        return sum((w * abs(loc) ** alpha for loc, w in mu.atoms), start=Fraction(0))
+    if isinstance(mu, Semicircle):
+        if is_positive_supported(mu):
+            return moments(mu, alpha).m(alpha)
+        raise DomainError("exact absolute moments only for positively supported semicircles")
+    if isinstance(mu, DensityGrid):
+        return as_fraction(float(np.trapezoid(mu.f * np.abs(mu.x) ** alpha, mu.x)))
+    raise TypeError(f"not a measure: {mu!r}")
+
+
+def scipy_quad(func, a: float, b: float) -> tuple[float, float]:
+    """``scipy.integrate.quad`` (QUADPACK's adaptive Gauss-Kronrod) at the
+    tolerances the library once asked of it, for an integrand that maps an
+    array of nodes to an array of values."""
+    from scipy.integrate import quad
+
+    return quad(
+        lambda x: float(func(np.array([x]))[0]), a, b, epsabs=1e-10, epsrel=1e-10, limit=200
+    )

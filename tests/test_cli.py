@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import pytest
 
@@ -97,6 +99,34 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("freeconv: parse error:")
         assert err.count("\n") == 1
+
+
+class TestHugeAtoms:
+    # 10^400 written out in full: exact, but beyond binary64
+    HUGE = '{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1", "1/2"]]}' % ("0" * 400)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "{huge}", "--alpha", "0.5"],
+            ["subordinate", "{huge}", "{bernoulli}", "--z", "-0.5"],
+            ["boxtimes", "{huge}", "{bernoulli}", "--order", "3", "--method", "subordination"],
+            ["matrixlab", "--word", "T1^2", "--N", "8", "--trials", "2",
+             "--ensemble", "diagonal", "--measure", "{huge}"],
+        ],
+        ids=["diagnose", "subordinate", "boxtimes", "matrixlab"],
+    )
+    def test_float_overflow_is_three_with_short_message(self, files, tmp_path, capsys, argv):
+        huge = tmp_path / "huge.json"
+        huge.write_text(self.HUGE)
+        paths = {"huge": str(huge), "bernoulli": files["bernoulli"]}
+        code, out, err = run([a.format(**paths) for a in argv], capsys)
+        assert code == 3
+        assert out == ""
+        # the atom itself, or the mean (10^400 + 1)/2
+        assert re.fullmatch(
+            r"freeconv: domain error: (1e\+400|5e\+399) is outside the binary64 range\n", err
+        )
 
 
 class TestMomentsAndCumulants:
@@ -218,6 +248,16 @@ class TestDiagnose:
             raise ValueError(f"non-finite JSON constant {constant}")
 
         assert json.loads(out, parse_constant=reject)["c_mu"] == 2.0
+
+    def test_slowly_settling_probes_print_nothing_to_stderr(self, tmp_path, capsys):
+        # a benchmark measure on which the probe quadrature used to warn
+        path = tmp_path / "pos2.json"
+        path.write_text('{"kind": "atomic", "atoms": [["3/2", "2/3"], ["5/2", "1/3"]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["diagnose", str(path), "--alpha", "0.75"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "finite"
 
 
 class TestCharacterize:

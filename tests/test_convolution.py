@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from freeconv.errors import ConvergenceError, DomainError
-from freeconv.measures import Atomic, MomentSequence, Semicircle, krein_k_exact, moments
+from freeconv import measures
+from freeconv.measures import (
+    Atomic,
+    MomentSequence,
+    Semicircle,
+    fractional_moment,
+    krein_k_exact,
+    moments,
+)
 from freeconv.transforms import (
     BooleanCumulants,
     boolean_from_moments,
@@ -26,7 +34,7 @@ from freeconv.convolution import (
     fractional_diagnostics,
     solve_subordination,
 )
-from oracles import boxtimes_moments_by_passes, moments_from_boolean_float
+from oracles import boxtimes_moments_by_passes, moments_from_boolean_float, scipy_quad
 
 
 def atomic(*pairs):
@@ -248,6 +256,19 @@ class TestFractionalDiagnostics:
         assert report.lower_bound <= report.integral_value <= report.upper_bound
         assert abs(report.c_mu - 4.0 / 3.0) < 1e-14
 
+    def test_far_apart_atoms_against_mpmath(self):
+        # integrals of size 1e3, so the stopping rule must be absolute to
+        # bring the error estimate under the diagnostic's bound of 1e-8
+        mu = atomic(("1", "1/2"), ("1000000", "1/2"))
+        alpha = 0.5
+        report = fractional_diagnostics(mu, alpha)
+        with mpmath.workdps(30):
+            cuts = [0] + [mpmath.mpf(10) ** -k for k in range(9, 0, -1)] + [1]
+            integral = mpmath.quad(lambda x: -mp_krein_neg(mu, x) * x ** (-1 - alpha), cuts)
+            want = (1 - alpha) * integral
+        assert abs(report.integral_value - float(want)) <= 1e-9 * float(want)
+        assert report.lower_bound <= report.integral_value <= report.upper_bound
+
     def test_sandwich_on_pool(self):
         for mu in ATOM_POOL:
             for alpha in (0.3, 0.7):
@@ -298,3 +319,95 @@ class TestClosureCheck:
             boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.0, 0.5)
         with pytest.raises(DomainError):
             boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 1.5)
+
+
+def record_quadratures(monkeypatch, compare=None):
+    """Route every quadrature call site through a recorder; returns the list
+    of (a, b, value, error, compare(func, a, b)) it fills."""
+    calls = []
+    rule = measures.quad
+
+    def recording(func, a, b, tol=1e-10):
+        value, error = rule(func, a, b, tol)
+        calls.append((a, b, value, error, compare(func, a, b) if compare else None))
+        return value, error
+
+    monkeypatch.setattr(convolution, "quad", recording)
+    monkeypatch.setattr(measures, "quad", recording)
+    return calls
+
+
+def mp_krein_neg(mu: Atomic, x):
+    """K(-x) of an atomic measure in mpmath arithmetic."""
+    atoms = [(mpmath.mpf(u.numerator) / u.denominator, mpmath.mpf(w.numerator) / w.denominator)
+             for u, w in mu.atoms]
+    num = sum(w * u / (1 + x * u) for u, w in atoms)
+    den = sum(w / (1 + x * u) for u, w in atoms)
+    return -x * num / den
+
+
+class TestQuadrature:
+    def test_matches_scipy_at_every_call_site(self, monkeypatch, bernoulli, two_point):
+        calls = record_quadratures(monkeypatch, scipy_quad)
+        for mu in (bernoulli, two_point):
+            for alpha in (0.25, 0.5, 0.75):
+                fractional_diagnostics(mu, alpha)  # the remainder and three probes
+        for center, radius in ((2, 2), (1, 1), (3, 1)):  # square-root ends, one at 0
+            for alpha in (0.25, 0.5, 0.75):
+                fractional_moment(Semicircle(center, radius), alpha)
+        boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 0.5)  # log-substituted
+        assert len(calls) == 6 * 4 + 9 + 3
+        for a, b, value, _, (reference, _) in calls:
+            assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference)), (a, b)
+
+    def test_probes_where_scipy_lost_accuracy_match_mpmath(self, monkeypatch):
+        # the measure of a benchmark diagnose job; scipy's middle probe was 2.7% off
+        mu = atomic(("3/2", "2/3"), ("5/2", "1/3"))
+        alpha = 0.75
+        calls = record_quadratures(monkeypatch)
+        report = fractional_diagnostics(mu, alpha)
+        assert report.verdict == "finite"
+        probes = calls[1:]
+        assert [a for a, *_ in probes] == [1e-6, 5e-7, 2.5e-7]
+        for eps, _, value, _, _ in probes:
+            cuts = [eps * 10 ** k for k in range(7)] + [1]
+            with mpmath.workdps(30):
+                want = mpmath.quad(lambda x: -mp_krein_neg(mu, x) * x ** (-1 - alpha), cuts)
+            assert abs(value - float(want)) <= 1e-9
+
+    def test_vectorized_krein_matches_exact(self):
+        xs = [Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(1, 3), Fraction(1), Fraction(7, 2)]
+        for mu in ATOM_POOL:
+            got = convolution._krein_on_negative_axis(mu)(np.array([float(x) for x in xs]))
+            for x, value in zip(xs, got):
+                want = float(krein_k_exact(mu, -x))
+                assert abs(value - want) <= 4e-16 * abs(want)
+
+    def test_error_above_bound_is_convergence_error(self, monkeypatch, bernoulli):
+        def loose_when(predicate):
+            def fake(func, a, b, tol):
+                value, error = measures.quad(func, a, b, tol)
+                return value, (1e-3 if predicate(a) else error)
+            return fake
+
+        monkeypatch.setattr(convolution, "quad", loose_when(lambda a: a > 0))  # probes only
+        with pytest.raises(ConvergenceError):
+            fractional_diagnostics(bernoulli, 0.5)
+        monkeypatch.setattr(convolution, "quad", loose_when(lambda a: True))
+        with pytest.raises(ConvergenceError):
+            boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 0.5)
+
+    def test_rule_on_closed_forms(self):
+        cases = [
+            (lambda x: np.sqrt(x), 0.0, 1.0, 2.0 / 3.0),
+            (lambda x: np.exp(x), -1.0, 2.0, math.exp(2.0) - math.exp(-1.0)),
+            (lambda x: 1.0 / (1.0 + x * x), 5.0, -5.0, -2.0 * math.atan(5.0)),
+            (lambda x: np.sqrt(1.0 - x * x), -1.0, 1.0, math.pi / 2.0),
+        ]
+        for func, a, b, want in cases:
+            value, error = measures.quad(func, a, b, 1e-12)
+            assert abs(value - want) <= 1e-13 and error <= 1e-12
+
+    def test_non_finite_integrand_reports_infinite_error(self):
+        value, error = measures.quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        assert math.isnan(value) and error == math.inf

@@ -13,12 +13,11 @@ from freeconv.matrix_lab import (
     exact_word_moment,
     haar_orthogonal,
     ncLp_norm,
-    operator_norm,
     sample_family,
     singular_values,
     verify_inequalities,
 )
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, operator_norm
 
 
 def goe_spec(n=128, count=2, seed=0):
@@ -60,10 +59,22 @@ class TestSampling:
         assert abs(np.trace(x) / 256 - 0.5) < 0.1
 
     def test_rotated_diagonal_keeps_spectrum(self):
-        spec = bernoulli_spec(64, 1, seed=9)
-        (x,) = sample_family(spec)
+        # member 1 stays diagonal; member 2 is the first rotated one
+        spec = bernoulli_spec(64, 2, seed=9)
+        _, x = sample_family(spec)
         eigs = np.sort(np.linalg.eigvalsh(x))
         assert np.allclose(np.round(eigs), eigs, atol=1e-9)  # eigenvalues in {0,1}
+
+    def test_diagonal_family_rotates_all_but_member_one(self):
+        spec = bernoulli_spec(64, 2, seed=10)
+        first, second = sample_family(spec)
+        assert np.array_equal(first, np.diag(np.diag(first)))
+        assert set(np.diag(first)) == {0.0, 1.0}
+        # orthogonally similar to a diagonal matrix of atoms, but not diagonal
+        assert np.allclose(second, second.T, atol=1e-12)
+        eigs = np.linalg.eigvalsh(second)
+        assert np.allclose(eigs, np.round(eigs), atol=1e-9)  # eigenvalues in {0,1}
+        assert np.abs(second - np.diag(np.diag(second))).max() > 1e-2
 
     def test_haar_orthogonality(self):
         rng = np.random.default_rng(5)

@@ -14,7 +14,6 @@ from freeconv.measures import (
     DensityGrid,
     MomentSequence,
     Semicircle,
-    absolute_moment,
     as_fraction,
     hankel_psd,
     in_m_plus,
@@ -27,6 +26,7 @@ from freeconv.measures import (
     psi,
     psi_exact,
 )
+from oracles import absolute_moment
 
 
 def semicircle_density_moment(center, radius, k):

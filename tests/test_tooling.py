@@ -1,11 +1,12 @@
 """Repository checks: the benchmark's traced run finds every library
-function it wraps, every exported name exists, importing the package
-leaves scipy unloaded, and the package source imports nothing it does
-not use."""
+function it wraps, every exported name exists, neither importing the
+package nor running any subcommand loads scipy, and the package source
+imports nothing it does not use."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +54,41 @@ def test_import_leaves_scipy_unloaded():
         timeout=60,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_subcommands_leave_scipy_unloaded():
+    demo = {name: str(ROOT / "demos" / "data" / f"{name}.json")
+            for name in ("bernoulli", "two_point", "rademacher")}
+    runs = [
+        ["moments", demo["two_point"], "--order", "4"],
+        ["cumulants", demo["two_point"], "--order", "4", "--kind", "free"],
+        ["boxplus", demo["bernoulli"], demo["two_point"], "--order", "4"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "all"],
+        ["subordinate", demo["bernoulli"], demo["two_point"], "--grid", "3"],
+        ["diagnose", demo["two_point"], "--alpha", "0.5"],
+        ["characterize", "--preset", "mean-variance", demo["rademacher"], "--max-len", "4"],
+        ["matrixlab", "--word", "T1 T2", "--N", "16", "--trials", "4",
+         "--ensemble", "diagonal", "--measure", demo["bernoulli"]],
+        ["matrixlab", "--word", "T1^2", "--N", "16", "--trials", "4"],
+    ]
+    probe = (
+        "import json, os, sys\n"
+        "from freeconv.cli import main\n"
+        "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    codes, scipy_modules = json.loads(result.stdout)
+    assert codes == [0] * len(runs)
+    assert scipy_modules == []
 
 
 def unused_imports(source: str) -> list[str]:
