@@ -5,63 +5,55 @@ multiplicative free convolution, subordination, mixed moments of free
 families over non-crossing partitions, a moment-level test of the
 semicircle characterization by freeness of linear and quadratic forms,
 and a random-matrix Monte Carlo lab.
+
+Importing the package loads only the exception classes.  Every other
+name in ``__all__`` is resolved on first access by the module
+``__getattr__`` (PEP 562), which imports the one module that defines it,
+so exact work never pays for numpy or for the modules it does not use.
 """
 
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, DomainError, FreeconvError, ParseError
-from .measures import (
-    Atomic,
-    DensityGrid,
-    Measure,
-    MomentSequence,
-    Semicircle,
-    catalan,
-    krein_k,
-    measure_from_json,
-    measure_to_json,
-    moments,
-    psi,
-)
-from .transforms import (
-    BooleanCumulants,
-    FreeCumulants,
-    PowerSeries,
-    boolean_from_moments,
-    free_from_moments,
-    krein_expansion_check,
-    moments_from_boolean,
-    moments_from_free,
-)
-from .word_engine import (
-    NonCrossingPartition,
-    Word,
-    alternating_centered_check,
-    enumerate_nc,
-    mixed_moment,
-)
-from .convolution import (
-    boxplus_moments,
-    boxtimes_fractional_closure_check,
-    boxtimes_moments,
-    boxtimes_word_oracle,
-    fractional_diagnostics,
-    solve_subordination,
-)
-from .characterize import (
-    QuadraticFormSpec,
-    freeness_dichotomy,
-    joint_moment,
-    preset_sample_mean_variance,
-    validate_spec,
-)
-from .matrix_lab import (
-    MatrixEnsembleSpec,
-    estimate_word_trace,
-    ncLp_norm,
-    sample_family,
-    verify_inequalities,
-)
+
+_EXPORTS = {
+    "measures": (
+        "Atomic", "DensityGrid", "Measure", "MomentSequence", "Semicircle", "catalan",
+        "krein_k", "measure_from_json", "measure_to_json", "moments", "psi",
+    ),
+    "transforms": (
+        "BooleanCumulants", "FreeCumulants", "PowerSeries", "boolean_from_moments",
+        "free_from_moments", "krein_expansion_check", "moments_from_boolean",
+        "moments_from_free",
+    ),
+    "word_engine": (
+        "NonCrossingPartition", "Word", "alternating_centered_check", "enumerate_nc",
+        "mixed_moment",
+    ),
+    "convolution": (
+        "boxplus_moments", "boxtimes_fractional_closure_check", "boxtimes_moments",
+        "boxtimes_word_oracle", "fractional_diagnostics", "solve_subordination",
+    ),
+    "characterize": (
+        "QuadraticFormSpec", "freeness_dichotomy", "joint_moment",
+        "preset_sample_mean_variance", "validate_spec",
+    ),
+    "matrix_lab": (
+        "MatrixEnsembleSpec", "estimate_word_trace", "ncLp_norm", "sample_family",
+        "verify_inequalities",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "__version__",

@@ -20,6 +20,35 @@ power-sum condition quantifies over every positive integer m; grouping
 indices with equal b_j reduces it to a generalized power sum over at
 most n distinct values, which a Vandermonde argument pins down by the
 first n exponents.
+
+A joint moment is a sum over the non-crossing partitions pi of the
+pattern's positions, and each term contracts the coefficients with one
+index j_V in [n] per block V.  The contraction runs on the block graph
+of pi, in integers (the coefficients scaled to a common denominator):
+block V carries the unary weight b^(number of L in V) times a_jj for
+every Q with both positions in V, and every Q whose positions lie in
+blocks U != V is an n x n edge between them, parallel edges multiplying
+entrywise.  Blocks are eliminated one at a time, in decreasing order of
+their first position.  A block of degree 0 multiplies the result by the
+sum of its weights, one of degree 1 folds into its neighbour's weight,
+and one of degree 2 becomes the n x n matrix product edge between its
+two neighbours, O(n^3).  Each partition so costs O(|pi| n^3), not the
+n^|pi| of summing over every index assignment.
+
+No block ever has degree above 2.  Put the positions on a circle and
+join consecutive elements of each block by a chord: the chords of a
+non-crossing partition do not cross, so with the circle's arcs they form
+an outerplanar graph.  Every Q joins adjacent positions, an arc, so the
+block graph is a minor of it (contract the chords, drop the other arcs).
+Outerplanar graphs are closed under minors and have a vertex of degree
+at most 2; eliminating it deletes it (degree 0 or 1) or contracts one of
+its edges (degree 2), so one always remains.  The order above always
+picks such a vertex: every block still present when V's turn comes lies
+left of V or encloses it, so V's positions are consecutive among the
+positions present.  Edges only ever join consecutive present positions
+(a Q joins adjacent ones, and eliminating a block joins the two
+positions around it), so V has at most the two neighbours just outside
+its run.  Meeting a higher degree is an internal error.
 """
 
 from __future__ import annotations
@@ -28,10 +57,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
-from string import ascii_letters
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 from .measures import MomentSequence, RationalLike, as_fraction
@@ -175,6 +202,71 @@ def pattern_degree(pattern: Sequence[tuple[str, int]]) -> int:
     return sum((1 if name == "L" else 2) * exp for name, exp in pattern)
 
 
+def _contract(
+    blocks: Sequence[Sequence[int]],
+    factors: Sequence[tuple[str, int]],
+    b: Sequence[int],
+    a: Sequence[Sequence[int]],
+) -> int:
+    """Sum over one index per block of the product of the pattern's
+    coefficients, by eliminating the blocks of the block graph (see the
+    module docstring).
+
+    ``blocks`` come in increasing order of their first position, as
+    ``_nc_blocks`` yields them, and are eliminated in reverse.
+    ``factors`` lists each letter with its first position: b at an L,
+    a at the two positions of a Q.  A unary weight of None stands for
+    all ones.
+    """
+    owner = {p: v for v, block in enumerate(blocks) for p in block}
+    unary: list = [None] * len(blocks)
+    # edges[v][u][i][k]: weight of j_v = i and j_u = k
+    edges: list[dict[int, list]] = [{} for _ in blocks]
+    for name, start in factors:
+        v = owner[start]
+        if name == "L":
+            vec = b
+        elif (u := owner[start + 1]) == v:
+            vec = [row[i] for i, row in enumerate(a)]
+        else:
+            _join(edges, v, u, a)
+            continue
+        unary[v] = vec if unary[v] is None else list(map(mul, unary[v], vec))
+
+    total = 1
+    for v in reversed(range(len(blocks))):
+        weights, nbrs = unary[v], list(edges[v])
+        if not nbrs:
+            total *= len(b) if weights is None else sum(weights)
+            if total == 0:
+                return 0
+            continue
+        if len(nbrs) > 2:
+            raise RuntimeError(
+                f"internal error: a block of degree {len(nbrs)} > 2 in the block graph"
+            )
+        left = edges[nbrs[0]].pop(v)
+        if weights is not None:
+            left = [list(map(mul, row, weights)) for row in left]
+        if len(nbrs) == 1:
+            folded = [sum(row) for row in left]
+            u = nbrs[0]
+            unary[u] = folded if unary[u] is None else list(map(mul, unary[u], folded))
+        else:
+            right = edges[nbrs[1]].pop(v)
+            _join(edges, *nbrs, [[sum(map(mul, l, r)) for r in right] for l in left])
+    return total
+
+
+def _join(edges: list[dict], v: int, u: int, matrix: Sequence[Sequence[int]]) -> None:
+    """Add an edge from v to u (rows index j_v), entrywise onto any present."""
+    present = edges[v].get(u)
+    if present is not None:
+        matrix = [list(map(mul, p, m)) for p, m in zip(present, matrix)]
+    edges[v][u] = matrix
+    edges[u][v] = [list(col) for col in zip(*matrix)]
+
+
 def joint_moment(
     spec: QuadraticFormSpec,
     marginal: MomentSequence,
@@ -187,7 +279,8 @@ def joint_moment(
     non-crossing partitions pi of the pattern's d positions: the product
     of kappa_|V| over the blocks V, times the coefficients contracted with
     one index per block, b at an L position and A at the two positions of
-    a Q.
+    a Q.  The contraction eliminates blocks one at a time (see the module
+    docstring).
     """
     pattern = _normalize_pattern(pattern)
     degree = pattern_degree(pattern)
@@ -196,25 +289,27 @@ def joint_moment(
             f"pattern has degree {degree} but marginal order is {marginal.order}"
         )
     kappa = _KAPPA_VALUES[_cumulants_of(marginal)]
-    # Integer coefficients keep the object-array contraction in int arithmetic.
+    # Integer coefficients keep the contraction in int arithmetic.
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
-    b = np.array([int(v * den) for v in spec.b], dtype=object)
-    a = np.array([[int(v * den) for v in row] for row in spec.a], dtype=object)
-    factors = [name for name, exp in pattern for _ in range(exp)]
-    operands = [b if name == "L" else a for name in factors]
-    starts = list(accumulate((1 if name == "L" else 2 for name in factors), initial=0))
+    b = [int(v * den) for v in spec.b]
+    a = [[int(v * den) for v in row] for row in spec.a]
+    names = [name for name, exp in pattern for _ in range(exp)]
+    starts = accumulate((1 if name == "L" else 2 for name in names), initial=0)
+    factors = list(zip(names, starts))
 
-    total = Fraction(0)
-    index = [""] * degree
+    # Partitions with the same block sizes share their cumulant weight, so
+    # their integer contractions are summed before it multiplies them.
+    by_sizes: dict[tuple[int, ...], int] = {}
     for blocks in _nc_blocks(tuple(range(degree)), kappa):
-        weight = Fraction(1)
-        for letter, block in zip(ascii_letters, blocks):
-            weight *= kappa[len(block) - 1]
-            for position in block:
-                index[position] = letter
-        subscripts = ",".join("".join(index[s:e]) for s, e in zip(starts, starts[1:]))
-        total += weight * np.einsum(subscripts + "->", *operands)
-    return total / den ** len(factors)
+        sizes = tuple(sorted(map(len, blocks)))
+        by_sizes[sizes] = by_sizes.get(sizes, 0) + _contract(blocks, factors, b, a)
+    total = Fraction(0)
+    for sizes, value in by_sizes.items():
+        weight = Fraction(value)
+        for size in sizes:
+            weight *= kappa[size - 1]
+        total += weight
+    return total / den ** len(names)
 
 
 def form_moments(

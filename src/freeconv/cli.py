@@ -5,7 +5,11 @@ Exit codes: 0 ok, 2 parse error, 3 domain/precondition error,
 package version, the command line, and the seed, and every run is fully
 determined by its flags.  Exact rationals print as "p/q"; floats print
 with 12 significant digits so zero-vs-nonzero verdicts stay lossless in
-logs.
+logs.  Exact values print every digit, also past Python's int-string
+conversion limit, which still guards the parsing of input.
+
+Each subcommand imports its engine module when it runs, so an exact
+subcommand loads neither numpy nor the float modules.
 """
 
 from __future__ import annotations
@@ -18,33 +22,16 @@ import os
 import shlex
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, ParseError
 from .measures import Measure, measure_from_json, moments
 from .transforms import boolean_from_moments, free_from_moments
-from .word_engine import Word
-from .convolution import (
-    boxplus_moments,
-    boxtimes_moments,
-    boxtimes_via_subordination,
-    boxtimes_word_oracle,
-    fractional_diagnostics,
-    solve_subordination,
-)
-from .characterize import (
-    QuadraticFormSpec,
-    freeness_dichotomy,
-    pattern_degree,
-    preset_sample_mean_variance,
-    validate_spec,
-)
-from .matrix_lab import (
-    MatrixEnsembleSpec,
-    estimate_word_traces,
-    exact_word_moment,
-)
+
+if TYPE_CHECKING:
+    from .characterize import QuadraticFormSpec
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,12 +39,25 @@ EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
 
+def _exact(value) -> str:
+    """str of an int or Fraction, with every digit even past the
+    int-string conversion limit (Decimal converts without it)."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        q = Fraction(value)
+        text = str(Decimal(q.numerator))
+        return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, complex):
         return f"{value.real:.12g}{value.imag:+.12g}j"
-    return str(value)
+    return _exact(value)
 
 
 @dataclass
@@ -121,8 +121,10 @@ def _load_form_spec(path: str) -> QuadraticFormSpec:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number past the int-string limit
         raise ParseError(f"invalid form JSON: {exc}") from exc
+    from .characterize import QuadraticFormSpec
+
     try:
         return QuadraticFormSpec(data["A"], data["b"])
     except KeyError as exc:
@@ -139,7 +141,7 @@ def _load_form_spec(path: str) -> QuadraticFormSpec:
 def cmd_moments(args, config: RunConfig) -> None:
     mu = _load_measure(args.measure)
     seq = moments(mu, args.order)
-    rows = [(k, str(seq.m(k))) for k in range(1, args.order + 1)]
+    rows = [(k, _exact(seq.m(k))) for k in range(1, args.order + 1)]
     _emit(config, {"measure": args.measure, "order": args.order}, ("k", "m_k"), rows)
 
 
@@ -152,7 +154,7 @@ def cmd_cumulants(args, config: RunConfig) -> None:
     else:
         values = free_from_moments(seq).values
         label = "kappa_k"
-    rows = [(k + 1, str(v)) for k, v in enumerate(values)]
+    rows = [(k + 1, _exact(v)) for k, v in enumerate(values)]
     _emit(
         config,
         {"measure": args.measure, "order": args.order, "kind": args.kind},
@@ -162,14 +164,18 @@ def cmd_cumulants(args, config: RunConfig) -> None:
 
 
 def cmd_boxplus(args, config: RunConfig) -> None:
+    from .convolution import boxplus_moments
+
     m1 = moments(_load_measure(args.mu1), args.order)
     m2 = moments(_load_measure(args.mu2), args.order)
     out = boxplus_moments(m1, m2)
-    rows = [(k, str(out.m(k))) for k in range(1, args.order + 1)]
+    rows = [(k, _exact(out.m(k))) for k in range(1, args.order + 1)]
     _emit(config, {"order": args.order}, ("k", "m_k"), rows)
 
 
 def cmd_boxtimes(args, config: RunConfig) -> None:
+    from .convolution import boxtimes_moments, boxtimes_via_subordination, boxtimes_word_oracle
+
     mu1 = _load_measure(args.mu1)
     mu2 = _load_measure(args.mu2)
     p = args.order
@@ -180,8 +186,8 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
     if args.method in ("taylor", "oracle"):
         engine = boxtimes_moments if args.method == "taylor" else boxtimes_word_oracle
         out = engine(m1, m2, p)
-        payload["moments"] = [str(v) for v in out.moments]
-        rows = [(k, str(out.m(k))) for k in range(1, p + 1)]
+        payload["moments"] = [_exact(v) for v in out.moments]
+        rows = [(k, _exact(out.m(k))) for k in range(1, p + 1)]
         _emit(config, payload, ("k", "m_k"), rows)
     elif args.method == "subordination":
         ms, residuals, iterations = boxtimes_via_subordination(mu1, mu2, p)
@@ -203,8 +209,8 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
         rows = [
             (
                 k,
-                str(taylor.m(k)),
-                str(oracle.m(k)),
+                _exact(taylor.m(k)),
+                _exact(oracle.m(k)),
                 _fmt(ms[k - 1]),
             )
             for k in range(1, p + 1)
@@ -213,6 +219,8 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
 
 
 def cmd_subordinate(args, config: RunConfig) -> None:
+    from .convolution import solve_subordination
+
     mu1 = _load_measure(args.mu1)
     mu2 = _load_measure(args.mu2)
     if args.z is not None:
@@ -247,6 +255,8 @@ def cmd_subordinate(args, config: RunConfig) -> None:
 
 
 def cmd_diagnose(args, config: RunConfig) -> None:
+    from .convolution import fractional_diagnostics
+
     mu = _load_measure(args.measure)
     report = fractional_diagnostics(mu, args.alpha)
     payload = {
@@ -275,6 +285,13 @@ def cmd_diagnose(args, config: RunConfig) -> None:
 
 
 def cmd_characterize(args, config: RunConfig) -> None:
+    from .characterize import (
+        freeness_dichotomy,
+        pattern_degree,
+        preset_sample_mean_variance,
+        validate_spec,
+    )
+
     if args.preset:
         if args.preset != "mean-variance":
             raise ParseError(f"unknown preset {args.preset!r}")
@@ -292,13 +309,13 @@ def cmd_characterize(args, config: RunConfig) -> None:
         (
             " ".join(name for name, _ in pattern),
             pattern_degree(pattern),
-            str(dev),
+            _exact(dev),
         )
         for pattern, dev in result.deviations
     ]
     payload = {
         "verdict": result.verdict,
-        "max_abs_deviation": str(result.max_abs_deviation),
+        "max_abs_deviation": _exact(result.max_abs_deviation),
         "max_word_length": result.max_word_length,
         "note": result.note,
     }
@@ -306,6 +323,9 @@ def cmd_characterize(args, config: RunConfig) -> None:
 
 
 def cmd_matrixlab(args, config: RunConfig) -> None:
+    from .matrix_lab import MatrixEnsembleSpec, estimate_word_traces, exact_word_moment
+    from .word_engine import Word
+
     word = Word.from_text(args.word)
     measure = _load_measure(args.measure) if args.measure else None
     spec = MatrixEnsembleSpec(
@@ -316,13 +336,10 @@ def cmd_matrixlab(args, config: RunConfig) -> None:
         measure=measure,
     )
     estimate = estimate_word_traces(spec, [word], args.trials, max_workers=config.threads)[0]
-    try:
-        exact = exact_word_moment(spec, word)
-    except DomainError:
-        exact = None
+    exact = exact_word_moment(spec, word)
     z_score = (
         (estimate.mean - exact) / estimate.standard_error
-        if exact is not None and estimate.standard_error > 0
+        if estimate.standard_error > 0
         else None
     )
     rows = [
@@ -332,7 +349,7 @@ def cmd_matrixlab(args, config: RunConfig) -> None:
             args.trials,
             _fmt(estimate.mean),
             _fmt(estimate.standard_error),
-            _fmt(exact) if exact is not None else "",
+            _fmt(exact),
             _fmt(z_score) if z_score is not None else "",
         )
     ]

@@ -34,6 +34,11 @@ estimate, the difference of its last two levels, against the absolute
 bound 1e-8 and raises ConvergenceError above it: the diagnostic's
 remainder integral, its three refinement probes, and the closure
 check's three partial integrals.
+
+The exact routes (``boxplus_moments``, ``boxtimes_moments`` and the word
+oracle) need no floats; numpy is imported only inside the float code:
+the subordination fit, K on the negative axis, c_mu of a grid, the
+diagnostics' grid branch and the closure check.
 """
 
 from __future__ import annotations
@@ -41,9 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
@@ -68,6 +71,9 @@ from .transforms import (
     power_table,
 )
 from .word_engine import Word, mixed_moment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "boxplus_moments",
@@ -247,7 +253,7 @@ def _support_bound(mu: Measure) -> float:
         return as_float(max(loc for loc, _ in mu.atoms))
     if isinstance(mu, Semicircle):
         return as_float(mu.center + mu.radius)
-    return float(np.max(mu.x))
+    return float(mu.x.max())
 
 
 def fit_boolean_cumulants_from_subordination(
@@ -268,6 +274,8 @@ def fit_boolean_cumulants_from_subordination(
     cross-check the exact Taylor route; accuracy is solver tolerance
     divided by radius^k.
     """
+    import numpy as np
+
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
     if radius is None:
@@ -348,6 +356,8 @@ def _krein_on_negative_axis(mu: Measure) -> Callable[[np.ndarray], np.ndarray]:
     K(-x) = -x sum w u/(1+xu) / sum w/(1+xu), whose denominator (= 1 + psi)
     is a sum of positive terms.
     """
+    import numpy as np
+
     if isinstance(mu, Atomic):
         locs, weights = np.array(mu.float_atoms).T
 
@@ -376,6 +386,8 @@ def _c_mu(mu: Measure) -> float:
     if isinstance(mu, Atomic):
         denom = sum((w / (1 + u) for u, w in mu.atoms), start=Fraction(0))
         return as_float(1 / denom)
+    import numpy as np
+
     # a node with f = 0 may sit at x = -1
     integrand = np.divide(mu.f, 1.0 + mu.x, out=np.zeros_like(mu.f), where=mu.f > 0)
     return float(1.0 / np.trapezoid(integrand, mu.x))
@@ -414,6 +426,8 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
             float(w) * float(u) ** alpha for u, w in mu.atoms if 0 < u < 1
         )
     else:
+        import numpy as np
+
         mask = (mu.x > 0) & (mu.x < 1)
         xs = np.where(mask, mu.x, 0.0)
         inner = float(np.trapezoid(mu.f * np.where(mask, xs ** alpha, 0.0), mu.x))
@@ -526,6 +540,8 @@ def boxtimes_fractional_closure_check(
     eps0 = min(1e-6, eps0)
     eps0 = max(eps0, 1e-250)
     epsilons = (eps0, eps0 / 2.0, eps0 / 4.0)
+
+    import numpy as np
 
     def partial(lo: float, hi: float) -> float:
         return _integral(

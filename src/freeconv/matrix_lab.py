@@ -175,7 +175,8 @@ def estimate_word_traces(
     Each trial samples one family (its own generator derived from
     (seed, trial), so results are independent of scheduling) and
     evaluates every word on it; estimates for different words are
-    therefore correlated but individually unbiased.
+    therefore correlated but individually unbiased.  A trace beyond the
+    binary64 range raises DomainError.
     """
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
@@ -189,7 +190,14 @@ def estimate_word_traces(
 
     def run_trial(trial: int) -> list[float]:
         family = sample_family(spec, _trial_rng(spec, trial))
-        return [_word_trace(family, w.letters) for w in words]
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = [_word_trace(family, w.letters) for w in words]
+        for word, trace in zip(words, traces):
+            if not math.isfinite(trace):
+                raise DomainError(
+                    f"the trace of {word.as_text()!r} in trial {trial} is outside the binary64 range"
+                )
+        return traces
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

@@ -20,6 +20,11 @@ User rationals become floats through ``as_float``, which turns binary64
 overflow into a DomainError.  ``quad`` is the package's one quadrature
 rule (tanh-sinh), shared by the semicircle's fractional moments and the
 diagnostics of the convolution module.
+
+Exact work on atomic and semicircle measures needs no floats, so numpy is
+imported only inside the float code: ``DensityGrid``, the grid branches
+of ``moments``, ``psi`` and ``fractional_moment``, the semicircle's
+fractional moment, ``quad`` and ``hankel_psd``.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
 from .errors import ConvergenceError, DomainError, ParseError
 
@@ -66,6 +69,15 @@ POLE_TOLERANCE = 1e-14
 
 RationalLike = Union[Fraction, int, str, float]
 
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _clip(value: object, width: int = 40) -> str:
+    """repr of ``value``, cut after ``width`` characters naming its length."""
+    text = repr(value)
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
@@ -80,7 +92,7 @@ def as_fraction(value: RationalLike) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ParseError(f"cannot interpret {value!r} as a rational") from exc
+            raise ParseError(f"cannot interpret {_clip(value)} as a rational") from exc
     raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -180,6 +192,8 @@ class DensityGrid:
     f: np.ndarray
 
     def __init__(self, x: Sequence[float], f: Sequence[float]):
+        import numpy as np
+
         xa = np.asarray(x, dtype=float)
         fa = np.asarray(f, dtype=float)
         if xa.ndim != 1 or fa.shape != xa.shape:
@@ -202,6 +216,8 @@ class DensityGrid:
 
     @classmethod
     def normalized(cls, x: Sequence[float], f: Sequence[float]) -> "DensityGrid":
+        import numpy as np
+
         xa = np.asarray(x, dtype=float)
         fa = np.asarray(f, dtype=float)
         mass = float(np.trapezoid(fa, xa))
@@ -222,7 +238,7 @@ def is_positive_supported(mu: Measure) -> bool:
     if isinstance(mu, DensityGrid):
         # the trapezoid density is positive inside an interval with a positive end
         starts_below = mu.x[:-1] < 0
-        return not np.any(starts_below & ((mu.f[:-1] > 0) | (mu.f[1:] > 0)))
+        return not (starts_below & ((mu.f[:-1] > 0) | (mu.f[1:] > 0))).any()
     raise TypeError(f"not a measure: {mu!r}")
 
 
@@ -317,6 +333,8 @@ def moments(mu: Measure, order: int) -> MomentSequence:
             for k in range(1, order + 1)
         ]
     elif isinstance(mu, DensityGrid):
+        import numpy as np
+
         vals = [
             as_fraction(float(np.trapezoid(mu.f * mu.x ** k, mu.x)))
             for k in range(1, order + 1)
@@ -361,6 +379,8 @@ def quad(
     an array of values.  A non-finite sum returns at once with an
     infinite error.
     """
+    import numpy as np
+
     c, r = 0.5 * (a + b), 0.5 * (b - a)
 
     def weighted_sum(t: np.ndarray) -> float:
@@ -400,12 +420,16 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
             float(mu.weight_at(0)) if alpha == 0 else 0.0
         )
     if isinstance(mu, Semicircle):
+        import numpy as np
+
         lo, hi = as_float(mu.center - mu.radius), as_float(mu.center + mu.radius)
         val, err = quad(lambda t: np.sqrt((t - lo) * (hi - t)) * t ** alpha, lo, hi)
         if not err <= 1e-8 * max(1.0, abs(val)):
             raise ConvergenceError(f"quadrature error {err:.2e} of m_alpha exceeds its bound")
         return 8.0 / (math.pi * (hi - lo) ** 2) * val
     if isinstance(mu, DensityGrid):
+        import numpy as np
+
         xs = np.where(mu.x > 0, mu.x, 0.0)
         return float(np.trapezoid(mu.f * xs ** alpha, mu.x))
     raise TypeError(f"not a measure: {mu!r}")
@@ -443,6 +467,7 @@ def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) ->
     serves grid quadratures, and :func:`moments` checks exact measures
     exactly.
     """
+    import numpy as np
 
     def psd(mat: np.ndarray) -> bool:
         scale = max(1.0, float(np.abs(mat).max()))
@@ -477,6 +502,8 @@ def psi(mu: Measure, z: complex) -> complex:
     z = _require_transform_domain(mu, z)
     if isinstance(mu, Atomic):
         return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
+    import numpy as np
+
     # a node with f = 0 may sit at the pole x = 1/z
     vals = np.divide(z * mu.x, 1.0 - z * mu.x, out=np.zeros(mu.x.shape, complex), where=mu.f > 0)
     return complex(np.trapezoid(mu.f * vals, mu.x))
@@ -559,7 +586,7 @@ def measure_from_json(source: Union[str, dict]) -> Measure:
     if isinstance(source, str):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a number past the int-string limit
             raise ParseError(f"invalid measure JSON: {exc}") from exc
     else:
         data = source

@@ -9,8 +9,8 @@ module.
 
 Every recursion on powers of such a series u runs on one power table
 pw[j][d] = [z^d] u(z)^j, filled a degree at a time in O(D^3) exact
-operations (:func:`fill_power_degree`): composition, both free-cumulant
-conversions, and the subordination recursion of the convolution module.
+operations (:func:`fill_power_degree`): both free-cumulant conversions
+and the subordination recursion of the convolution module.
 
 Boolean cumulants are the Taylor coefficients of the Krein transform at
 0: K = M/(1+M), inverted by M = K/(1-K).  Free cumulants satisfy
@@ -145,19 +145,6 @@ class PowerSeries:
                 acc -= out[i - 1] * denom.coeffs[k - i - 1]
             out.append(acc)
         return PowerSeries(out)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(z)); valid because inner has zero constant term."""
-        self._check_order(inner)
-        d = self.order
-        pw = power_table(d)
-        pw[1][1:] = inner.coeffs
-        for deg in range(1, d + 1):
-            fill_power_degree(pw, deg)
-        return PowerSeries(
-            sum((c * pw[j][deg] for j, c in enumerate(self.coeffs, 1)), start=Fraction(0))
-            for deg in range(1, d + 1)
-        )
 
     def __call__(self, point: RationalLike) -> Fraction:
         """Evaluate the truncated polynomial at a rational point."""

@@ -61,12 +61,6 @@ class NonCrossingPartition:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    def block_of(self, element: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if element in b:
-                return b
-        raise DomainError(f"element {element} not in partition")
-
 
 def _has_crossing(blocks: Sequence[Sequence[int]]) -> bool:
     # a < b < c < d with {a, c} and {b, d} in different blocks

@@ -10,18 +10,21 @@ Several references are former library engines kept for comparison: the
 O(p^4) multiplicative-convolution recursion that reruns full fixed-point
 passes, the free-cumulant conversions that multiply raw powers of
 1 + M(z), the float boolean-to-moment loop of the subordination route, the
-(L, Q) joint moment that expands a pattern into every index word, a
-batched cyclic Jacobi eigensolver and scipy's adaptive quadrature, which
-float results must match within a tolerance.  The operator norm and the
-integer absolute moment are former library functions with no library
-caller left.
+(L, Q) joint moment that expands a pattern into every index word, the
+(L, Q) joint moment that contracts each partition's coefficients with one
+object-array ``np.einsum``, a batched cyclic Jacobi eigensolver and
+scipy's adaptive quadrature, which float results must match within a
+tolerance.  The operator norm, the integer absolute moment, series
+composition and the block lookup of a non-crossing partition are former
+library functions with no library caller left.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, chain, combinations, product
+from string import ascii_letters
 
 import numpy as np
 
@@ -343,6 +346,36 @@ def joint_moment_by_words(spec, marginal, pattern) -> Fraction:
     )
 
 
+def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
+    """Trace of an L/Q pattern as a sum over the NC partitions of its
+    positions, each contracted over all n^|pi| index assignments by one
+    object-array ``np.einsum`` in integer arithmetic."""
+    from freeconv.characterize import _normalize_pattern, pattern_degree
+    from freeconv.word_engine import _KAPPA_VALUES, _cumulants_of, _nc_blocks
+
+    pattern = _normalize_pattern(pattern)
+    degree = pattern_degree(pattern)
+    kappa = _KAPPA_VALUES[_cumulants_of(marginal)]
+    den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
+    b = np.array([int(v * den) for v in spec.b], dtype=object)
+    a = np.array([[int(v * den) for v in row] for row in spec.a], dtype=object)
+    factors = [name for name, exp in pattern for _ in range(exp)]
+    operands = [b if name == "L" else a for name in factors]
+    starts = list(accumulate((1 if name == "L" else 2 for name in factors), initial=0))
+
+    total = Fraction(0)
+    index = [""] * degree
+    for blocks in _nc_blocks(tuple(range(degree)), kappa):
+        weight = Fraction(1)
+        for letter, block in zip(ascii_letters, blocks):
+            weight *= kappa[len(block) - 1]
+            for position in block:
+                index[position] = letter
+        subscripts = ",".join("".join(index[s:e]) for s, e in zip(starts, starts[1:]))
+        total += weight * np.einsum(subscripts + "->", *operands)
+    return total / den ** len(factors)
+
+
 def _offdiagonal_norms(stack: np.ndarray) -> np.ndarray:
     # Summing the off-diagonal entries directly; total minus diagonal
     # would cancel catastrophically near convergence.
@@ -448,3 +481,28 @@ def scipy_quad(func, a: float, b: float) -> tuple[float, float]:
     return quad(
         lambda x: float(func(np.array([x]))[0]), a, b, epsabs=1e-10, epsrel=1e-10, limit=200
     )
+
+
+def compose(outer, inner):
+    """Series composition outer(inner(z)); inner has zero constant term."""
+    from freeconv.transforms import PowerSeries, fill_power_degree, power_table
+
+    if outer.order != inner.order:
+        raise DomainError(f"series order mismatch: {outer.order} vs {inner.order}")
+    d = outer.order
+    pw = power_table(d)
+    pw[1][1:] = inner.coeffs
+    for deg in range(1, d + 1):
+        fill_power_degree(pw, deg)
+    return PowerSeries(
+        sum((c * pw[j][deg] for j, c in enumerate(outer.coeffs, 1)), start=Fraction(0))
+        for deg in range(1, d + 1)
+    )
+
+
+def block_of(partition, element: int) -> tuple[int, ...]:
+    """The block of a NonCrossingPartition that holds ``element``."""
+    for b in partition.blocks:
+        if element in b:
+            return b
+    raise DomainError(f"element {element} not in partition")

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, MomentSequence, Semicircle, moments
-from freeconv.word_engine import Word, mixed_moment, clear_cache
+from freeconv.word_engine import Word, _nc_blocks, mixed_moment, clear_cache
 from freeconv.characterize import (
     DichotomyReport,
     QuadraticFormSpec,
+    _contract,
     alternating_form_patterns,
     form_moments,
     freeness_dichotomy,
@@ -16,7 +18,27 @@ from freeconv.characterize import (
     preset_sample_mean_variance,
     validate_spec,
 )
-from oracles import WordPoly, joint_moment_by_words
+from oracles import WordPoly, joint_moment_by_einsum, joint_moment_by_words
+
+F = Fraction
+NONSYMMETRIC_SPEC = QuadraticFormSpec(
+    [[1, F(2, 3), 0], [F(-1, 2), 3, F(1, 5)], [2, 0, F(-7, 4)]],
+    [F(1, 2), F(-2, 3), F(5, 7)],
+)
+NONSYMMETRIC_MARGINAL = Atomic([(F(-1, 2), F(1, 3)), (1, F(1, 6)), (3, F(1, 2))])
+# Transposing A traces the reversed pattern, so only a pattern that no
+# rotation maps to its reversal, such as L^2 Q L Q^2, catches a transposed
+# contraction.
+EXTRA_PATTERNS = [
+    (("L", 2), ("Q", 1), ("L", 1)),
+    (("Q", 3),),
+    (("L", 2), ("Q", 1), ("L", 1), ("Q", 2)),
+]
+
+
+def factors_of(word):
+    """(letter, first position) for each letter of an L/Q word."""
+    return list(zip(word, accumulate((1 if x == "L" else 2 for x in word), initial=0)))
 
 
 @pytest.fixture
@@ -140,19 +162,66 @@ class TestJointMoments:
         # A != A^T and distinct b_j.  Transposing A traces the reversed
         # pattern, so only a pattern that no rotation maps to its reversal,
         # such as L^2 Q L Q^2, catches a transposed contraction.
-        f = Fraction
-        spec = QuadraticFormSpec(
-            [[1, f(2, 3), 0], [f(-1, 2), 3, f(1, 5)], [2, 0, f(-7, 4)]],
-            [f(1, 2), f(-2, 3), f(5, 7)],
-        )
-        m = moments(Atomic([(f(-1, 2), f(1, 3)), (1, f(1, 6)), (3, f(1, 2))]), 9)
-        patterns = alternating_form_patterns(7) + [
-            (("L", 2), ("Q", 1), ("L", 1)),
-            (("Q", 3),),
-            (("L", 2), ("Q", 1), ("L", 1), ("Q", 2)),
+        m = moments(NONSYMMETRIC_MARGINAL, 9)
+        for pattern in alternating_form_patterns(7) + EXTRA_PATTERNS:
+            assert joint_moment(NONSYMMETRIC_SPEC, m, pattern) == joint_moment_by_words(
+                NONSYMMETRIC_SPEC, m, pattern
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("marginal", ["rademacher", "semicircle", "uncentered"])
+    def test_matches_einsum_contraction(self, marginal, n, rademacher):
+        mu = {
+            "rademacher": rademacher,
+            "semicircle": Semicircle(0, 2),
+            "uncentered": Atomic([(-1, F(1, 4)), (F(1, 2), F(1, 2)), (3, F(1, 4))]),
+        }[marginal]
+        spec = preset_sample_mean_variance(n)
+        m = moments(mu, 9)
+        for pattern in alternating_form_patterns(8) + EXTRA_PATTERNS:
+            assert joint_moment(spec, m, pattern) == joint_moment_by_einsum(spec, m, pattern)
+
+    def test_nonsymmetric_form_matches_einsum_contraction(self):
+        m = moments(NONSYMMETRIC_MARGINAL, 9)
+        for pattern in alternating_form_patterns(8) + EXTRA_PATTERNS:
+            assert joint_moment(NONSYMMETRIC_SPEC, m, pattern) == joint_moment_by_einsum(
+                NONSYMMETRIC_SPEC, m, pattern
+            )
+
+    def test_elimination_never_meets_degree_above_two(self):
+        # every L/Q word to degree 8 and every NC partition of its positions;
+        # _contract raises on a block of degree > 2
+        b, a = [2, -3], [[1, 5], [-2, 7]]
+        words = [
+            word
+            for length in range(1, 9)
+            for word in product("LQ", repeat=length)
+            if sum(1 if x == "L" else 2 for x in word) <= 8
         ]
-        for pattern in patterns:
-            assert joint_moment(spec, m, pattern) == joint_moment_by_words(spec, m, pattern)
+        visited = 0
+        for word in words:
+            factors = factors_of(word)
+            degree = sum(1 if x == "L" else 2 for x in word)
+            for blocks in _nc_blocks(tuple(range(degree))):
+                _contract(blocks, factors, b, a)
+                visited += 1
+        # sum over degrees d <= 8 of Fib(d + 1) words times Catalan(d) partitions
+        assert len(words) == 87 and visited == 59771
+
+    def test_elimination_guard_rejects_a_crossing_partition(self):
+        # Q^6 on four crossing blocks, each pair joined by one Q: the block
+        # graph is K4, every vertex of degree 3
+        blocks = [(0, 2, 4), (1, 6, 8), (3, 7, 10), (5, 9, 11)]
+        with pytest.raises(RuntimeError, match="degree 3"):
+            _contract(blocks, factors_of("QQQQQQ"), [1, 1], [[1, 2], [3, 4]])
+
+    def test_twelve_variables_match_einsum_contraction(self, rademacher):
+        # the oracle sums 12^|pi| index assignments per partition, so the
+        # patterns stop at degree 6
+        spec = preset_sample_mean_variance(12)
+        m = moments(rademacher, 6)
+        for pattern in alternating_form_patterns(6):
+            assert joint_moment(spec, m, pattern) == joint_moment_by_einsum(spec, m, pattern)
 
     def test_degree_guard(self, rademacher_marginal):
         spec = preset_sample_mean_variance(2)

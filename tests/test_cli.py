@@ -1,6 +1,8 @@
 import json
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +128,53 @@ class TestHugeAtoms:
         # the atom itself, or the mean (10^400 + 1)/2
         assert re.fullmatch(
             r"freeconv: domain error: (1e\+400|5e\+399) is outside the binary64 range\n", err
+        )
+
+    def test_exact_output_prints_every_digit(self, tmp_path, capsys):
+        # {10^400, 1} shifted by 10^-400: m_6 has 4,801 numerator digits,
+        # past the 4,300 of Python's int-string conversion limit
+        big, tiny = tmp_path / "big.json", tmp_path / "tiny.json"
+        big.write_text(self.HUGE)
+        tiny.write_text('{"kind": "atomic", "atoms": [["1/1%s", "1"]]}' % ("0" * 400))
+        code, out, err = run(["boxplus", str(big), str(tiny), "--order", "6"], capsys)
+        assert code == 0 and err == ""
+        values = [value for _, value in json.loads(out)["rows"]]
+        assert max(map(len, values)) > 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            got = [Fraction(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        shift = Fraction(1, 10 ** 400)
+        assert got == [
+            ((10 ** 400 + shift) ** k + (1 + shift) ** k) / 2 for k in range(1, 7)
+        ]
+
+    @pytest.mark.parametrize(
+        "atom", ['"1%s"' % ("0" * 5000), "1%s" % ("0" * 5000)], ids=["string", "number"]
+    )
+    def test_overlong_input_number_is_two_with_short_message(self, tmp_path, capsys, atom):
+        # 5,001 digits: past the int-string conversion limit, which parsing keeps
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "atomic", "atoms": [[%s, "1"]]}' % atom)
+        code, out, err = run(["moments", str(path), "--order", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("freeconv: parse error:")
+        assert err.count("\n") == 1 and len(err) < 300
+
+    def test_overflowing_trace_is_three_without_warnings(self, tmp_path, capsys):
+        # 10^200 fits binary64 but its square does not
+        path = tmp_path / "b200.json"
+        path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1", "1/2"]]}' % ("0" * 200))
+        argv = ["matrixlab", "--word", "T1^2", "--N", "8", "--trials", "2",
+                "--ensemble", "diagonal", "--measure", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == (
+            "freeconv: domain error: the trace of 'T1^2' in trial 0 is outside the binary64 range\n"
         )
 
 

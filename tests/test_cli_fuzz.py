@@ -3,7 +3,9 @@
 Every run must end in one of the documented exit codes, 0 ok, 2 parse,
 3 domain or 4 non-convergence, with no exception escaping ``main``.
 Inputs are drawn mostly well formed, so that runs reach the numerical
-code, with malformed JSON, schemas and flags mixed in.  Orders,
+code, with malformed JSON, schemas and flags mixed in.  Rationals reach
+magnitudes 10^+-400, beyond binary64, whose exact results at order 6
+run past Python's 4,300-digit int-string conversion limit.  Orders,
 dimensions and trial counts stay small so each example is cheap.
 """
 
@@ -11,6 +13,7 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -32,16 +35,21 @@ json_values = st.recursive(
     | st.dictionaries(st.sampled_from(["kind", "atoms", "A", "b", "x"]), inner, max_size=3),
     max_leaves=12,
 )
+HUGE = Fraction(10 ** 400)
+extremes = st.sampled_from([HUGE, -HUGE, 1 / HUGE, -3 / HUGE])
 rationals = st.one_of(
     st.integers(-5, 5),
     st.fractions(-5, 5, max_denominator=7).map(str),
     st.floats(-5, 5),
+    extremes.map(str),
 )
 
 valid_measures = st.one_of(
     st.builds(
         lambda locs: {"kind": "atomic", "atoms": [[str(x), f"1/{len(locs)}"] for x in locs]},
-        st.lists(st.fractions(-5, 5, max_denominator=7), min_size=1, max_size=4, unique=True),
+        st.lists(
+            st.fractions(-5, 5, max_denominator=7) | extremes, min_size=1, max_size=4, unique=True
+        ),
     ),
     st.builds(
         lambda c, r: {"kind": "semicircle", "center": c, "radius": r},
@@ -161,6 +169,8 @@ def run_in(directory: Path, argv: list[str]) -> int:
 RADEMACHER = {"kind": "atomic", "atoms": [[-1, "1/2"], [1, "1/2"]]}
 FAR_APART = {"kind": "atomic", "atoms": [[1000000, "1/2"], [1, "1/2"]]}
 DELTA0 = {"kind": "atomic", "atoms": [[0, 1]]}
+BIG = {"kind": "atomic", "atoms": [[str(HUGE), "1/2"], [1, "1/2"]]}
+TINY = {"kind": "atomic", "atoms": [[str(1 / HUGE), 1]]}
 
 
 @given(
@@ -177,6 +187,7 @@ DELTA0 = {"kind": "atomic", "atoms": [[0, 1]]}
 @example(["cumulants", "MU1", "--order", "60"], FAR_APART, None, None, False)
 @example(["boxtimes", "MU1", "MU2", "--order", "1", "--method", "subordination"],
          DELTA0, DELTA0, None, False)
+@example(["boxplus", "MU1", "MU2", "--order", "6"], BIG, TINY, None, False)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_exits_with_a_documented_code(argv, mu1, mu2, spec, raw):
     with tempfile.TemporaryDirectory() as tmp:

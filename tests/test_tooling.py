@@ -1,7 +1,8 @@
 """Repository checks: the benchmark's traced run finds every library
 function it wraps, every exported name exists, neither importing the
-package nor running any subcommand loads scipy, and the package source
-imports nothing it does not use."""
+package nor running any subcommand loads scipy, importing the package
+loads only its exceptions, the exact subcommands never load numpy, and
+the package source imports nothing it does not use."""
 
 import ast
 import importlib
@@ -42,18 +43,22 @@ def test_exported_names_resolve():
     assert not missing
 
 
-def test_import_leaves_scipy_unloaded():
+def run_probe(probe: str, *args: str) -> str:
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    probe = "import sys, freeconv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
-        timeout=60,
+        timeout=120,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = "import sys, freeconv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_probe(probe).strip() == "[]"
 
 
 def test_subcommands_leave_scipy_unloaded():
@@ -77,36 +82,87 @@ def test_subcommands_leave_scipy_unloaded():
         "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
     )
-    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(runs)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    codes, scipy_modules = json.loads(result.stdout)
+    codes, scipy_modules = json.loads(run_probe(probe, json.dumps(runs)))
     assert codes == [0] * len(runs)
     assert scipy_modules == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def test_import_loads_only_the_exceptions():
+    probe = "import sys, freeconv; print(sorted(m for m in sys.modules if m.startswith('freeconv')))"
+    assert run_probe(probe).strip() == "['freeconv', 'freeconv.errors']"
+
+
+def test_exact_subcommands_leave_numpy_unloaded():
+    demo = {name: str(ROOT / "demos" / "data" / f"{name}.json")
+            for name in ("bernoulli", "two_point", "rademacher", "semicircle")}
+    runs = [
+        ["moments", demo["two_point"], "--order", "4"],
+        ["cumulants", demo["two_point"], "--order", "4", "--kind", "free"],
+        ["cumulants", demo["two_point"], "--order", "4", "--kind", "boolean"],
+        ["boxplus", demo["semicircle"], demo["rademacher"], "--order", "4"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "taylor"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "oracle"],
+        ["characterize", "--preset", "mean-variance", demo["rademacher"], "--max-len", "6"],
+        ["characterize", "--preset", "mean-variance", demo["semicircle"], "--max-len", "6"],
+    ]
+    probe = (
+        "import json, os, sys\n"
+        "from freeconv.cli import main\n"
+        "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')]))"
+    )
+    codes, numpy_modules = json.loads(run_probe(probe, json.dumps(runs)))
+    assert codes == [0] * len(runs)
+    assert numpy_modules == []
+
+
 def unused_imports(source: str) -> list[str]:
-    """Names bound by import statements that no expression in the module reads."""
-    tree = ast.parse(source)
-    bound: list[str] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bound += [a.asname or a.name.split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [a.asname or a.name for a in node.names]
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [name for name in bound if name not in read]
+    """Names bound by import statements that their own scope never reads.
+
+    The scope of an import is the module, or the function that holds it,
+    nested functions included: a function-local import counts as used
+    only when that function reads it, whatever other functions read.
+    """
+    unused: list[str] = []
+
+    def own_nodes(scope: ast.AST):
+        for child in ast.iter_child_nodes(scope):
+            yield child
+            if not isinstance(child, FUNCTIONS):
+                yield from own_nodes(child)
+
+    def check(scope: ast.AST) -> None:
+        read = {
+            n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in own_nodes(scope):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                if isinstance(node, FUNCTIONS):
+                    check(node)
+                continue
+            unused.extend(name for name in bound if name not in read)
+
+    check(ast.parse(source))
+    return unused
 
 
 def test_unused_import_scan_flags_only_unread_names():
     source = "import math\nimport numpy as np\nfrom typing import Iterable, Sequence\nx: Sequence = np.ones(1)\n"
     assert unused_imports(source) == ["math", "Iterable"]
+    # a function-local import is checked against its own function's reads
+    scoped = (
+        "import math\n"
+        "def f():\n    import numpy as np\n    return math.pi\n"
+        "def g():\n    import numpy as np\n    return np.ones(1)\n"
+    )
+    assert unused_imports(scoped) == ["np"]
 
 
 def test_package_has_no_unused_imports():

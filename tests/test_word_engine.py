@@ -18,7 +18,7 @@ from freeconv.word_engine import (
     enumerate_nc,
     mixed_moment,
 )
-from oracles import mixed_moment_bruteforce, nc_partitions
+from oracles import block_of, mixed_moment_bruteforce, nc_partitions
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
@@ -57,7 +57,7 @@ class TestEnumeration:
 
     def test_block_lookup(self):
         p = NonCrossingPartition([(1, 4), (2, 3)])
-        assert p.block_of(3) == (2, 3)
+        assert block_of(p, 3) == (2, 3)
         assert p.n == 4
 
 
