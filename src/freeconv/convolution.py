@@ -15,9 +15,9 @@ convolution of measures on [0, inf) is computed two independent ways:
   time by the transforms module's power-table kernel, O(p^3) exact
   operations to order p; K of the product is then K_1 composed with Z_1.
 
-* a brute-force word bridge: the k-th moment of the product measure is
-  the trace of the alternating word (T S)^k, evaluated by the
-  non-crossing partition engine.
+* a word bridge: the k-th moment of the product measure is the trace
+  of the alternating word (T S)^k, evaluated by the non-crossing
+  partition engine, which shares no code with the Taylor recursion.
 
 The two routes must agree as exact rationals, which is the module's main
 internal consistency check.  A damped fixed-point solver provides the
@@ -44,12 +44,14 @@ diagnostics' grid branch and the closure check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
+    AXIS_TOLERANCE,
     Atomic,
     Measure,
     MomentSequence,
@@ -146,7 +148,7 @@ def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSe
 
 
 def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
-    """Product moments by brute force: m_k = trace of the word (T S)^k.
+    """Product moments as word traces: m_k = trace of the word (T S)^k.
 
     Independent of the Taylor route; the two must agree exactly.
     """
@@ -203,14 +205,15 @@ def solve_subordination(
     Z_1 <- z K_2(Z_2)/Z_2 and Z_2 <- z K_1(Z_1)/Z_1, started from
     Z_j = m_1(mu_k) z.  A half step replaces the full update whenever
     the direction of successive updates flips.  Accepts z in the open
-    upper half plane or on the negative real axis.
+    upper half plane or on the negative real axis, which includes any z
+    with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0.
     """
     if not in_m_plus(mu1) or not in_m_plus(mu2):
         raise DomainError("subordination needs measures on [0, inf) with mass at 0 below 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     z = complex(z)
-    on_negative_axis = abs(z.imag) <= 1e-14 and z.real < 0
+    on_negative_axis = abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real < 0
     if not (z.imag > 0 or on_negative_axis):
         raise DomainError(f"evaluation point {z} must lie in C+ or on (-inf, 0)")
     if on_negative_axis:
@@ -272,7 +275,8 @@ def fit_boolean_cumulants_from_subordination(
     open upper half of the circle is solved; the lower half follows from
     the reflection K(conj z) = conj K(z).  Purely numerical, used to
     cross-check the exact Taylor route; accuracy is solver tolerance
-    divided by radius^k.
+    divided by radius^k.  A radius whose power radius^-n_coeffs is
+    outside the binary64 range raises DomainError before any solve.
     """
     import numpy as np
 
@@ -283,6 +287,11 @@ def fit_boolean_cumulants_from_subordination(
         if not scale > 0:
             raise DomainError("the fit needs both measures to have mass on (0, inf)")
         radius = min(0.25, 1.0 / (2.0 * scale))
+    if not radius > 0 or -n_coeffs * math.log(radius) >= math.log(sys.float_info.max):
+        raise DomainError(
+            f"contour radius {radius:.3g} is too small for {n_coeffs} coefficients: "
+            f"radius^-{n_coeffs} is outside the binary64 range"
+        )
     if n_points % 2:
         n_points += 1
     upper = []

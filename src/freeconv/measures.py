@@ -61,7 +61,8 @@ __all__ = [
     "measure_to_json",
 ]
 
-#: How close to the positive real axis an evaluation point may get.
+#: How close to the positive real axis an evaluation point may get,
+#: relative to its modulus: |Im z| <= AXIS_TOLERANCE * |z| counts as on it.
 AXIS_TOLERANCE = 1e-14
 
 #: How close 1 + psi may get to zero before K is considered at a pole.
@@ -492,7 +493,7 @@ def _require_transform_domain(mu: Measure, z: complex) -> complex:
     if not is_positive_supported(mu):
         raise DomainError("transform evaluation requires support in [0, inf)")
     z = complex(z)
-    if abs(z.imag) <= AXIS_TOLERANCE and z.real >= 0.0:
+    if abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real >= 0.0:
         raise DomainError(f"evaluation point {z} lies on [0, inf)")
     return z
 

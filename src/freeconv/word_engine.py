@@ -5,8 +5,20 @@ word T_{j_1}...T_{j_n} equals the sum over non-crossing partitions of
 {1..n} whose blocks are monochromatic in the variable index, of the
 product of free cumulants kappa_{|V|} of the block's variable.  The sum
 is evaluated by recursing on the block containing the leftmost letter;
-partitions are never materialized and per-variable cumulants are reused,
-so memory stays linear in the truncation order.
+partitions are never materialized and per-variable cumulants are reused.
+
+That block is a chain of positions carrying the leftmost letter's
+variable, and the letters strictly between two consecutive chain
+elements (or after the last one) form an independent gap word.  With m
+such positions, a dynamic program over the chain sums, for each
+position and chain length s, the gap products of every chain ending
+there; closing a chain of length s multiplies by kappa_s and the tail
+gap.  A word thus costs O(m^2) gap moments and O(m^3) multiplications
+instead of one term per subset of its 2^(m-1) candidate blocks.  A gap
+is itself a word, so gap moments share the one word memo, keyed by the
+word with its variables relabeled by first occurrence plus their
+cumulant ids.  The key names a word's value, not the order in which
+its sum is taken, so it needs nothing from the dynamic program.
 
 Results are exact rationals, which is what certifies the zero-vs-nonzero
 verdicts of the alternating-word checks downstream.
@@ -235,8 +247,10 @@ def _canonical(kappa_ids: Sequence[int], letters: Sequence[int]):
 
 
 def _nc_moment(kappa_ids: tuple[int, ...], letters: tuple[int, ...]) -> Fraction:
-    # letters are canonical: variable of letters[0] is 0. Sum over the
-    # block containing position 0; gaps between block elements recurse.
+    # letters are canonical: variable of letters[0] is 0.  The block of
+    # position 0 is a chain same[0] < same[i] < ...; chains[i][s] sums the
+    # gap products of every chain ending at same[i] with s elements.  A
+    # zero gap is never extended, so the gaps after it are not evaluated.
     if not letters:
         return Fraction(1)
     key = (kappa_ids, letters)
@@ -246,23 +260,31 @@ def _nc_moment(kappa_ids: tuple[int, ...], letters: tuple[int, ...]) -> Fraction
     kv = _KAPPA_VALUES[kappa_ids[0]]
     same = [i for i, l in enumerate(letters) if l == 0]
     n = len(letters)
+    # no chain grows past the largest block size, at most len(kv), whose
+    # cumulant is nonzero
+    top = max((s for s in range(1, min(len(same), len(kv)) + 1) if kv[s - 1]), default=0)
+
+    def gap(a: int, b: int) -> Fraction:
+        return _nc_moment(*_canonical(kappa_ids, letters[a + 1 : b])) if b > a + 1 else Fraction(1)
+
+    chains: list[dict[int, Fraction]] = [{} for _ in same]
+    chains[0][1] = Fraction(1)
     total = Fraction(0)
-    for size in range(1, min(len(same), len(kv)) + 1):
-        if kv[size - 1] == 0:
+    for i, start in enumerate(same):
+        sums = chains[i]
+        closed = sum(kv[s - 1] * w for s, w in sums.items() if kv[s - 1])
+        if closed:
+            total += closed * gap(start, n)
+        growing = [(s + 1, w) for s, w in sums.items() if s < top]
+        if not growing:
             continue
-        for chosen in combinations(same[1:], size - 1):
-            block = (0, *chosen)
-            term = kv[size - 1]
-            prev = 0
-            for bound in (*block[1:], n):
-                seg = letters[prev + 1 : bound]
-                prev = bound
-                if not seg:
-                    continue
-                term *= _nc_moment(*_canonical(kappa_ids, seg))
-                if term == 0:
-                    break
-            total += term
+        for j in range(i + 1, len(same)):
+            between = gap(start, same[j])
+            if not between:
+                continue
+            ahead = chains[j]
+            for s, w in growing:
+                ahead[s] = ahead[s] + between * w if s in ahead else between * w
     _MOMENT_CACHE[key] = total
     return total
 

@@ -11,6 +11,7 @@ O(p^4) multiplicative-convolution recursion that reruns full fixed-point
 passes, the free-cumulant conversions that multiply raw powers of
 1 + M(z), the float boolean-to-moment loop of the subordination route, the
 (L, Q) joint moment that expands a pattern into every index word, the
+word engine that enumerates every candidate block of the first letter, the
 (L, Q) joint moment that contracts each partition's coefficients with one
 object-array ``np.einsum``, a batched cyclic Jacobi eigensolver and
 scipy's adaptive quadrature, which float results must match within a
@@ -104,6 +105,41 @@ def mixed_moment_bruteforce(marginals: dict[int, list[Fraction]], word) -> Fract
                 break
             term *= kappas[vs.pop()][len(blk) - 1]
         total += term
+    return total
+
+
+def nc_moment_by_block_subsets(kappas, letters, memo=None) -> Fraction:
+    """Monochromatic non-crossing sum, choosing the block of position 0
+    as every subset of the later positions with the same variable.
+
+    ``kappas[v]`` holds the free cumulants of variable v and ``letters``
+    uses 0-based variables.  Blocks larger than ``len(kappas[v])`` and
+    blocks whose cumulant vanishes are skipped; the gaps between block
+    elements recurse, memoized per call.  This was the library's word
+    engine, 2^(m-1) blocks for m letters of the leading variable.
+    """
+    letters = tuple(letters)
+    if not letters:
+        return Fraction(1)
+    memo = {} if memo is None else memo
+    if letters in memo:
+        return memo[letters]
+    kv = kappas[letters[0]]
+    same = [i for i, l in enumerate(letters) if l == letters[0]]
+    total = Fraction(0)
+    for size in range(1, min(len(same), len(kv)) + 1):
+        if kv[size - 1] == 0:
+            continue
+        for chosen in combinations(same[1:], size - 1):
+            term = kv[size - 1]
+            prev = 0
+            for bound in (*chosen, len(letters)):
+                term *= nc_moment_by_block_subsets(kappas, letters[prev + 1 : bound], memo)
+                prev = bound
+                if term == 0:
+                    break
+            total += term
+    memo[letters] = total
     return total
 
 

@@ -177,6 +177,33 @@ class TestHugeAtoms:
             "freeconv: domain error: the trace of 'T1^2' in trial 0 is outside the binary64 range\n"
         )
 
+    def test_tiny_contour_fit_matches_taylor(self, tmp_path, capsys):
+        # support bounds 10^7 put the fit's contour at radius 5e-15
+        path = tmp_path / "e7.json"
+        path.write_text('{"kind": "atomic", "atoms": [["10000000", "1/2"], ["1", "1/2"]]}')
+        argv = ["boxtimes", str(path), str(path), "--order", "2", "--method", "all"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        for _, taylor, _, fitted in json.loads(out)["rows"]:
+            want = float(Fraction(taylor))
+            assert abs(float(fitted) - want) <= 1e-6 * want
+
+    def test_fit_radius_overflow_is_three_without_warnings(self, tmp_path, capsys):
+        # radius 2.5e-201, so radius^-3 overflows binary64
+        path = tmp_path / "b200.json"
+        path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1", "1/2"]]}' % ("0" * 200))
+        two_point = tmp_path / "two_point.json"
+        two_point.write_text('{"kind": "atomic", "atoms": [["1", "1/2"], ["2", "1/2"]]}')
+        argv = ["boxtimes", str(path), str(two_point), "--order", "3", "--method", "all"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == (
+            "freeconv: domain error: contour radius 2.5e-201 is too small for 3 coefficients: "
+            "radius^-3 is outside the binary64 range\n"
+        )
+
 
 class TestMomentsAndCumulants:
     def test_boolean_cumulants_table(self, files, capsys):

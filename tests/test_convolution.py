@@ -22,7 +22,7 @@ from freeconv.transforms import (
     free_from_moments,
     moments_from_boolean,
 )
-from freeconv import convolution
+from freeconv import convolution, word_engine
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
     boxplus_moments,
@@ -111,10 +111,32 @@ class TestBoxtimesExact:
         assert out.m(3) == Fraction(3, 2) ** 3 * m.m(3)
 
     def test_oracle_equivalence_on_pool(self):
-        for mu1, mu2 in product(ATOM_POOL[:4], repeat=2):
-            m1 = moments(mu1, 5)
-            m2 = moments(mu2, 5)
-            assert boxtimes_moments(m1, m2, 5) == boxtimes_word_oracle(m1, m2, 5)
+        pairs = [(mu1, mu2, 5) for mu1, mu2 in product(ATOM_POOL[:4], repeat=2)]
+        pairs += [(ATOM_POOL[i], ATOM_POOL[j], 16) for i, j in ((2, 3), (4, 6), (5, 4))]
+        for mu1, mu2, p in pairs:
+            m1 = moments(mu1, p)
+            m2 = moments(mu2, p)
+            assert boxtimes_moments(m1, m2, p) == boxtimes_word_oracle(m1, m2, p)
+
+    def test_word_oracle_work_is_polynomial(self, bernoulli, two_point, monkeypatch):
+        # one _canonical call per gap looked up, O(p^3) at order p; choosing
+        # every subset of first-block positions takes 680,011 calls here
+        p = 16
+        calls = 0
+        canonical = word_engine._canonical
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return canonical(*args)
+
+        monkeypatch.setattr(word_engine, "_canonical", counted)
+        word_engine.clear_cache()
+        m1, m2 = moments(bernoulli, p), moments(two_point, p)
+        assert boxtimes_word_oracle(m1, m2, p) == boxtimes_moments(m1, m2, p)
+        assert calls < 4 * p ** 3
+        # one entry per distinct canonical word met: each (T S)^k and its gaps
+        assert len(word_engine._MOMENT_CACHE) == 61
 
     def test_matches_pass_recursion_to_order_sixteen(self):
         # the replaced O(p^4) recursion is the reference

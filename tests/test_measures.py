@@ -235,6 +235,13 @@ class TestPsi:
             psi(bernoulli, 0.5 + 0j)
         with pytest.raises(DomainError):
             psi(bernoulli, 0j)
+        with pytest.raises(DomainError):
+            psi(bernoulli, complex(1e-20, 1e-35))
+
+    def test_axis_test_is_relative_to_the_modulus(self, bernoulli):
+        # far off the axis in angle, though Im z is below 1e-14
+        z = 1e-20 * (1 + 1j)
+        assert abs(psi(bernoulli, z) - 0.5 * z / (1 - z)) < 1e-35
 
     def test_rejects_unsupported_measures(self, rademacher, standard_semicircle):
         with pytest.raises(DomainError):

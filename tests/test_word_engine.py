@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,8 @@ from freeconv.word_engine import (
     enumerate_nc,
     mixed_moment,
 )
-from oracles import block_of, mixed_moment_bruteforce, nc_partitions
+from freeconv.transforms import free_from_moments
+from oracles import block_of, mixed_moment_bruteforce, nc_moment_by_block_subsets, nc_partitions
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
@@ -120,6 +122,22 @@ class TestMixedMoment:
                 {1: list(rngs[0]), 2: list(rngs[1]), 3: list(rngs[2])}, w
             )
             assert mixed_moment(rngs, Word(w)) == expected
+
+    def test_matches_block_subset_oracle_on_random_words(
+        self, rademacher, standard_semicircle
+    ):
+        # T1 Rademacher (odd kappa vanish), T2 semicircle (only kappa_2),
+        # T3 a three-atom law cut at its letter count, so that a block of
+        # every T3 letter sits exactly at the len(kappa) cap
+        third = Atomic([(Fraction(1, 2), Fraction(1, 4)), (1, Fraction(1, 4)), (3, Fraction(1, 2))])
+        fixed = [moments(rademacher, 14), moments(standard_semicircle, 14)]
+        rng = random.Random(20)
+        for _ in range(120):
+            word = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 14)))
+            marginals = [*fixed, moments(third, max(1, word.count(3)))]
+            kappas = [free_from_moments(m).values for m in marginals]
+            want = nc_moment_by_block_subsets(kappas, [l - 1 for l in word])
+            assert mixed_moment(marginals, Word(word)) == want, word
 
     def test_trace_invariance_under_cyclic_shifts(self, bernoulli, two_point):
         m1 = moments(bernoulli, 6)
