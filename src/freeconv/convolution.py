@@ -259,6 +259,15 @@ def _support_bound(mu: Measure) -> float:
     return float(mu.x.max())
 
 
+def _fit_radius(mu1: Measure, mu2: Measure) -> float:
+    """Default contour radius: half the reciprocal of the product of the
+    support bounds, capped at 0.25."""
+    scale = _support_bound(mu1) * _support_bound(mu2)
+    if not scale > 0:
+        raise DomainError("the fit needs both measures to have mass on (0, inf)")
+    return min(0.25, 1.0 / (2.0 * scale))
+
+
 def fit_boolean_cumulants_from_subordination(
     mu1: Measure,
     mu2: Measure,
@@ -283,10 +292,7 @@ def fit_boolean_cumulants_from_subordination(
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
     if radius is None:
-        scale = _support_bound(mu1) * _support_bound(mu2)
-        if not scale > 0:
-            raise DomainError("the fit needs both measures to have mass on (0, inf)")
-        radius = min(0.25, 1.0 / (2.0 * scale))
+        radius = _fit_radius(mu1, mu2)
     if not radius > 0 or -n_coeffs * math.log(radius) >= math.log(sys.float_info.max):
         raise DomainError(
             f"contour radius {radius:.3g} is too small for {n_coeffs} coefficients: "
@@ -321,10 +327,12 @@ def boxtimes_via_subordination(
     if p < 1:
         raise DomainError("output order must be >= 1")
     r_fit = fit_boolean_cumulants_from_subordination(mu1, mu2, p)
+    # the residual probes shrink with the fit's contour radius, below 0.01
+    shrink = min(1.0, _fit_radius(mu1, mu2) / 0.01)
     worst = (0.0, 0.0)
     iterations = 0
     for x in (1e-3, 3e-3, 1e-2):
-        sol = solve_subordination(mu1, mu2, complex(-x))
+        sol = solve_subordination(mu1, mu2, complex(-x * shrink))
         worst = (max(worst[0], sol.residuals[0]), max(worst[1], sol.residuals[1]))
         iterations = max(iterations, sol.iterations)
     if not all(math.isfinite(r) for r in r_fit):

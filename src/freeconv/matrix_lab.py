@@ -5,14 +5,21 @@ so every comparison against exact word moments carries both a statistical
 tolerance (standard errors over independent trials) and an explicit
 finite-dimension allowance of order 1/N.
 
-A diagonal family D_1, Q_2 D_2 Q_2^T, ..., Q_k D_k Q_k^T leaves member 1
-unrotated.  That is exact in law: conjugating the whole family by the
-Haar matrix Q_1^T turns the fully rotated family into this one, and
-Q_j Q_1^T is again Haar and independent of everything else.  Word
-traces, singular values and L^p norms are all invariant under a common
-orthogonal conjugation, so every functional computed here has the same
-distribution either way, and a one-letter word needs no QR factorization
-at all.
+Member 1 of a GOE or diagonal family is drawn in its canonical form:
+a diagonal family D_1, Q_2 D_2 Q_2^T, ..., Q_k D_k Q_k^T leaves D_1
+unrotated, and a GOE family starts with the symmetric tridiagonal T_1
+that Householder reduction gives (Dumitriu & Edelman, J. Math. Phys. 43,
+2002): diagonal N(0, 2/N), k-th off-diagonal sqrt(chi^2_{N-k} / N).
+Both are exact in law.  Write member 1 as O A_1 O^T with O orthogonal
+and depending on A_1 alone (Haar for a rotated diagonal matrix, the
+Householder reflections for GOE).  Conjugating the whole family by O^T
+maps member 1 to its canonical form and each later member A_j to
+O^T A_j O, which is again Haar-rotated, or GOE, and independent of
+everything else.  Word traces, singular values and L^p norms are all
+invariant under a common orthogonal conjugation, so every functional
+computed here has the same distribution either way.  A one-letter word
+then needs no QR factorization, and GOE member 1 takes 2N - 1 random
+variates instead of N^2.
 
 The noncommutative L^p norm is ||x||_p = tau(|x|^p)^(1/p) with
 |x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values are
@@ -59,11 +66,15 @@ class MatrixEnsembleSpec:
     ``kind`` selects standardized GOE (symmetric, off-diagonal variance
     1/N, diagonal 2/N, spectral law approaching the radius-2 semicircle),
     diagonal matrices with i.i.d. entries drawn from an atomic measure, or
-    a Wishart-style Gram matrix.  In a diagonal family, member 1 stays
-    diagonal and members 2..k are each conjugated by their own Haar
-    orthogonal matrix; since only the rotations relative to member 1
-    matter to word traces, singular values and norms, this has the law of
-    rotating every member.  The seed determines the full sample stream.
+    a Wishart-style Gram matrix.  Member 1 of a GOE or diagonal family
+    takes its canonical form: the symmetric tridiagonal (Householder)
+    form of a GOE matrix, or the unrotated diagonal matrix.  Members 2..k
+    are dense GOE draws, or diagonal matrices conjugated by their own Haar
+    orthogonal matrix.  Conjugating the whole family by the orthogonal
+    matrix that puts member 1 in canonical form leaves word traces,
+    singular values and norms unchanged and the later members' law
+    intact, so this has the law of drawing every member in full.  The
+    seed determines the full sample stream.
     """
 
     dimension: int
@@ -106,6 +117,12 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 def _sample_one(spec: MatrixEnsembleSpec, rng: np.random.Generator, rotate: bool) -> np.ndarray:
     n = spec.dimension
     if spec.kind == "goe":
+        if not rotate:
+            # the Householder tridiagonal form (see the module docstring)
+            t = np.diag(rng.standard_normal(n) * math.sqrt(2.0 / n))
+            i = np.arange(n - 1)
+            t[i, i + 1] = t[i + 1, i] = np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1)) / n)
+            return t
         a = rng.standard_normal((n, n))
         return (a + a.T) / math.sqrt(2.0 * n)
     if spec.kind == "diagonal":
@@ -155,8 +172,9 @@ def _word_trace(family: Sequence[np.ndarray], letters: Sequence[int]) -> float:
     head = mats[0]
     for m in mats[1:-1]:
         head = head @ m
-    # tau(AB) = sum(A * B^T) / N without forming the last product.
-    return float(np.sum(head * mats[-1].T)) / head.shape[0]
+    # tau(AB) = sum(A * B^T) / N without forming the last product; every
+    # ensemble member is symmetric, so B^T = B and this is one dot product.
+    return float(np.vdot(head, mats[-1])) / head.shape[0]
 
 
 def estimate_word_trace(spec: MatrixEnsembleSpec, word: Word, trials: int) -> TraceEstimate:
@@ -339,7 +357,9 @@ def verify_inequalities(
         if pair01 is not None:
             entry["pair01"] = push(pair01)
             entry["pair10"] = push(pair10)
-            entry["word59"] = push(mats[0] @ pair01 @ _tail_product(mats, 2))
+            word59 = mats[0] @ pair01
+            tail = _tail_product(mats, 2)
+            entry["word59"] = push(word59 if tail is None else word59 @ tail)
         if pair12 is not None:
             entry["pair12"] = push(pair12)
             entry["word513"] = push(mats[0] @ mats[1] @ pair12)
@@ -400,8 +420,9 @@ def verify_inequalities(
     )
 
 
-def _tail_product(mats: Sequence[np.ndarray], start: int) -> np.ndarray:
-    out = np.eye(mats[0].shape[0])
+def _tail_product(mats: Sequence[np.ndarray], start: int) -> Optional[np.ndarray]:
+    """Ordered product of ``mats[start:]``, or None when that is empty."""
+    out = None
     for m in mats[start:]:
-        out = out @ m
+        out = m if out is None else out @ m
     return out

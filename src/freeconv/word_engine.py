@@ -336,18 +336,28 @@ def centered_product_moment(
     marginals: Sequence[MomentSequence],
     letters: Sequence[tuple[int, int]],
 ) -> Fraction:
-    """Trace of a product of centered powers prod_l (T_{j_l}^{p_l} - m_{p_l})."""
+    """Trace of a product of centered powers prod_l (T_{j_l}^{p_l} - m_{p_l}).
+
+    Each marginal must cover its variable's multiplicity in the flattened
+    product, the sum of that variable's exponents.
+    """
     letters = [(int(v), int(p)) for v, p in letters]
     if not letters:
         raise DomainError("empty centered product")
     nvars = max(v for v, _ in letters)
     if len(marginals) < nvars:
         raise DomainError(f"need marginals for T1..T{nvars}")
-    centers = []
+    need: dict[int, int] = {}
     for v, p in letters:
         if p < 1:
             raise DomainError("exponents must be >= 1")
-        centers.append(marginals[v - 1].m(p))
+        need[v] = need.get(v, 0) + p
+    for v, total in need.items():
+        if marginals[v - 1].order < total:
+            raise DomainError(
+                f"marginal of T{v} has order {marginals[v - 1].order}, need {total}"
+            )
+    centers = [marginals[v - 1].m(p) for v, p in letters]
     kappa_ids = tuple(_cumulants_of(m) for m in marginals)
 
     def trace_of(kept: tuple[int, ...]) -> Fraction:

@@ -15,9 +15,12 @@ word engine that enumerates every candidate block of the first letter, the
 (L, Q) joint moment that contracts each partition's coefficients with one
 object-array ``np.einsum``, a batched cyclic Jacobi eigensolver and
 scipy's adaptive quadrature, which float results must match within a
-tolerance.  The operator norm, the integer absolute moment, series
-composition and the block lookup of a non-crossing partition are former
-library functions with no library caller left.
+tolerance.  The dense GOE draw that family member 1 used before it took
+its tridiagonal form is the reference law for the sampler, and the tail
+product of the inequality sweep that started from the identity must give
+bit-identical reports.  The operator norm, the integer absolute moment,
+series composition and the block lookup of a non-crossing partition are
+former library functions with no library caller left.
 """
 
 from __future__ import annotations
@@ -479,6 +482,21 @@ def jacobi_eigenvalues(
     single = arr.ndim == 2
     vals = _jacobi_batch(arr, tol, max_sweeps)
     return vals[0] if single else vals
+
+
+def dense_goe(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Standardized GOE matrices drawn in full, (A + A^T) / sqrt(2N) with
+    A i.i.d. standard normal, stacked over the leading shape ``batch``."""
+    a = rng.standard_normal(batch + (n, n))
+    return (a + np.swapaxes(a, -1, -2)) / math.sqrt(2.0 * n)
+
+
+def tail_product_from_identity(mats, start: int) -> np.ndarray:
+    """Ordered product of ``mats[start:]``, starting from the identity."""
+    out = np.eye(mats[0].shape[0])
+    for m in mats[start:]:
+        out = out @ m
+    return out
 
 
 def operator_norm(matrix: np.ndarray) -> float:

@@ -4,10 +4,9 @@ from itertools import accumulate, product
 import pytest
 
 from freeconv.errors import DomainError
-from freeconv.measures import Atomic, MomentSequence, Semicircle, moments
+from freeconv.measures import Atomic, Semicircle, moments
 from freeconv.word_engine import Word, _nc_blocks, mixed_moment, clear_cache
 from freeconv.characterize import (
-    DichotomyReport,
     QuadraticFormSpec,
     _contract,
     alternating_form_patterns,

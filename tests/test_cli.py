@@ -188,6 +188,22 @@ class TestHugeAtoms:
             want = float(Fraction(taylor))
             assert abs(float(fitted) - want) <= 1e-6 * want
 
+    def test_residual_probes_shrink_with_the_contour(self, tmp_path, capsys):
+        # radius 2.5e-201: probes at a fixed x >= 1e-3 start the solver at
+        # -5e196, within the pole tolerance of two_point's K
+        path = tmp_path / "b200.json"
+        path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1", "1/2"]]}' % ("0" * 200))
+        two_point = tmp_path / "two_point.json"
+        two_point.write_text('{"kind": "atomic", "atoms": [["1", "1/2"], ["2", "1/2"]]}')
+        argv = ["boxtimes", str(path), str(two_point), "--order", "1", "--method", "subordination"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        ((_, fitted),) = json.loads(out)["rows"]
+        want = float(Fraction(3 * 10 ** 200 + 3, 4))
+        assert abs(float(fitted) - want) <= 1e-6 * want
+
     def test_fit_radius_overflow_is_three_without_warnings(self, tmp_path, capsys):
         # radius 2.5e-201, so radius^-3 overflows binary64
         path = tmp_path / "b200.json"

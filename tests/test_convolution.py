@@ -19,7 +19,6 @@ from freeconv.measures import (
 from freeconv.transforms import (
     BooleanCumulants,
     boolean_from_moments,
-    free_from_moments,
     moments_from_boolean,
 )
 from freeconv import convolution, word_engine

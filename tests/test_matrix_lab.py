@@ -6,6 +6,7 @@ import pytest
 from freeconv.errors import ConvergenceError, DomainError
 from freeconv.measures import Atomic
 from freeconv.word_engine import Word
+from freeconv import matrix_lab
 from freeconv.matrix_lab import (
     MatrixEnsembleSpec,
     estimate_word_trace,
@@ -17,7 +18,7 @@ from freeconv.matrix_lab import (
     singular_values,
     verify_inequalities,
 )
-from oracles import jacobi_eigenvalues, operator_norm
+from oracles import dense_goe, jacobi_eigenvalues, operator_norm, tail_product_from_identity
 
 
 def goe_spec(n=128, count=2, seed=0):
@@ -46,12 +47,50 @@ class TestSampling:
         assert 0.85 <= m2 <= 1.15
 
     def test_goe_entry_variances(self):
-        spec = goe_spec(400, 1, seed=7)
-        (x,) = sample_family(spec)
+        # member 2 is drawn in full; member 1 is tridiagonal
+        spec = goe_spec(400, 2, seed=7)
+        _, x = sample_family(spec)
         n = 400
         off = x[~np.eye(n, dtype=bool)]
         assert abs(off.var() * n - 1.0) < 0.15
         assert abs(np.diag(x).var() * n - 2.0) < 0.5
+
+    def test_goe_member_one_is_tridiagonal(self):
+        first, second = sample_family(goe_spec(64, 2, seed=8))
+        assert np.array_equal(first, first.T)
+        assert np.array_equal(first, np.triu(np.tril(first, 1), -1))
+        assert (np.diag(first, 1) > 0).all()
+        assert np.count_nonzero(np.triu(second, 2)) > 0
+
+    def test_goe_tau_square_mean_is_exact(self):
+        # E tau(T1^2) = ((N^2 - N) / N + N * 2 / N) / N = 1 + 1/N at every N
+        n = 6
+        est = estimate_word_trace(goe_spec(n, 1, seed=27), Word((1, 1)), 4000)
+        assert abs(est.mean - (1 + 1 / n)) < 4 * est.standard_error
+
+    def test_goe_family_matches_dense_draws(self):
+        # two-sample z-test against families whose every member is drawn in full
+        n, trials = 6, 20000
+        words = [
+            Word(letters)
+            for letters in (
+                (1, 1, 1, 1),
+                (1, 2, 1, 2),
+                (1, 2, 3, 1, 2, 3),
+                (1, 1, 2, 2),
+                (1, 1, 1, 2, 1, 2),
+                (1, 2, 1, 3, 2, 3),
+            )
+        ]
+        ests = estimate_word_traces(goe_spec(n, 3, seed=28), words, trials)
+        family = dense_goe(n, np.random.default_rng(29), (3, trials))
+        for word, est in zip(words, ests):
+            prod = family[word.letters[0] - 1]
+            for letter in word.letters[1:]:
+                prod = prod @ family[letter - 1]
+            ref = np.trace(prod, axis1=-2, axis2=-1) / n
+            se = math.hypot(est.standard_error, ref.std(ddof=1) / math.sqrt(trials))
+            assert abs(est.mean - ref.mean()) < 4 * se, word.as_text()
 
     def test_diagonal_measure_mean(self):
         spec = bernoulli_spec(256, 1, seed=3)
@@ -253,3 +292,29 @@ class TestInequalities:
     def test_report_margin_is_negative_without_violations(self):
         report = verify_inequalities(self._tuples(20, 2, 6, 45), (2.0, 2.0))
         assert report.max_margin < 0
+
+    def test_tail_without_identity_is_bit_identical(self, monkeypatch):
+        cases = [
+            ((100, 2, 8, 41), (2.0, 2.0)),
+            ((150, 3, 8, 42), (3.0, 3.0, 3.0)),
+            ((60, 5, 6, 43), (5.0,) * 5),
+            ((20, 2, 6, 45), (2.0, 2.0)),
+        ]
+
+        def sweep():
+            stacks = []
+
+            def recording(matrix):
+                stacks.append(matrix)
+                return singular_values(matrix)
+
+            monkeypatch.setattr(matrix_lab, "singular_values", recording)
+            reports = [verify_inequalities(self._tuples(*args), exps) for args, exps in cases]
+            return reports, stacks
+
+        reports, stacks = sweep()
+        monkeypatch.setattr(matrix_lab, "_tail_product", tail_product_from_identity)
+        want_reports, want_stacks = sweep()
+        assert reports == want_reports
+        assert all(np.array_equal(a, b) for a, b in zip(stacks, want_stacks))
+        assert len(stacks) == len(want_stacks) == len(cases)

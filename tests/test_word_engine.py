@@ -201,6 +201,12 @@ class TestCenteredProducts:
         with pytest.raises(DomainError):
             centered_product_moment((moments(bernoulli, 2),), [])
 
+    def test_order_shortfall_raises(self):
+        # tau((T - 1/2)^2) is a variance that an order-1 marginal leaves open
+        short = MomentSequence([Fraction(1, 2)])
+        with pytest.raises(DomainError):
+            centered_product_moment((short,), [(1, 1), (1, 1)])
+
 
 class TestAlternatingChecks:
     def test_index_word_count(self):
