@@ -5,13 +5,13 @@ the linear form L = sum b_j T_j and the quadratic form
 Q = sum a_jk T_j T_k over free, identically distributed variables, and
 probes whether L and Q behave like a free pair.
 
-The probe compares, for every alternating pattern in the centered forms,
-the exact joint moment (a sum over the non-crossing partitions of the
-pattern's positions, each weighted by free cumulants and contracted with
-the coefficients) against the value obtained by treating (L, Q) as a
-genuinely free pair with their individual moment sequences.  Both
-sides are exact rationals, so a verdict of "consistent with freeness" is
-a certified zero of every deviation up to the configured degree, and a
+The probe evaluates, for every alternating pattern in the centered forms,
+the exact trace of the pattern: a sum over the non-crossing partitions of
+the pattern's positions, each weighted by free cumulants and contracted
+with the coefficients.  Freeness of (L, Q) sets every such trace to 0,
+so the trace itself is the deviation from freeness.  All values are
+exact rationals, so a verdict of "consistent with freeness" is a
+certified zero of every deviation up to the configured degree, and a
 nonzero deviation is an exact witness against freeness.
 
 The admissibility conditions on (A, b) are: A b = 0, the diagonal power
@@ -54,7 +54,7 @@ its run.  Meeting a higher degree is an internal error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import mul
@@ -63,7 +63,6 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 from .measures import MomentSequence, RationalLike, as_fraction
 from .word_engine import _KAPPA_VALUES, _cumulants_of, _nc_blocks
-from .word_engine import centered_product_moment, expand_centered_product
 
 __all__ = [
     "QuadraticFormSpec",
@@ -267,6 +266,12 @@ def _join(edges: list[dict], v: int, u: int, matrix: Sequence[Sequence[int]]) ->
     edges[u][v] = [list(col) for col in zip(*matrix)]
 
 
+def _letters(pattern: Pattern) -> list[tuple[str, int]]:
+    """Each letter of a pattern with its first position."""
+    names = [name for name, exp in pattern for _ in range(exp)]
+    return list(zip(names, accumulate((1 if name == "L" else 2 for name in names), initial=0)))
+
+
 def joint_moment(
     spec: QuadraticFormSpec,
     marginal: MomentSequence,
@@ -288,19 +293,31 @@ def joint_moment(
         raise DomainError(
             f"pattern has degree {degree} but marginal order is {marginal.order}"
         )
+    return _nc_sum(spec, marginal, pattern, frozenset())
+
+
+def _nc_sum(
+    spec: QuadraticFormSpec,
+    marginal: MomentSequence,
+    pattern: Pattern,
+    banned: frozenset[tuple[int, int]],
+) -> Fraction:
+    """``joint_moment``'s sum over the non-crossing partitions of the
+    pattern's positions, skipping every partition with a block in
+    ``banned``."""
     kappa = _KAPPA_VALUES[_cumulants_of(marginal)]
     # Integer coefficients keep the contraction in int arithmetic.
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
     b = [int(v * den) for v in spec.b]
     a = [[int(v * den) for v in row] for row in spec.a]
-    names = [name for name, exp in pattern for _ in range(exp)]
-    starts = accumulate((1 if name == "L" else 2 for name in names), initial=0)
-    factors = list(zip(names, starts))
+    factors = _letters(pattern)
 
     # Partitions with the same block sizes share their cumulant weight, so
     # their integer contractions are summed before it multiplies them.
     by_sizes: dict[tuple[int, ...], int] = {}
-    for blocks in _nc_blocks(tuple(range(degree)), kappa):
+    for blocks in _nc_blocks(tuple(range(pattern_degree(pattern))), kappa):
+        if not banned.isdisjoint(blocks):
+            continue
         sizes = tuple(sorted(map(len, blocks)))
         by_sizes[sizes] = by_sizes.get(sizes, 0) + _contract(blocks, factors, b, a)
     total = Fraction(0)
@@ -309,7 +326,7 @@ def joint_moment(
         for size in sizes:
             weight *= kappa[size - 1]
         total += weight
-    return total / den ** len(names)
+    return total / den ** len(factors)
 
 
 def form_moments(
@@ -354,17 +371,22 @@ def alternating_form_patterns(max_degree: int) -> list[Pattern]:
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    """Exact deviations from the freeness prediction, pattern by pattern."""
+    """Exact deviations from freeness, pattern by pattern."""
 
     max_word_length: int
     deviations: tuple[tuple[Pattern, Fraction], ...]
-    max_abs_deviation: Fraction
-    verdict: str
-    note: str = field(default="")
+    note: str
 
     @property
-    def consistent_with_free(self) -> bool:
-        return self.verdict == "consistent-with-free"
+    def max_abs_deviation(self) -> Fraction:
+        return max((abs(d) for _, d in self.deviations), default=Fraction(0))
+
+    @property
+    def verdict(self) -> str:
+        first = self.first_nonzero()
+        if first is None:
+            return "consistent-with-free"
+        return f"not-free-at-order-{pattern_degree(first[0])}"
 
     def first_nonzero(self):
         for pattern, dev in self.deviations:
@@ -378,17 +400,23 @@ def freeness_dichotomy(
     marginal: MomentSequence,
     max_word_length: int,
 ) -> DichotomyReport:
-    """Compare true joint moments of (L, Q) against the free prediction.
+    """Trace every centered alternating (L, Q) pattern; freeness zeroes each.
 
-    For every alternating pattern in the centered forms with total degree
-    up to ``max_word_length``, the true side sums the pattern over the
-    non-crossing partitions of its positions in the underlying variables
-    (``joint_moment``), while the prediction side treats (L, Q) as a free
-    pair with their individual moment sequences and evaluates the same
-    centered pattern through the word engine.  The two code paths share
-    only the marginal's free cumulants, so agreement is a genuine
-    cross-check.  Scanning runs in increasing degree; the verdict names
-    the first degree at which a deviation appears, if any.
+    For every alternating pattern with total degree up to
+    ``max_word_length``, the deviation is the trace of the product of the
+    centered letters L - tau(L) and Q - tau(Q), and a free pair would give
+    0.  It is ``joint_moment``'s sum over the non-crossing partitions of
+    the pattern's positions, skipping every partition in which a Q's two
+    (adjacent) positions form a block of their own.  This is exact.
+    Group the partitions of the uncentered pattern by the set S of Q's
+    that are blocks of their own.  Such a block is an interval, so
+    dropping it leaves a non-crossing partition of the pattern without S,
+    and its weight kappa_2 sum_j a_jj is tau(Q), since m_1 = 0 makes
+    kappa_1 = 0.  So tau(pattern) = sum_S tau(Q)^|S| F(pattern without
+    S), with F the filtered sum, and inclusion-exclusion over S turns the
+    trace with every Q centered into F.  The L's need no centering, as
+    tau(L) = m_1 sum_j b_j = 0.  Scanning runs in increasing degree; the
+    verdict names the first degree at which a deviation appears, if any.
     """
     report = validate_spec(spec)
     if not report.passed:
@@ -404,48 +432,16 @@ def freeness_dichotomy(
         )
 
     patterns = alternating_form_patterns(max_word_length)
-    if not patterns:
-        return DichotomyReport(
-            max_word_length=max_word_length,
-            deviations=(),
-            max_abs_deviation=Fraction(0),
-            verdict="consistent-with-free",
-            note="no alternating pattern fits below degree 3",
-        )
-    centers = {
-        "L": joint_moment(spec, marginal, (("L", 1),)),
-        "Q": joint_moment(spec, marginal, (("Q", 1),)),
-    }
-
-    max_l = max((sum(1 for n, _ in p if n == "L") for p in patterns), default=1)
-    max_q = max((sum(1 for n, _ in p if n == "Q") for p in patterns), default=1)
-    l_moments = form_moments(spec, marginal, "L", max(max_l, 1))
-    q_moments = form_moments(spec, marginal, "Q", max(max_q, 1))
-
-    deviations: list[tuple[Pattern, Fraction]] = []
+    deviations = []
     for pattern in patterns:
-        true_value = expand_centered_product(
-            [centers[name] for name, _ in pattern],
-            lambda kept: joint_moment(spec, marginal, [pattern[i] for i in kept]),
-        )
-        letters = tuple((1 if name == "L" else 2, 1) for name, _ in pattern)
-        predicted = centered_product_moment((l_moments, q_moments), letters)
-        deviations.append((pattern, true_value - predicted))
-
-    max_abs = max((abs(d) for _, d in deviations), default=Fraction(0))
-    verdict = "consistent-with-free"
-    for pattern, dev in deviations:
-        if dev != 0:
-            verdict = f"not-free-at-order-{pattern_degree(pattern)}"
-            break
+        lone_q = frozenset((s, s + 1) for name, s in _letters(pattern) if name == "Q")
+        deviations.append((pattern, _nc_sum(spec, marginal, pattern, lone_q)))
     note = (
         "scan depth is an empirical default; freeness violations are only "
         "guaranteed to surface at some finite degree"
+        if patterns
+        else "no alternating pattern fits below degree 3"
     )
     return DichotomyReport(
-        max_word_length=max_word_length,
-        deviations=tuple(deviations),
-        max_abs_deviation=max_abs,
-        verdict=verdict,
-        note=note,
+        max_word_length=max_word_length, deviations=tuple(deviations), note=note
     )

@@ -327,16 +327,20 @@ def cmd_matrixlab(args, config: RunConfig) -> None:
     from .word_engine import Word
 
     word = Word.from_text(args.word)
+    # Variables relabeled in order of first use: the family is only as
+    # large as the word needs, and its first variable is member 1.
+    first_use = {v: i for i, v in enumerate(dict.fromkeys(word.letters), 1)}
+    sampled = Word(first_use[v] for v in word.letters)
     measure = _load_measure(args.measure) if args.measure else None
     spec = MatrixEnsembleSpec(
         dimension=args.N,
-        count=max(word.letters),
+        count=len(first_use),
         kind=args.ensemble,
         seed=args.seed,
         measure=measure,
     )
-    estimate = estimate_word_traces(spec, [word], args.trials, max_workers=config.threads)[0]
-    exact = exact_word_moment(spec, word)
+    estimate = estimate_word_traces(spec, [sampled], args.trials, max_workers=config.threads)[0]
+    exact = exact_word_moment(spec, sampled)
     z_score = (
         (estimate.mean - exact) / estimate.standard_error
         if estimate.standard_error > 0
@@ -344,7 +348,7 @@ def cmd_matrixlab(args, config: RunConfig) -> None:
     )
     rows = [
         (
-            estimate.expression,
+            word.as_text(),
             args.N,
             args.trials,
             _fmt(estimate.mean),

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, ParseError
 from .measures import MomentSequence
@@ -41,7 +41,6 @@ __all__ = [
     "enumerate_nc",
     "Word",
     "mixed_moment",
-    "expand_centered_product",
     "centered_product_moment",
     "alternating_index_words",
     "alternating_centered_check",
@@ -309,29 +308,6 @@ def mixed_moment(marginals: Sequence[MomentSequence], word: Word) -> Fraction:
     return _nc_moment(*_canonical(kappa_ids, zero_based))
 
 
-def expand_centered_product(
-    centers: Sequence[Fraction],
-    trace_of: Callable[[tuple[int, ...]], Fraction],
-) -> Fraction:
-    """Trace of prod_i (W_i - c_i), expanded over subsets of dropped factors.
-
-    ``trace_of(kept)`` returns the trace of the ordered product of the
-    factors W_i for i in ``kept`` (never empty).  Factors whose center
-    vanishes never contribute a dropped term, so the expansion only
-    branches on factors with nonzero c_i.
-    """
-    droppable = [i for i, c in enumerate(centers) if c != 0]
-    total = Fraction(0)
-    for k in range(len(droppable) + 1):
-        for dropped in combinations(droppable, k):
-            coeff = Fraction(1)
-            for i in dropped:
-                coeff *= -centers[i]
-            kept = tuple(i for i in range(len(centers)) if i not in dropped)
-            total += coeff * (trace_of(kept) if kept else Fraction(1))
-    return total
-
-
 def centered_product_moment(
     marginals: Sequence[MomentSequence],
     letters: Sequence[tuple[int, int]],
@@ -359,12 +335,20 @@ def centered_product_moment(
             )
     centers = [marginals[v - 1].m(p) for v, p in letters]
     kappa_ids = tuple(_cumulants_of(m) for m in marginals)
-
-    def trace_of(kept: tuple[int, ...]) -> Fraction:
-        flat = tuple(letters[i][0] - 1 for i in kept for _ in range(letters[i][1]))
-        return _nc_moment(*_canonical(kappa_ids, flat))
-
-    return expand_centered_product(centers, trace_of)
+    # Expand over the subsets of dropped factors; a factor whose center
+    # vanishes is never dropped.
+    droppable = [i for i, c in enumerate(centers) if c != 0]
+    total = Fraction(0)
+    for k in range(len(droppable) + 1):
+        for dropped in combinations(droppable, k):
+            coeff = Fraction(1)
+            for i in dropped:
+                coeff *= -centers[i]
+            flat = tuple(
+                v - 1 for i, (v, p) in enumerate(letters) if i not in dropped for _ in range(p)
+            )
+            total += coeff * _nc_moment(*_canonical(kappa_ids, flat))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,12 @@ tolerance.  The dense GOE draw that family member 1 used before it took
 its tridiagonal form is the reference law for the sampler, and the tail
 product of the inequality sweep that started from the identity must give
 bit-identical reports.  The operator norm, the integer absolute moment,
-series composition and the block lookup of a non-crossing partition are
-former library functions with no library caller left.
+series composition, the block lookup of a non-crossing partition and the
+dichotomy report's freeness flag are former library functions with no
+library caller left.  The (L, Q) dichotomy that expanded each centered
+pattern into its 2^#Q uncentered sub-patterns, and subtracted the
+prediction for a free pair with the forms' own moment sequences, is the
+reference for the filtered non-crossing sum.
 """
 
 from __future__ import annotations
@@ -560,3 +564,55 @@ def block_of(partition, element: int) -> tuple[int, ...]:
         if element in b:
             return b
     raise DomainError(f"element {element} not in partition")
+
+
+def consistent_with_free(report) -> bool:
+    """Whether a DichotomyReport found every deviation zero."""
+    return report.verdict == "consistent-with-free"
+
+
+def _expand_centered_product(centers, trace_of) -> Fraction:
+    """Trace of prod_i (W_i - c_i), expanded over subsets of dropped factors.
+
+    ``trace_of(kept)`` returns the trace of the ordered product of the
+    factors W_i for i in ``kept`` (never empty).  Factors whose center
+    vanishes never contribute a dropped term.
+    """
+    droppable = [i for i, c in enumerate(centers) if c != 0]
+    total = Fraction(0)
+    for k in range(len(droppable) + 1):
+        for dropped in combinations(droppable, k):
+            coeff = Fraction(1)
+            for i in dropped:
+                coeff *= -centers[i]
+            kept = tuple(i for i in range(len(centers)) if i not in dropped)
+            total += coeff * (trace_of(kept) if kept else Fraction(1))
+    return total
+
+
+def dichotomy_deviations_by_expansion(spec, marginal, max_word_length):
+    """(pattern, deviation) for every alternating pattern: the centered
+    trace expanded over the subsets of its centered letters, one
+    ``joint_moment`` per uncentered sub-pattern, minus the same centered
+    pattern traced in a free pair with the moment sequences of L and Q."""
+    from freeconv.characterize import alternating_form_patterns, form_moments, joint_moment
+    from freeconv.word_engine import centered_product_moment
+
+    patterns = alternating_form_patterns(max_word_length)
+    if not patterns:
+        return ()
+    centers = {name: joint_moment(spec, marginal, ((name, 1),)) for name in "LQ"}
+    max_l = max(sum(1 for n, _ in p if n == "L") for p in patterns)
+    max_q = max(sum(1 for n, _ in p if n == "Q") for p in patterns)
+    l_moments = form_moments(spec, marginal, "L", max(max_l, 1))
+    q_moments = form_moments(spec, marginal, "Q", max(max_q, 1))
+    deviations = []
+    for pattern in patterns:
+        true_value = _expand_centered_product(
+            [centers[name] for name, _ in pattern],
+            lambda kept: joint_moment(spec, marginal, [pattern[i] for i in kept]),
+        )
+        letters = tuple((1 if name == "L" else 2, 1) for name, _ in pattern)
+        predicted = centered_product_moment((l_moments, q_moments), letters)
+        deviations.append((pattern, true_value - predicted))
+    return tuple(deviations)

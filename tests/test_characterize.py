@@ -3,8 +3,10 @@ from itertools import accumulate, product
 
 import pytest
 
+from freeconv import characterize
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, Semicircle, moments
+from freeconv.transforms import FreeCumulants, moments_from_free
 from freeconv.word_engine import Word, _nc_blocks, mixed_moment, clear_cache
 from freeconv.characterize import (
     QuadraticFormSpec,
@@ -17,7 +19,13 @@ from freeconv.characterize import (
     preset_sample_mean_variance,
     validate_spec,
 )
-from oracles import WordPoly, joint_moment_by_einsum, joint_moment_by_words
+from oracles import (
+    WordPoly,
+    consistent_with_free,
+    dichotomy_deviations_by_expansion,
+    joint_moment_by_einsum,
+    joint_moment_by_words,
+)
 
 F = Fraction
 NONSYMMETRIC_SPEC = QuadraticFormSpec(
@@ -28,6 +36,11 @@ NONSYMMETRIC_MARGINAL = Atomic([(F(-1, 2), F(1, 3)), (1, F(1, 6)), (3, F(1, 2))]
 # Transposing A traces the reversed pattern, so only a pattern that no
 # rotation maps to its reversal, such as L^2 Q L Q^2, catches a transposed
 # contraction.
+SKEW_MARGINAL = Atomic([(-1, F(2, 3)), (2, F(1, 3))])
+# A = 14 I - b b^T annihilates b = (1, 2, 3), since |b|^2 = 14
+SKEW_SPEC = QuadraticFormSpec(
+    [[14 * (j == k) - j * k for k in (1, 2, 3)] for j in (1, 2, 3)], [1, 2, 3]
+)
 EXTRA_PATTERNS = [
     (("L", 2), ("Q", 1), ("L", 1)),
     (("Q", 3),),
@@ -248,12 +261,12 @@ class TestPatternEnumeration:
 class TestDichotomy:
     def test_semicircle_consistent_n2(self, semicircle_marginal):
         report = freeness_dichotomy(preset_sample_mean_variance(2), semicircle_marginal, 8)
-        assert report.consistent_with_free
+        assert consistent_with_free(report)
         assert report.max_abs_deviation == 0
 
     def test_semicircle_consistent_n3(self, semicircle_marginal):
         report = freeness_dichotomy(preset_sample_mean_variance(3), semicircle_marginal, 8)
-        assert report.consistent_with_free
+        assert consistent_with_free(report)
 
     def test_rademacher_detected_n2(self, rademacher_marginal):
         report = freeness_dichotomy(preset_sample_mean_variance(2), rademacher_marginal, 6)
@@ -289,7 +302,7 @@ class TestDichotomy:
             [Fraction(1, 2) * v for v in base.b],
         )
         report = freeness_dichotomy(scaled, semicircle_marginal, 6)
-        assert report.consistent_with_free
+        assert consistent_with_free(report)
 
     def test_refuses_invalid_spec(self, semicircle_marginal):
         bad = QuadraticFormSpec([[1, 0], [0, 1]], [1, 1])
@@ -306,3 +319,50 @@ class TestDichotomy:
         clear_cache()
         second = freeness_dichotomy(spec, rademacher_marginal, 6)
         assert first.deviations == second.deviations
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("marginal", ["rademacher", "semicircle", "three-atom"])
+    def test_matches_subset_expansion(self, marginal, n, rademacher):
+        # the oracle expands each centered pattern into its uncentered
+        # sub-patterns and subtracts the free-pair prediction
+        mu = {
+            "rademacher": rademacher,
+            "semicircle": Semicircle(0, 2),
+            "three-atom": Atomic([(-2, Fraction(1, 4)), (0, Fraction(1, 2)), (2, Fraction(1, 4))]),
+        }[marginal]
+        spec = preset_sample_mean_variance(n)
+        m = moments(mu, 8)
+        report = freeness_dichotomy(spec, m, 8)
+        assert report.deviations == dichotomy_deviations_by_expansion(spec, m, 8)
+
+    def test_skew_marginal_matches_subset_expansion(self):
+        # kappa_3 != 0, distinct b_j and tau(Q) != 0
+        m = moments(SKEW_MARGINAL, 10)
+        report = freeness_dichotomy(SKEW_SPEC, m, 10)
+        assert report.deviations == dichotomy_deviations_by_expansion(SKEW_SPEC, m, 10)
+        assert report.verdict == "not-free-at-order-3"
+
+    def test_one_enumeration_per_pattern(self, rademacher, monkeypatch):
+        # the subset expansion made 63 joint_moment calls here
+        calls = 0
+        nc_blocks = characterize._nc_blocks
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return nc_blocks(*args)
+
+        monkeypatch.setattr(characterize, "_nc_blocks", counted)
+        report = freeness_dichotomy(preset_sample_mean_variance(3), moments(rademacher, 10), 10)
+        assert len(report.deviations) == 11
+        assert calls == 11
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [4, 6, 8])
+    def test_first_witness_at_first_higher_cumulant(self, r, n):
+        # kappa_2 = 1 and kappa_r the only other nonzero cumulant: the
+        # first nonzero deviation sits at degree r
+        kappa = [0, 1] + [0] * (r - 3) + [1] + [0, 0]
+        m = moments_from_free(FreeCumulants(kappa))
+        report = freeness_dichotomy(preset_sample_mean_variance(n), m, r + 2)
+        assert report.verdict == f"not-free-at-order-{r}"

@@ -430,6 +430,21 @@ class TestMatrixlab:
         row = doc["rows"][0]
         assert row[5] == "2"  # exact semicircle fourth moment
 
+    def test_family_follows_first_use_of_variables(self, capsys):
+        # T3^2 samples the one member T1^2 samples; only the printed word
+        # differs
+        rows = {}
+        for text in ("T1^2", "T3^2", "T1 T2 T1 T2", "T4 T2 T4 T2"):
+            code, out, _ = run(
+                ["matrixlab", "--word", text, "--N", "16", "--trials", "4", "--seed", "5"],
+                capsys,
+            )
+            assert code == 0
+            rows[text] = json.loads(out)["rows"][0]
+        for given, first_use in (("T3^2", "T1^2"), ("T4 T2 T4 T2", "T1 T2 T1 T2")):
+            assert rows[given][0] == given
+            assert rows[given][1:] == rows[first_use][1:]
+
     def test_header_echoes_seed_and_version(self, files, capsys):
         code, out, _ = run(
             ["matrixlab", "--word", "T1 T2", "--N", "32", "--trials", "8",
