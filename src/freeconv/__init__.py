@@ -22,14 +22,10 @@ _EXPORTS = {
         "krein_k", "measure_from_json", "measure_to_json", "moments", "psi",
     ),
     "transforms": (
-        "BooleanCumulants", "FreeCumulants", "PowerSeries", "boolean_from_moments",
-        "free_from_moments", "krein_expansion_check", "moments_from_boolean",
-        "moments_from_free",
+        "BooleanCumulants", "FreeCumulants", "boolean_from_moments", "free_from_moments",
+        "krein_expansion_check", "moments_from_boolean", "moments_from_free",
     ),
-    "word_engine": (
-        "NonCrossingPartition", "Word", "alternating_centered_check", "enumerate_nc",
-        "mixed_moment",
-    ),
+    "word_engine": ("Word", "mixed_moment"),
     "convolution": (
         "boxplus_moments", "boxtimes_fractional_closure_check", "boxtimes_moments",
         "boxtimes_word_oracle", "fractional_diagnostics", "solve_subordination",
@@ -39,8 +35,7 @@ _EXPORTS = {
         "preset_sample_mean_variance", "validate_spec",
     ),
     "matrix_lab": (
-        "MatrixEnsembleSpec", "estimate_word_trace", "ncLp_norm", "sample_family",
-        "verify_inequalities",
+        "MatrixEnsembleSpec", "ncLp_norm", "sample_family", "verify_inequalities",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -56,49 +51,5 @@ def __getattr__(name):
 
 
 __all__ = [
-    "__version__",
-    "FreeconvError",
-    "ParseError",
-    "DomainError",
-    "ConvergenceError",
-    "Atomic",
-    "Semicircle",
-    "DensityGrid",
-    "Measure",
-    "MomentSequence",
-    "moments",
-    "psi",
-    "krein_k",
-    "measure_from_json",
-    "measure_to_json",
-    "PowerSeries",
-    "BooleanCumulants",
-    "FreeCumulants",
-    "boolean_from_moments",
-    "moments_from_boolean",
-    "free_from_moments",
-    "moments_from_free",
-    "krein_expansion_check",
-    "catalan",
-    "NonCrossingPartition",
-    "enumerate_nc",
-    "Word",
-    "mixed_moment",
-    "alternating_centered_check",
-    "boxplus_moments",
-    "boxtimes_moments",
-    "boxtimes_word_oracle",
-    "solve_subordination",
-    "fractional_diagnostics",
-    "boxtimes_fractional_closure_check",
-    "QuadraticFormSpec",
-    "preset_sample_mean_variance",
-    "validate_spec",
-    "joint_moment",
-    "freeness_dichotomy",
-    "MatrixEnsembleSpec",
-    "sample_family",
-    "estimate_word_trace",
-    "ncLp_norm",
-    "verify_inequalities",
+    "__version__", "FreeconvError", "ParseError", "DomainError", "ConvergenceError", *_MODULE_OF,
 ]

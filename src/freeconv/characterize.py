@@ -23,17 +23,20 @@ first n exponents.
 
 A joint moment is a sum over the non-crossing partitions pi of the
 pattern's positions, and each term contracts the coefficients with one
-index j_V in [n] per block V.  The contraction runs on the block graph
-of pi, in integers (the coefficients scaled to a common denominator):
-block V carries the unary weight b^(number of L in V) times a_jj for
-every Q with both positions in V, and every Q whose positions lie in
-blocks U != V is an n x n edge between them, parallel edges multiplying
-entrywise.  Blocks are eliminated one at a time, in decreasing order of
-their first position.  A block of degree 0 multiplies the result by the
-sum of its weights, one of degree 1 folds into its neighbour's weight,
-and one of degree 2 becomes the n x n matrix product edge between its
-two neighbours, O(n^3).  Each partition so costs O(|pi| n^3), not the
-n^|pi| of summing over every index assignment.
+index j_V in [n] per block V.  This module enumerates those partitions
+itself, recursing on the block of the first position, and skips every
+partition with a block whose free cumulant vanishes.  The contraction
+runs on the block graph of pi, in integers (the coefficients scaled to a
+common denominator): block V carries the unary weight
+b^(number of L in V) times a_jj for every Q with both positions in V,
+and every Q whose positions lie in blocks U != V is an n x n edge
+between them, parallel edges multiplying entrywise.  Blocks are
+eliminated one at a time, in decreasing order of their first position.
+A block of degree 0 multiplies the result by the sum of its weights, one
+of degree 1 folds into its neighbour's weight, and one of degree 2
+becomes the n x n matrix product edge between its two neighbours,
+O(n^3).  Each partition so costs O(|pi| n^3), not the n^|pi| of summing
+over every index assignment.
 
 No block ever has degree above 2.  Put the positions on a circle and
 join consecutive elements of each block by a chord: the chords of a
@@ -56,13 +59,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
 from .measures import MomentSequence, RationalLike, as_fraction
-from .word_engine import _KAPPA_VALUES, _cumulants_of, _nc_blocks
+from .transforms import free_from_moments
 
 __all__ = [
     "QuadraticFormSpec",
@@ -201,6 +204,50 @@ def pattern_degree(pattern: Sequence[tuple[str, int]]) -> int:
     return sum((1 if name == "L" else 2) * exp for name, exp in pattern)
 
 
+def _nc_blocks(
+    elements: tuple[int, ...], kappa: Optional[Sequence[Fraction]] = None
+) -> Iterator[list[tuple[int, ...]]]:
+    """Yield every non-crossing partition of ``elements`` once, as a list
+    of blocks in increasing order of their first element.
+
+    The block of elements[0] splits the rest into independent gaps.  With
+    kappa, partitions with a block of size s where kappa[s - 1] == 0 are
+    skipped: they add nothing to a cumulant sum.
+    """
+
+    def partitions(elements: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+        if not elements:
+            yield []
+            return
+        first, rest = elements[0], elements[1:]
+        for k in range(len(rest) + 1):
+            if kappa is not None and kappa[k] == 0:
+                continue
+            for chosen in combinations(range(len(rest)), k):
+                block = (first,) + tuple(rest[i] for i in chosen)
+                bounds = [*chosen, len(rest)]
+                gaps = []
+                prev = -1
+                for b in bounds:
+                    gaps.append(rest[prev + 1 : b])
+                    prev = b
+                for combo in product_of_gap_partitions(gaps):
+                    yield [block, *combo]
+
+    def product_of_gap_partitions(
+        gaps: Sequence[tuple[int, ...]],
+    ) -> Iterator[list[tuple[int, ...]]]:
+        if not gaps:
+            yield []
+            return
+        head, tail = gaps[0], gaps[1:]
+        for head_blocks in partitions(head):
+            for tail_blocks in product_of_gap_partitions(tail):
+                yield [*head_blocks, *tail_blocks]
+
+    return partitions(elements)
+
+
 def _contract(
     blocks: Sequence[Sequence[int]],
     factors: Sequence[tuple[str, int]],
@@ -293,19 +340,18 @@ def joint_moment(
         raise DomainError(
             f"pattern has degree {degree} but marginal order is {marginal.order}"
         )
-    return _nc_sum(spec, marginal, pattern, frozenset())
+    return _nc_sum(spec, free_from_moments(marginal).values, pattern, frozenset())
 
 
 def _nc_sum(
     spec: QuadraticFormSpec,
-    marginal: MomentSequence,
+    kappa: Sequence[Fraction],
     pattern: Pattern,
     banned: frozenset[tuple[int, int]],
 ) -> Fraction:
     """``joint_moment``'s sum over the non-crossing partitions of the
-    pattern's positions, skipping every partition with a block in
-    ``banned``."""
-    kappa = _KAPPA_VALUES[_cumulants_of(marginal)]
+    pattern's positions, with the marginal's free cumulants ``kappa``,
+    skipping every partition with a block in ``banned``."""
     # Integer coefficients keep the contraction in int arithmetic.
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
     b = [int(v * den) for v in spec.b]
@@ -335,7 +381,7 @@ def form_moments(
     which: str,
     order: int,
 ) -> MomentSequence:
-    """Moment sequence of L or Q itself, through the word engine."""
+    """Moment sequence of L or Q itself: the joint moments of L^k or Q^k."""
     if which not in ("L", "Q"):
         raise DomainError("which must be 'L' or 'Q'")
     return MomentSequence(
@@ -432,10 +478,11 @@ def freeness_dichotomy(
         )
 
     patterns = alternating_form_patterns(max_word_length)
+    kappa = free_from_moments(marginal).values
     deviations = []
     for pattern in patterns:
         lone_q = frozenset((s, s + 1) for name, s in _letters(pattern) if name == "Q")
-        deviations.append((pattern, _nc_sum(spec, marginal, pattern, lone_q)))
+        deviations.append((pattern, _nc_sum(spec, kappa, pattern, lone_q)))
     note = (
         "scan depth is an empirical default; freeness violations are only "
         "guaranteed to surface at some finite degree"

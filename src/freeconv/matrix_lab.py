@@ -31,6 +31,7 @@ of small instances.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,7 +47,6 @@ __all__ = [
     "TraceEstimate",
     "haar_orthogonal",
     "sample_family",
-    "estimate_word_trace",
     "estimate_word_traces",
     "singular_values",
     "ncLp_norm",
@@ -177,11 +177,6 @@ def _word_trace(family: Sequence[np.ndarray], letters: Sequence[int]) -> float:
     return float(np.vdot(head, mats[-1])) / head.shape[0]
 
 
-def estimate_word_trace(spec: MatrixEnsembleSpec, word: Word, trials: int) -> TraceEstimate:
-    """Monte Carlo mean of the normalized trace of a word of family members."""
-    return estimate_word_traces(spec, [word], trials)[0]
-
-
 def estimate_word_traces(
     spec: MatrixEnsembleSpec,
     words: Sequence[Word],
@@ -193,8 +188,9 @@ def estimate_word_traces(
     Each trial samples one family (its own generator derived from
     (seed, trial), so results are independent of scheduling) and
     evaluates every word on it; estimates for different words are
-    therefore correlated but individually unbiased.  A trace beyond the
-    binary64 range raises DomainError.
+    therefore correlated but individually unbiased.  At most
+    min(max_workers, trials, os.cpu_count()) threads run the trials.  A
+    trace beyond the binary64 range raises DomainError.
     """
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
@@ -217,8 +213,9 @@ def estimate_word_traces(
                 )
         return traces
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_trial, range(trials)))
     else:
         rows = [run_trial(t) for t in range(trials)]

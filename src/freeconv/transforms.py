@@ -1,11 +1,10 @@
-"""Exact truncated power-series algebra and moment/cumulant conversions.
+"""Exact moment/cumulant conversions over truncated power series.
 
-Series carry rational coefficients c_1..c_D with the constant term fixed
-at zero; every arithmetic operation is exact and closed at the common
-truncation order.  That convention fits all carriers used here: moment
-generating series M(z) = sum m_k z^k, boolean cumulant series
-K(z) = sum r_k z^k, and the subordination expansions in the convolution
-module.
+A truncated series is the sequence of its rational coefficients
+c_1..c_D, the constant term fixed at zero: the moment series
+M(z) = sum m_k z^k, the boolean cumulant series K(z) = sum r_k z^k, and
+the subordination expansions in the convolution module.  The only
+division such sequences need is by 1 + (a series).
 
 Every recursion on powers of such a series u runs on one power table
 pw[j][d] = [z^d] u(z)^j, filled a degree at a time in O(D^3) exact
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
@@ -39,7 +38,6 @@ from .measures import (
 )
 
 __all__ = [
-    "PowerSeries",
     "BooleanCumulants",
     "FreeCumulants",
     "boolean_from_moments",
@@ -73,86 +71,16 @@ def fill_power_degree(pw: list[list[Fraction]], d: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series with exact rational coefficients c_1..c_D.
-
-    The constant term is identically zero; ``coeffs[k-1]`` is the
-    coefficient of z^k.  Binary operations require equal orders.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[RationalLike]):
-        vals = tuple(as_fraction(c) for c in coeffs)
-        if not vals:
-            raise DomainError("a power series needs order >= 1")
-        object.__setattr__(self, "coeffs", vals)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([Fraction(0)] * order)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        if k == 0:
-            return Fraction(0)
-        if not 1 <= k <= self.order:
-            raise DomainError(f"coefficient c_{k} outside order {self.order}")
-        return self.coeffs[k - 1]
-
-    def _check_order(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise DomainError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(-c for c in self.coeffs)
-
-    def scale(self, factor: RationalLike) -> "PowerSeries":
-        f = as_fraction(factor)
-        return PowerSeries(f * c for c in self.coeffs)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        # (z * a)(z * b) has valuation 2; degree-D output keeps c_2..c_D.
-        self._check_order(other)
-        a, b = self.coeffs, other.coeffs
-        return PowerSeries(
-            sum((a[i - 1] * b[k - i - 1] for i in range(1, k)), start=Fraction(0))
-            for k in range(1, self.order + 1)
-        )
-
-    def divide_by_one_plus(self, denom: "PowerSeries") -> "PowerSeries":
-        """self / (1 + denom); the only division the carriers ever need."""
-        self._check_order(denom)
-        d = self.order
-        out: list[Fraction] = []
-        for k in range(1, d + 1):
-            acc = self.coeffs[k - 1]
-            for i in range(1, k):
-                acc -= out[i - 1] * denom.coeffs[k - i - 1]
-            out.append(acc)
-        return PowerSeries(out)
-
-    def __call__(self, point: RationalLike) -> Fraction:
-        """Evaluate the truncated polynomial at a rational point."""
-        x = as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = (acc + c) * x
-        return acc
+def _divide_by_one_plus(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
+    """num / (1 + den) for coefficient sequences of equal length; the only
+    division the carriers ever need."""
+    out: list[Fraction] = []
+    for k in range(1, len(num) + 1):
+        acc = num[k - 1]
+        for i in range(1, k):
+            acc -= out[i - 1] * den[k - i - 1]
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,14 +129,12 @@ class FreeCumulants:
 
 def boolean_from_moments(m: MomentSequence) -> BooleanCumulants:
     """Boolean cumulants via K = M/(1+M): r_k = m_k - sum m_i r_{k-i}."""
-    mser = PowerSeries(m.moments)
-    return BooleanCumulants(mser.divide_by_one_plus(mser).coeffs)
+    return BooleanCumulants(_divide_by_one_plus(m.moments, m.moments))
 
 
 def moments_from_boolean(r: BooleanCumulants) -> MomentSequence:
     """Inverse conversion via M = K/(1-K): m_k = r_k + sum r_i m_{k-i}."""
-    kser = PowerSeries(r.values)
-    return MomentSequence(kser.divide_by_one_plus(-kser).coeffs)
+    return MomentSequence(_divide_by_one_plus(r.values, [-c for c in r.values]))
 
 
 def _split_blocks(pw: list[list[Fraction]], n: int, m_prev: Fraction, kappa) -> Fraction:

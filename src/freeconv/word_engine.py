@@ -20,8 +20,8 @@ word with its variables relabeled by first occurrence plus their
 cumulant ids.  The key names a word's value, not the order in which
 its sum is taken, so it needs nothing from the dynamic program.
 
-Results are exact rationals, which is what certifies the zero-vs-nonzero
-verdicts of the alternating-word checks downstream.
+Results are exact rationals, so a trace that should vanish, such as an
+alternating product of centered free variables, comes out exactly 0.
 """
 
 from __future__ import annotations
@@ -30,102 +30,18 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
 from .measures import MomentSequence
 from .transforms import free_from_moments
 
 __all__ = [
-    "NonCrossingPartition",
-    "enumerate_nc",
     "Word",
     "mixed_moment",
     "centered_product_moment",
-    "alternating_index_words",
-    "alternating_centered_check",
-    "AlternatingCheckReport",
     "clear_cache",
 ]
-
-MAX_NC_ORDER = 14  # Catalan(14) = 2674440 caps enumeration cost
-
-
-@dataclass(frozen=True)
-class NonCrossingPartition:
-    """Partition of {1..n} with no two blocks interleaving."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        blks = tuple(tuple(sorted(b)) for b in blocks)
-        blks = tuple(sorted(blks))
-        elems = sorted(e for b in blks for e in b)
-        n = len(elems)
-        if n == 0 or elems != list(range(1, n + 1)):
-            raise DomainError("blocks must partition {1..n}")
-        if _has_crossing(blks):
-            raise DomainError("blocks cross")
-        object.__setattr__(self, "blocks", blks)
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-
-def _has_crossing(blocks: Sequence[Sequence[int]]) -> bool:
-    # a < b < c < d with {a, c} and {b, d} in different blocks
-    for b1, b2 in combinations(blocks, 2):
-        for a, c in combinations(b1, 2):
-            for b, d in combinations(b2, 2):
-                if a < b < c < d or b < a < d < c:
-                    return True
-    return False
-
-
-def enumerate_nc(n: int) -> Iterator[NonCrossingPartition]:
-    """Yield every non-crossing partition of {1..n} exactly once."""
-    if not 1 <= n <= MAX_NC_ORDER:
-        raise DomainError(f"enumeration supports 1 <= n <= {MAX_NC_ORDER}")
-    for blocks in _nc_blocks(tuple(range(1, n + 1))):
-        yield NonCrossingPartition(blocks)
-
-
-def _nc_blocks(
-    elements: tuple[int, ...], kappa: Optional[Sequence[Fraction]] = None
-) -> Iterator[list[tuple[int, ...]]]:
-    # The block of elements[0] splits the rest into independent gaps.  With
-    # kappa, partitions with a block of size s where kappa[s - 1] == 0 are
-    # skipped: they add nothing to a cumulant sum.
-    if not elements:
-        yield []
-        return
-    first, rest = elements[0], elements[1:]
-    for k in range(len(rest) + 1):
-        if kappa is not None and kappa[k] == 0:
-            continue
-        for chosen in combinations(range(len(rest)), k):
-            block = (first,) + tuple(rest[i] for i in chosen)
-            bounds = [*chosen, len(rest)]
-            gaps = []
-            prev = -1
-            for b in bounds:
-                gaps.append(rest[prev + 1 : b])
-                prev = b
-            for combo in _product_of_gap_partitions(gaps, kappa):
-                yield [block, *combo]
-
-
-def _product_of_gap_partitions(
-    gaps: Sequence[tuple[int, ...]], kappa: Optional[Sequence[Fraction]]
-) -> Iterator[list[tuple[int, ...]]]:
-    if not gaps:
-        yield []
-        return
-    head, tail = gaps[0], gaps[1:]
-    for head_blocks in _nc_blocks(head, kappa):
-        for tail_blocks in _product_of_gap_partitions(tail, kappa):
-            yield [*head_blocks, *tail_blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -349,66 +265,3 @@ def centered_product_moment(
             )
             total += coeff * _nc_moment(*_canonical(kappa_ids, flat))
     return total
-
-
-# ---------------------------------------------------------------------------
-# alternating centered words
-# ---------------------------------------------------------------------------
-
-
-def alternating_index_words(n_vars: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All index words j_1 != j_2 != ... != j_length over {1..n_vars}."""
-    if n_vars < 1 or length < 1:
-        raise DomainError("need n_vars >= 1 and length >= 1")
-
-    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for j in range(1, n_vars + 1):
-            if not prefix or j != prefix[-1]:
-                yield from extend(prefix + (j,))
-
-    yield from extend(())
-
-
-@dataclass(frozen=True)
-class AlternatingCheckReport:
-    """Every alternating centered word evaluated, with its exact trace."""
-
-    words: tuple[tuple[tuple[int, int], ...], ...]
-    values: tuple[Fraction, ...]
-    all_zero: bool
-
-
-def alternating_centered_check(
-    marginals: Sequence[MomentSequence],
-    max_len: int,
-    exponents: Sequence[int] = (1,),
-) -> AlternatingCheckReport:
-    """Evaluate all alternating centered words up to ``max_len`` letters.
-
-    Letter l of a word with indices j_1 != ... != j_n is the centered
-    power T_{j_l}^{p_l} - m_{p_l}, with p_l drawn cyclically from
-    ``exponents``.  Freeness forces every such trace to vanish; the
-    report carries the exact values so the caller can assert that.
-    """
-    if max_len < 1:
-        raise DomainError("max_len must be >= 1")
-    if any(p < 1 for p in exponents):
-        raise DomainError("exponents must be >= 1")
-    words: list[tuple[tuple[int, int], ...]] = []
-    values: list[Fraction] = []
-    n_vars = len(marginals)
-    for length in range(1, max_len + 1):
-        for idx in alternating_index_words(n_vars, length):
-            lettered = tuple(
-                (j, exponents[l % len(exponents)]) for l, j in enumerate(idx)
-            )
-            words.append(lettered)
-            values.append(centered_product_moment(marginals, lettered))
-    return AlternatingCheckReport(
-        words=tuple(words),
-        values=tuple(values),
-        all_zero=all(v == 0 for v in values),
-    )

@@ -19,12 +19,12 @@ tolerance.  The dense GOE draw that family member 1 used before it took
 its tridiagonal form is the reference law for the sampler, and the tail
 product of the inequality sweep that started from the identity must give
 bit-identical reports.  The operator norm, the integer absolute moment,
-series composition, the block lookup of a non-crossing partition and the
-dichotomy report's freeness flag are former library functions with no
-library caller left.  The (L, Q) dichotomy that expanded each centered
-pattern into its 2^#Q uncentered sub-patterns, and subtracted the
-prediction for a free pair with the forms' own moment sequences, is the
-reference for the filtered non-crossing sum.
+series composition and the dichotomy report's freeness flag are former
+library functions with no library caller left.  The (L, Q) dichotomy
+that expanded each centered pattern into its 2^#Q uncentered
+sub-patterns, and subtracted the prediction for a free pair with the
+forms' own moment sequences, is the reference for the filtered
+non-crossing sum.
 """
 
 from __future__ import annotations
@@ -393,12 +393,12 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
     """Trace of an L/Q pattern as a sum over the NC partitions of its
     positions, each contracted over all n^|pi| index assignments by one
     object-array ``np.einsum`` in integer arithmetic."""
-    from freeconv.characterize import _normalize_pattern, pattern_degree
-    from freeconv.word_engine import _KAPPA_VALUES, _cumulants_of, _nc_blocks
+    from freeconv.characterize import _nc_blocks, _normalize_pattern, pattern_degree
+    from freeconv.transforms import free_from_moments
 
     pattern = _normalize_pattern(pattern)
     degree = pattern_degree(pattern)
-    kappa = _KAPPA_VALUES[_cumulants_of(marginal)]
+    kappa = free_from_moments(marginal).values
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
     b = np.array([int(v * den) for v in spec.b], dtype=object)
     a = np.array([[int(v * den) for v in row] for row in spec.a], dtype=object)
@@ -541,29 +541,22 @@ def scipy_quad(func, a: float, b: float) -> tuple[float, float]:
     )
 
 
-def compose(outer, inner):
-    """Series composition outer(inner(z)); inner has zero constant term."""
-    from freeconv.transforms import PowerSeries, fill_power_degree, power_table
+def compose(outer, inner) -> tuple[Fraction, ...]:
+    """Series composition outer(inner(z)) on coefficient sequences
+    c_1..c_D; inner has zero constant term."""
+    from freeconv.transforms import fill_power_degree, power_table
 
-    if outer.order != inner.order:
-        raise DomainError(f"series order mismatch: {outer.order} vs {inner.order}")
-    d = outer.order
+    if len(outer) != len(inner):
+        raise DomainError(f"series order mismatch: {len(outer)} vs {len(inner)}")
+    d = len(outer)
     pw = power_table(d)
-    pw[1][1:] = inner.coeffs
+    pw[1][1:] = map(Fraction, inner)
     for deg in range(1, d + 1):
         fill_power_degree(pw, deg)
-    return PowerSeries(
-        sum((c * pw[j][deg] for j, c in enumerate(outer.coeffs, 1)), start=Fraction(0))
+    return tuple(
+        sum((c * pw[j][deg] for j, c in enumerate(outer, 1)), start=Fraction(0))
         for deg in range(1, d + 1)
     )
-
-
-def block_of(partition, element: int) -> tuple[int, ...]:
-    """The block of a NonCrossingPartition that holds ``element``."""
-    for b in partition.blocks:
-        if element in b:
-            return b
-    raise DomainError(f"element {element} not in partition")
 
 
 def consistent_with_free(report) -> bool:

@@ -7,10 +7,11 @@ from freeconv import characterize
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, Semicircle, moments
 from freeconv.transforms import FreeCumulants, moments_from_free
-from freeconv.word_engine import Word, _nc_blocks, mixed_moment, clear_cache
+from freeconv.word_engine import Word, mixed_moment, clear_cache
 from freeconv.characterize import (
     QuadraticFormSpec,
     _contract,
+    _nc_blocks,
     alternating_form_patterns,
     form_moments,
     freeness_dichotomy,

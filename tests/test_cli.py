@@ -445,6 +445,21 @@ class TestMatrixlab:
             assert rows[given][0] == given
             assert rows[given][1:] == rows[first_use][1:]
 
+    def test_goe_square_carries_the_finite_n_term(self, capsys):
+        # E tau(T1^2) = 1 + 1/N for GOE; the z column is against the
+        # N = infinity moment 1, so it is labelled asymptotic
+        n = 8
+        code, out, _ = run(
+            ["matrixlab", "--word", "T1^2", "--N", str(n), "--trials", "400",
+             "--seed", "3", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        header, row = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert header == ["word", "N", "trials", "mean", "se", "exact", "z-asymptotic"]
+        mean, se = float(row[3]), float(row[4])
+        assert abs(mean - (1 + 1 / n)) <= 4 * se
+
     def test_header_echoes_seed_and_version(self, files, capsys):
         code, out, _ = run(
             ["matrixlab", "--word", "T1 T2", "--N", "32", "--trials", "8",

@@ -9,7 +9,6 @@ from freeconv.word_engine import Word
 from freeconv import matrix_lab
 from freeconv.matrix_lab import (
     MatrixEnsembleSpec,
-    estimate_word_trace,
     estimate_word_traces,
     exact_word_moment,
     haar_orthogonal,
@@ -65,7 +64,7 @@ class TestSampling:
     def test_goe_tau_square_mean_is_exact(self):
         # E tau(T1^2) = ((N^2 - N) / N + N * 2 / N) / N = 1 + 1/N at every N
         n = 6
-        est = estimate_word_trace(goe_spec(n, 1, seed=27), Word((1, 1)), 4000)
+        est = estimate_word_traces(goe_spec(n, 1, seed=27), [Word((1, 1))], 4000)[0]
         assert abs(est.mean - (1 + 1 / n)) < 4 * est.standard_error
 
     def test_goe_family_matches_dense_draws(self):
@@ -142,33 +141,33 @@ class TestSampling:
 class TestWordTraces:
     def test_centered_product_near_zero(self):
         spec = goe_spec(128, 2, seed=21)
-        est = estimate_word_trace(spec, Word((1, 2)), 60)
+        est = estimate_word_traces(spec, [Word((1, 2))], 60)[0]
         assert abs(est.mean) <= 3 * est.standard_error + 5.0 / 128
 
     def test_alternating_bernoulli_word(self):
         spec = bernoulli_spec(128, 2, seed=22)
-        est = estimate_word_trace(spec, Word((1, 2, 1, 2)), 80)
+        est = estimate_word_traces(spec, [Word((1, 2, 1, 2))], 80)[0]
         exact = exact_word_moment(spec, Word((1, 2, 1, 2)))
         assert exact == 3.0 / 16.0
         assert abs(est.mean - exact) <= 3 * est.standard_error + 5.0 / 128
 
     def test_goe_fourth_moment(self):
         spec = goe_spec(128, 1, seed=23)
-        est = estimate_word_trace(spec, Word((1, 1, 1, 1)), 80)
+        est = estimate_word_traces(spec, [Word((1, 1, 1, 1))], 80)[0]
         assert abs(est.mean - 2.0) <= 3 * est.standard_error + 5.0 / 128
 
     def test_multi_word_shares_trials(self):
         spec = goe_spec(64, 2, seed=24)
         words = [Word((1, 1)), Word((1, 2)), Word((2, 2))]
         ests = estimate_word_traces(spec, words, 30)
-        single = estimate_word_trace(spec, Word((1, 1)), 30)
+        single = estimate_word_traces(spec, [Word((1, 1))], 30)[0]
         # identical trial streams; only the reduction order may differ
         assert abs(ests[0].mean - single.mean) < 1e-14
 
     def test_repeated_call_is_bitwise_stable(self):
         spec = goe_spec(64, 2, seed=26)
-        a = estimate_word_trace(spec, Word((1, 2, 1, 2)), 12)
-        b = estimate_word_trace(spec, Word((1, 2, 1, 2)), 12)
+        a = estimate_word_traces(spec, [Word((1, 2, 1, 2))], 12)[0]
+        b = estimate_word_traces(spec, [Word((1, 2, 1, 2))], 12)[0]
         assert a.mean == b.mean and a.standard_error == b.standard_error
 
     def test_threaded_matches_serial(self):
@@ -178,13 +177,40 @@ class TestWordTraces:
         threaded = estimate_word_traces(spec, words, 16, max_workers=4)
         assert serial[0].mean == threaded[0].mean
 
+    def test_thread_pool_is_bounded(self, monkeypatch):
+        # records the pool sizes asked for and runs the trials serially, so
+        # the test starts no thread
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(matrix_lab, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(matrix_lab.os, "cpu_count", lambda: 4)
+        spec, words = goe_spec(8, 1, seed=28), [Word((1, 1))]
+        serial = estimate_word_traces(spec, words, 6, max_workers=1)
+        assert estimate_word_traces(spec, words, 6, max_workers=10 ** 9) == serial
+        estimate_word_traces(spec, words, 3, max_workers=10 ** 9)
+        estimate_word_traces(spec, words, 6, max_workers=3)
+        assert sizes == [4, 3, 3]
+
     def test_word_beyond_family_rejected(self):
         with pytest.raises(DomainError):
-            estimate_word_trace(goe_spec(32, 1), Word((1, 2)), 10)
+            estimate_word_traces(goe_spec(32, 1), [Word((1, 2))], 10)
 
     def test_needs_two_trials(self):
         with pytest.raises(DomainError):
-            estimate_word_trace(goe_spec(32, 1), Word((1,)), 1)
+            estimate_word_traces(goe_spec(32, 1), [Word((1,))], 1)
 
 
 class TestNorms:

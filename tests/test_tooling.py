@@ -1,9 +1,10 @@
 """Repository checks: the benchmark's traced run finds every library
 function it wraps, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, importing the package
-loads only its exceptions, the exact subcommands never load numpy, and
-neither the package source nor the tests import anything they do not
-use."""
+loads only its exceptions, the exact subcommands never load numpy,
+characterize never loads the word engine, every exported name is read
+in the package or kept for a stated reason, and neither the package
+source nor the tests import anything they do not use."""
 
 import ast
 import importlib
@@ -42,6 +43,52 @@ def test_exported_names_resolve():
         if not hasattr(importlib.import_module(name), attr)
     ]
     assert not missing
+
+
+# Exported names that no code in the package reads, each kept on purpose.
+KEEP = {
+    "form_moments": "the benchmark's traced run wraps it by name",
+    "centered_product_moment": "the benchmark's traced run wraps it by name",
+    "verify_inequalities": "the benchmark's library job calls it",
+    "ncLp_norm": "the benchmark's library job calls it",
+    "krein_expansion_check": "a statement of the paper (the Krein expansion of K), not yet on the CLI",
+    "boxtimes_fractional_closure_check": "a statement of the paper (finite m_alpha of a boxtimes "
+    "product), not yet on the CLI",
+    "measure_to_json": "the inverse of measure_from_json, for the serialization round-trip",
+    "clear_cache": "resets the word engine's memo, for tests",
+}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names.
+
+    Reads inside a top-level function or class do not count for that
+    function's or class's own name, so recursion does not keep it alive.
+    """
+    read: set[str] = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            read.update(name for name in names if name != own)
+    return read
+
+
+def test_every_export_is_read_or_kept():
+    read = set()
+    exported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        read |= names_read(ast.parse(path.read_text()))
+        module = "freeconv" if path.stem == "__init__" else f"freeconv.{path.stem}"
+        exported.update(getattr(importlib.import_module(module), "__all__", ()))
+    assert sorted(exported - read) == sorted(KEEP)
 
 
 def run_probe(probe: str, *args: str) -> str:
@@ -118,6 +165,17 @@ def test_exact_subcommands_leave_numpy_unloaded():
     codes, numpy_modules = json.loads(run_probe(probe, json.dumps(runs)))
     assert codes == [0] * len(runs)
     assert numpy_modules == []
+
+
+def test_characterize_leaves_word_engine_unloaded():
+    probe = (
+        "import os, sys\n"
+        "from freeconv.cli import main\n"
+        "argv = ['characterize', '--preset', 'mean-variance', sys.argv[1], '--max-len', '6']\n"
+        "print(main(argv + ['--output', os.devnull]), 'freeconv.word_engine' in sys.modules)"
+    )
+    rademacher = str(ROOT / "demos" / "data" / "rademacher.json")
+    assert run_probe(probe, rademacher).split() == ["0", "False"]
 
 
 def unused_imports(source: str) -> list[str]:

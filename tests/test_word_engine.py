@@ -8,59 +8,60 @@ from hypothesis import given, settings, strategies as st
 from freeconv import word_engine
 from freeconv.errors import DomainError, ParseError
 from freeconv.measures import Atomic, MomentSequence, catalan, moments
+from freeconv.characterize import _nc_blocks
 from freeconv.word_engine import (
-    AlternatingCheckReport,
-    NonCrossingPartition,
     Word,
-    alternating_centered_check,
-    alternating_index_words,
     centered_product_moment,
     clear_cache,
-    enumerate_nc,
     mixed_moment,
 )
 from freeconv.transforms import free_from_moments
-from oracles import block_of, mixed_moment_bruteforce, nc_moment_by_block_subsets, nc_partitions
+from oracles import mixed_moment_bruteforce, nc_moment_by_block_subsets, nc_partitions
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
 )
 
 
+def canonical(blocks):
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def alternating_products(n_vars, max_len, exponents):
+    """Every centered product T_{j_1}^{p_1} ... with j_1 != j_2 != ... over
+    {1..n_vars}, up to max_len letters, p_l drawn cyclically from exponents."""
+    return [
+        tuple((j, exponents[l % len(exponents)]) for l, j in enumerate(idx))
+        for length in range(1, max_len + 1)
+        for idx in product(range(1, n_vars + 1), repeat=length)
+        if all(a != b for a, b in zip(idx, idx[1:]))
+    ]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 14), (6, 132)])
     def test_counts_match_catalan(self, n, count):
-        parts = list(enumerate_nc(n))
+        parts = list(_nc_blocks(tuple(range(1, n + 1))))
         assert len(parts) == count == catalan(n)
 
     def test_each_produced_once(self):
-        parts = [p.blocks for p in enumerate_nc(5)]
+        parts = [canonical(p) for p in _nc_blocks(tuple(range(1, 6)))]
         assert len(parts) == len(set(parts)) == catalan(5)
 
     def test_agrees_with_bruteforce_filter(self):
-        ours = {p.blocks for p in enumerate_nc(6)}
-        brute = {
-            tuple(sorted(tuple(sorted(b)) for b in part))
-            for part in nc_partitions(6)
-        }
+        ours = {canonical(p) for p in _nc_blocks(tuple(range(1, 7)))}
+        brute = {canonical(p) for p in nc_partitions(6)}
         assert ours == brute
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            list(enumerate_nc(0))
-        with pytest.raises(DomainError):
-            list(enumerate_nc(15))
-
-    def test_partition_type_rejects_crossing(self):
-        with pytest.raises(DomainError):
-            NonCrossingPartition([(1, 3), (2, 4)])
-        with pytest.raises(DomainError):
-            NonCrossingPartition([(1, 2), (2, 3)])
-
-    def test_block_lookup(self):
-        p = NonCrossingPartition([(1, 4), (2, 3)])
-        assert block_of(p, 3) == (2, 3)
-        assert p.n == 4
+    @pytest.mark.parametrize("zero_size", [1, 2, 3])
+    def test_zero_cumulant_drops_exactly_its_block_size(self, zero_size):
+        kappa = [Fraction(1)] * 6
+        kappa[zero_size - 1] = Fraction(0)
+        ours = [canonical(p) for p in _nc_blocks(tuple(range(1, 7)), kappa)]
+        brute = {
+            canonical(p) for p in nc_partitions(6) if all(len(b) != zero_size for b in p)
+        }
+        assert len(ours) == len(set(ours)) and set(ours) == brute
 
 
 class TestWord:
@@ -209,22 +210,16 @@ class TestCenteredProducts:
 
 
 class TestAlternatingChecks:
-    def test_index_word_count(self):
-        # n * (n-1)^(length-1) alternating words
-        assert len(list(alternating_index_words(3, 4))) == 3 * 2 ** 3
-
     def test_first_powers_vanish(self, bernoulli, two_point):
-        report = alternating_centered_check(
-            (moments(bernoulli, 4), moments(two_point, 4)), 4, exponents=(1,)
-        )
-        assert report.all_zero
-        assert len(report.words) == sum(2 * 1 ** (l - 1) for l in range(1, 5))
+        marginals = (moments(bernoulli, 4), moments(two_point, 4))
+        words = alternating_products(2, 4, (1,))
+        assert len(words) == sum(2 * 1 ** (l - 1) for l in range(1, 5))
+        assert all(centered_product_moment(marginals, w) == 0 for w in words)
 
     def test_centered_squares_vanish(self, bernoulli, two_point):
-        report = alternating_centered_check(
-            (moments(bernoulli, 8), moments(two_point, 8)), 4, exponents=(2,)
-        )
-        assert report.all_zero
+        marginals = (moments(bernoulli, 8), moments(two_point, 8))
+        words = alternating_products(2, 4, (2,))
+        assert all(centered_product_moment(marginals, w) == 0 for w in words)
 
     def test_three_variables_mixed_exponents(self, bernoulli, two_point):
         third = Atomic([(Fraction(1, 2), Fraction(1, 3)), (2, Fraction(2, 3))])
@@ -233,6 +228,5 @@ class TestAlternatingChecks:
             moments(two_point, 10),
             moments(third, 10),
         )
-        report = alternating_centered_check(marginals, 5, exponents=(1, 2))
-        assert report.all_zero
-        assert isinstance(report, AlternatingCheckReport)
+        words = alternating_products(3, 5, (1, 2))
+        assert all(centered_product_moment(marginals, w) == 0 for w in words)
