@@ -10,6 +10,10 @@ Importing the package loads only the exception classes.  Every other
 name in ``__all__`` is resolved on first access by the module
 ``__getattr__`` (PEP 562), which imports the one module that defines it,
 so exact work never pays for numpy or for the modules it does not use.
+
+Cumulants are plain tuples: ``boolean_from_moments`` and
+``free_from_moments`` return ``tuple[Fraction, ...]``, and their inverses
+take any sequence of rationals.
 """
 
 __version__ = "0.1.0"
@@ -22,8 +26,8 @@ _EXPORTS = {
         "krein_k", "measure_from_json", "measure_to_json", "moments", "psi",
     ),
     "transforms": (
-        "BooleanCumulants", "FreeCumulants", "boolean_from_moments", "free_from_moments",
-        "krein_expansion_check", "moments_from_boolean", "moments_from_free",
+        "boolean_from_moments", "free_from_moments", "krein_expansion_check",
+        "moments_from_boolean", "moments_from_free",
     ),
     "word_engine": ("Word", "mixed_moment"),
     "convolution": (

@@ -340,7 +340,7 @@ def joint_moment(
         raise DomainError(
             f"pattern has degree {degree} but marginal order is {marginal.order}"
         )
-    return _nc_sum(spec, free_from_moments(marginal).values, pattern, frozenset())
+    return _nc_sum(spec, free_from_moments(marginal), pattern, frozenset())
 
 
 def _nc_sum(
@@ -478,7 +478,7 @@ def freeness_dichotomy(
         )
 
     patterns = alternating_form_patterns(max_word_length)
-    kappa = free_from_moments(marginal).values
+    kappa = free_from_moments(marginal)
     deviations = []
     for pattern in patterns:
         lone_q = frozenset((s, s + 1) for name, s in _letters(pattern) if name == "Q")

@@ -149,10 +149,10 @@ def cmd_cumulants(args, config: RunConfig) -> None:
     mu = _load_measure(args.measure)
     seq = moments(mu, args.order)
     if args.kind == "boolean":
-        values = boolean_from_moments(seq).values
+        values = boolean_from_moments(seq)
         label = "r_k"
     else:
-        values = free_from_moments(seq).values
+        values = free_from_moments(seq)
         label = "kappa_k"
     rows = [(k + 1, _exact(v)) for k, v in enumerate(values)]
     _emit(
@@ -224,13 +224,14 @@ def cmd_subordinate(args, config: RunConfig) -> None:
     mu1 = _load_measure(args.mu1)
     mu2 = _load_measure(args.mu2)
     if args.z is not None:
-        parts = args.z.split(",")
-        try:
-            z = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-        except ValueError as exc:
+        try:  # complex() takes at most two parts
+            z = complex(*map(float, args.z.split(",")))
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad evaluation point {args.z!r}") from exc
         points = [z]
     else:
+        if args.grid < 1:
+            raise DomainError(f"--grid must be >= 1, got {args.grid}")
         points = [complex(-(10.0 ** (-k / 10.0)), 0.0) for k in range(1, args.grid + 1)]
     rows = []
     for z in points:
@@ -456,15 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("FREECONV_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = "FREECONV_THREADS", os.environ.get("FREECONV_THREADS") or "1"
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ParseError(f"{source} must be a positive integer, got {value!r}")
+    return threads
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -475,14 +477,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
 
-    config = RunConfig(
-        argv=tuple(argv),
-        seed=getattr(args, "seed", None),
-        threads=_resolve_threads(args),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "json"),
-    )
     try:
+        config = RunConfig(
+            argv=tuple(argv),
+            seed=getattr(args, "seed", None),
+            threads=_resolve_threads(args),
+            output=getattr(args, "output", None),
+            fmt=getattr(args, "format", "json"),
+        )
         args.func(args, config)
     except ParseError as exc:
         print(f"freeconv: parse error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ diagnostics' grid branch and the closure check.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -64,7 +65,6 @@ from .measures import (
     quad,
 )
 from .transforms import (
-    BooleanCumulants,
     boolean_from_moments,
     fill_power_degree,
     free_from_moments,
@@ -98,8 +98,7 @@ def boxplus_moments(m1: MomentSequence, m2: MomentSequence) -> MomentSequence:
         raise DomainError(f"order mismatch: {m1.order} vs {m2.order}")
     k1 = free_from_moments(m1)
     k2 = free_from_moments(m2)
-    summed = type(k1)(a + b for a, b in zip(k1.values, k2.values))
-    return moments_from_free(summed)
+    return moments_from_free([a + b for a, b in zip(k1, k2)])
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +123,8 @@ def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSe
     K_1(Z_1(-x)).
     """
     _check_boxtimes_inputs(m1, m2, p)
-    r1 = boolean_from_moments(m1.truncate(p)).values
-    r2 = boolean_from_moments(m2.truncate(p)).values
+    r1 = boolean_from_moments(m1.truncate(p))
+    r2 = boolean_from_moments(m2.truncate(p))
 
     # pow1[j][d] = [x^d] Z_1(-x)^j, and pow2 likewise for Z_2.  Degree d
     # of Z_1 needs Z_2's powers at degree d-1 only, so both tables fill
@@ -140,11 +139,10 @@ def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSe
         fill_power_degree(pow2, d)
 
     # K of the product as a series in x: K_1 composed with Z_1(-x).
-    r_box = BooleanCumulants(
+    return moments_from_boolean([
         (-1) ** k * sum((r1[i - 1] * pow1[i][k] for i in range(1, k + 1)), start=zero)
         for k in range(1, p + 1)
-    )
-    return moments_from_boolean(r_box)
+    ])
 
 
 def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
@@ -206,16 +204,19 @@ def solve_subordination(
     Z_j = m_1(mu_k) z.  A half step replaces the full update whenever
     the direction of successive updates flips.  Accepts z in the open
     upper half plane or on the negative real axis, which includes any z
-    with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0.
+    with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0, and needs a finite z,
+    0 < tol < inf and max_iter >= 1.
     """
     if not in_m_plus(mu1) or not in_m_plus(mu2):
         raise DomainError("subordination needs measures on [0, inf) with mass at 0 below 1")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     z = complex(z)
     on_negative_axis = abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real < 0
-    if not (z.imag > 0 or on_negative_axis):
-        raise DomainError(f"evaluation point {z} must lie in C+ or on (-inf, 0)")
+    if not cmath.isfinite(z) or not (z.imag > 0 or on_negative_axis):
+        raise DomainError(f"evaluation point {z} must be finite, in C+ or on (-inf, 0)")
     if on_negative_axis:
         z = complex(z.real, 0.0)
 
@@ -259,6 +260,12 @@ def _support_bound(mu: Measure) -> float:
     return float(mu.x.max())
 
 
+# trapezoidal nodes on the fit's contour (even, so the upper half mirrors
+# the lower) and the solver tolerance at each node
+FIT_POINTS = 64
+FIT_TOL = 1e-13
+
+
 def _fit_radius(mu1: Measure, mu2: Measure) -> float:
     """Default contour radius: half the reciprocal of the product of the
     support bounds, capped at 0.25."""
@@ -272,9 +279,6 @@ def fit_boolean_cumulants_from_subordination(
     mu1: Measure,
     mu2: Measure,
     n_coeffs: int,
-    radius: Optional[float] = None,
-    n_points: int = 64,
-    tol: float = 1e-13,
 ) -> list[float]:
     """Boolean cumulants of the product, fitted from solver values of K.
 
@@ -284,30 +288,28 @@ def fit_boolean_cumulants_from_subordination(
     open upper half of the circle is solved; the lower half follows from
     the reflection K(conj z) = conj K(z).  Purely numerical, used to
     cross-check the exact Taylor route; accuracy is solver tolerance
-    divided by radius^k.  A radius whose power radius^-n_coeffs is
-    outside the binary64 range raises DomainError before any solve.
+    divided by radius^k.  The radius comes from the supports
+    (:func:`_fit_radius`); one whose power radius^-n_coeffs is outside the
+    binary64 range raises DomainError before any solve.
     """
     import numpy as np
 
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
-    if radius is None:
-        radius = _fit_radius(mu1, mu2)
+    radius = _fit_radius(mu1, mu2)
     if not radius > 0 or -n_coeffs * math.log(radius) >= math.log(sys.float_info.max):
         raise DomainError(
             f"contour radius {radius:.3g} is too small for {n_coeffs} coefficients: "
             f"radius^-{n_coeffs} is outside the binary64 range"
         )
-    if n_points % 2:
-        n_points += 1
     upper = []
-    for m in range(n_points // 2):
-        angle = 2.0 * math.pi * (m + 0.5) / n_points
+    for m in range(FIT_POINTS // 2):
+        angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS
         z = radius * complex(math.cos(angle), math.sin(angle))
-        upper.append(solve_subordination(mu1, mu2, z, tol=tol, max_iter=2000).k_value)
+        upper.append(solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000).k_value)
     k_values = np.array(upper + [v.conjugate() for v in reversed(upper)])
     zs = radius * np.exp(
-        2j * math.pi * (np.arange(n_points) + 0.5) / n_points
+        2j * math.pi * (np.arange(FIT_POINTS) + 0.5) / FIT_POINTS
     )
     return [float(np.mean(k_values * zs ** (-k)).real) for k in range(1, n_coeffs + 1)]
 
@@ -337,7 +339,7 @@ def boxtimes_via_subordination(
         iterations = max(iterations, sol.iterations)
     if not all(math.isfinite(r) for r in r_fit):
         raise ConvergenceError("subordination fit produced a non-finite boolean cumulant")
-    ms = moments_from_boolean(BooleanCumulants(r_fit)).moments
+    ms = moments_from_boolean(r_fit).moments
     return [float(v) for v in ms], worst, iterations
 
 

@@ -23,9 +23,9 @@ variates instead of N^2.
 
 The noncommutative L^p norm is ||x||_p = tau(|x|^p)^(1/p) with
 |x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values are
-the square roots of the LAPACK symmetric eigenvalues of x^T x, batched
-over stacks of matrices, since the inequality sweeps process thousands
-of small instances.
+the square roots of the LAPACK symmetric eigenvalues of x^T x.  The
+inequality sweep processes thousands of small instances, so it takes
+them in one batched call per family of matrices, over the tuple axis.
 """
 
 from __future__ import annotations
@@ -264,15 +264,16 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
 
 
-def _norm_from_sigma(sigma: np.ndarray, p: float) -> float:
-    return float(np.mean(sigma ** p) ** (1.0 / p))
+def _lp_norms(sigma: np.ndarray, p: float) -> np.ndarray:
+    """tau(|x|^p)^(1/p) from the singular values along the last axis."""
+    return np.mean(sigma ** p, axis=-1) ** (1.0 / p)
 
 
 def ncLp_norm(matrix: np.ndarray, p: float) -> float:
     """Noncommutative L^p norm tau(|x|^p)^(1/p) with normalized trace."""
     if p < 1:
         raise DomainError("p must be >= 1")
-    return _norm_from_sigma(singular_values(matrix), p)
+    return float(_lp_norms(singular_values(matrix), p))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +313,11 @@ def verify_inequalities(
       x_1 x_2^2 x_3, the splittings used to bound traces of mixed
       powers.
 
-    All norms in a call come from one batched singular-value call.  The
-    report counts every individual inequality as one check; ``slack``
-    absorbs binary64 rounding.
+    The tuples form one array over a leading tuple axis; each family of
+    matrices is one batched product, and its norms come from one batched
+    singular-value call.  The report counts every individual inequality
+    as one check; ``slack`` absorbs binary64 rounding.  Violations are
+    listed family by family.
     """
     if not tuples:
         raise DomainError("no tuples supplied")
@@ -330,96 +333,56 @@ def verify_inequalities(
     if p_minkowski < 1:
         raise DomainError("Minkowski exponent must be >= 1")
 
-    n = tuples[0][0].shape[0]
-    stack: list[np.ndarray] = []
+    # the exponent checks force k >= 2; x has shape (tuples, k, N, N)
+    x = np.array(tuples, dtype=float)
+    n = x.shape[-1]
+    sigma = singular_values(x)
+    product = x[:, 0]
+    for j in range(1, k):
+        product = product @ x[:, j]
+    pair01 = x[:, 0] @ x[:, 1]
+    sigma01 = singular_values(pair01)
 
-    def push(mat: np.ndarray) -> int:
-        stack.append(mat)
-        return len(stack) - 1
+    holder = np.prod([_lp_norms(sigma[:, i], p) for i, p in enumerate(exponents)], axis=0)
+    ideal = sigma[:, 0].max(axis=-1) * _lp_norms(sigma[:, 1], p_minkowski)
+    # chain for x_0^2 x_1 x_2 ... x_{k-1}: letter count k+1, every norm at p = k
+    norms_k = _lp_norms(sigma, float(k))
+    chain = norms_k[:, 0] * _lp_norms(sigma01, float(k)) * norms_k[:, 2:].prod(axis=1)
+    rows = [
+        ("holder-trace", "", np.abs(np.trace(product, axis1=-2, axis2=-1)) / n, holder),
+        ("holder-product", "", _lp_norms(singular_values(product), 1.0), holder),
+        (
+            "minkowski",
+            "",
+            _lp_norms(singular_values(x.sum(axis=1)), p_minkowski),
+            _lp_norms(sigma, p_minkowski).sum(axis=1),
+        ),
+        ("ideal", " ax", _lp_norms(sigma01, p_minkowski), ideal),
+        ("ideal", " xa", _lp_norms(singular_values(x[:, 1] @ x[:, 0]), p_minkowski), ideal),
+        ("chain-even", "", _lp_norms(singular_values(x[:, 0] @ product), 1.0), chain),
+    ]
+    if k >= 3:
+        pair12 = x[:, 1] @ x[:, 2]
+        rows.append((
+            "chain-grouped",
+            "",
+            _lp_norms(singular_values(pair01 @ pair12), 1.0),
+            _lp_norms(sigma01, 2.0) * _lp_norms(singular_values(pair12), 2.0),
+        ))
 
-    layout = []
-    for mats in tuples:
-        product = mats[0]
-        for m in mats[1:]:
-            product = product @ m
-        pair01 = mats[0] @ mats[1] if k >= 2 else None
-        pair10 = mats[1] @ mats[0] if k >= 2 else None
-        pair12 = mats[1] @ mats[2] if k >= 3 else None
-        entry = {
-            "singles": [push(m) for m in mats],
-            "product": push(product),
-            "sum": push(sum(mats[1:], start=mats[0].copy())),
-            "trace": float(np.trace(product)) / n,
-        }
-        if pair01 is not None:
-            entry["pair01"] = push(pair01)
-            entry["pair10"] = push(pair10)
-            word59 = mats[0] @ pair01
-            tail = _tail_product(mats, 2)
-            entry["word59"] = push(word59 if tail is None else word59 @ tail)
-        if pair12 is not None:
-            entry["pair12"] = push(pair12)
-            entry["word513"] = push(mats[0] @ mats[1] @ pair12)
-        layout.append(entry)
-
-    sigma = singular_values(np.array(stack))
-
-    def lp(idx: int, p: float) -> float:
-        return _norm_from_sigma(sigma[idx], p)
-
-    checks = 0
-    margin = -math.inf
     violations: list[str] = []
     families: dict[str, int] = {}
-
-    def record(family: str, lhs: float, rhs: float, label: str):
-        nonlocal checks, margin
-        checks += 1
-        families[family] = families.get(family, 0) + 1
-        margin = max(margin, lhs - rhs)
-        if lhs > rhs + slack:
-            violations.append(f"{family}: {label}: {lhs!r} > {rhs!r}")
-
-    for i, entry in enumerate(layout):
-        singles = entry["singles"]
-        holder_rhs = 1.0
-        for idx, p in zip(singles, exponents):
-            holder_rhs *= lp(idx, p)
-        record("holder-trace", abs(entry["trace"]), holder_rhs, f"tuple {i}")
-        record("holder-product", lp(entry["product"], 1.0), holder_rhs, f"tuple {i}")
-
-        mink_lhs = lp(entry["sum"], p_minkowski)
-        mink_rhs = sum(lp(idx, p_minkowski) for idx in singles)
-        record("minkowski", mink_lhs, mink_rhs, f"tuple {i}")
-
-        if "pair01" in entry:
-            opn = float(sigma[singles[0]].max())
-            xnorm = lp(singles[1], p_minkowski)
-            record("ideal", lp(entry["pair01"], p_minkowski), opn * xnorm, f"tuple {i} ax")
-            record("ideal", lp(entry["pair10"], p_minkowski), opn * xnorm, f"tuple {i} xa")
-
-            # chain for x_0^2 x_1 x_2 ... x_{k-1}: letter count k+1, d = k
-            d = float(k)
-            rhs = lp(singles[0], d) * lp(entry["pair01"], d)
-            for idx in singles[2:]:
-                rhs *= lp(idx, d)
-            record("chain-even", lp(entry["word59"], 1.0), rhs, f"tuple {i}")
-
-        if "pair12" in entry:
-            rhs = lp(entry["pair01"], 2.0) * lp(entry["pair12"], 2.0)
-            record("chain-grouped", lp(entry["word513"], 1.0), rhs, f"tuple {i}")
-
+    margin = -math.inf
+    for family, suffix, lhs, rhs in rows:
+        families[family] = families.get(family, 0) + len(lhs)
+        margin = max(margin, float(np.max(lhs - rhs)))
+        violations += [
+            f"{family}: tuple {i}{suffix}: {float(lhs[i])!r} > {float(rhs[i])!r}"
+            for i in np.flatnonzero(lhs > rhs + slack).tolist()
+        ]
     return InequalityReport(
-        checks=checks,
+        checks=sum(families.values()),
         violations=tuple(violations),
         max_margin=margin,
         families=families,
     )
-
-
-def _tail_product(mats: Sequence[np.ndarray], start: int) -> Optional[np.ndarray]:
-    """Ordered product of ``mats[start:]``, or None when that is empty."""
-    out = None
-    for m in mats[start:]:
-        out = m if out is None else out @ m
-    return out

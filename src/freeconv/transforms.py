@@ -17,13 +17,18 @@ m_n = sum_s kappa_s [z^n] u(z)^s with u(z) = z(1 + M(z)), the
 non-crossing partition moment formula summed by outer block; one
 recursion solves it for kappa_n or for m_n, so the conversions
 round-trip to the identity.
+
+Cumulants are plain tuples of Fractions: :func:`boolean_from_moments`
+returns (r_1, ..., r_D) and :func:`free_from_moments` returns
+(kappa_1, ..., kappa_D).  The inverse conversions take any sequence of
+rationals (floats convert exactly) and return a MomentSequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
@@ -38,8 +43,6 @@ from .measures import (
 )
 
 __all__ = [
-    "BooleanCumulants",
-    "FreeCumulants",
     "boolean_from_moments",
     "moments_from_boolean",
     "free_from_moments",
@@ -83,58 +86,15 @@ def _divide_by_one_plus(num: Sequence[Fraction], den: Sequence[Fraction]) -> lis
     return out
 
 
-@dataclass(frozen=True)
-class BooleanCumulants:
-    """Boolean cumulants r_1..r_D: Taylor coefficients of K at 0."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[RationalLike]):
-        vals = tuple(as_fraction(v) for v in values)
-        if not vals:
-            raise DomainError("cumulant order must be >= 1")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def r(self, k: int) -> Fraction:
-        if not 1 <= k <= self.order:
-            raise DomainError(f"r_{k} outside order {self.order}")
-        return self.values[k - 1]
+def boolean_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
+    """Boolean cumulants r_1..r_D via K = M/(1+M): r_k = m_k - sum m_i r_{k-i}."""
+    return tuple(_divide_by_one_plus(m.moments, m.moments))
 
 
-@dataclass(frozen=True)
-class FreeCumulants:
-    """Free cumulants kappa_1..kappa_D of the non-crossing moment formula."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[RationalLike]):
-        vals = tuple(as_fraction(v) for v in values)
-        if not vals:
-            raise DomainError("cumulant order must be >= 1")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def kappa(self, k: int) -> Fraction:
-        if not 1 <= k <= self.order:
-            raise DomainError(f"kappa_{k} outside order {self.order}")
-        return self.values[k - 1]
-
-
-def boolean_from_moments(m: MomentSequence) -> BooleanCumulants:
-    """Boolean cumulants via K = M/(1+M): r_k = m_k - sum m_i r_{k-i}."""
-    return BooleanCumulants(_divide_by_one_plus(m.moments, m.moments))
-
-
-def moments_from_boolean(r: BooleanCumulants) -> MomentSequence:
+def moments_from_boolean(r: Sequence[RationalLike]) -> MomentSequence:
     """Inverse conversion via M = K/(1-K): m_k = r_k + sum r_i m_{k-i}."""
-    return MomentSequence(_divide_by_one_plus(r.values, [-c for c in r.values]))
+    r = [as_fraction(v) for v in r]
+    return MomentSequence(_divide_by_one_plus(r, [-c for c in r]))
 
 
 def _split_blocks(pw: list[list[Fraction]], n: int, m_prev: Fraction, kappa) -> Fraction:
@@ -148,21 +108,22 @@ def _split_blocks(pw: list[list[Fraction]], n: int, m_prev: Fraction, kappa) -> 
     return sum((kappa[s - 1] * pw[s][n] for s in range(1, n)), start=Fraction(0))
 
 
-def free_from_moments(m: MomentSequence) -> FreeCumulants:
-    """Free cumulants: kappa_n = m_n - sum_{s<n} kappa_s [z^n] u(z)^s."""
+def free_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
+    """Free cumulants kappa_1..kappa_D: kappa_n = m_n - sum_{s<n} kappa_s [z^n] u(z)^s."""
     pw = power_table(m.order)
     kappa: list[Fraction] = []
     for n in range(1, m.order + 1):
         kappa.append(m.m(n) - _split_blocks(pw, n, m.m(n - 1), kappa))
-    return FreeCumulants(kappa)
+    return tuple(kappa)
 
 
-def moments_from_free(kappa: FreeCumulants) -> MomentSequence:
+def moments_from_free(kappa: Sequence[RationalLike]) -> MomentSequence:
     """Moments by the same recursion run forward: m_n = kappa_n + split blocks."""
-    pw = power_table(kappa.order)
+    kappa = [as_fraction(v) for v in kappa]
+    pw = power_table(len(kappa))
     ms = [Fraction(1)]
-    for n in range(1, kappa.order + 1):
-        ms.append(kappa.kappa(n) + _split_blocks(pw, n, ms[n - 1], kappa.values))
+    for n in range(1, len(kappa) + 1):
+        ms.append(kappa[n - 1] + _split_blocks(pw, n, ms[n - 1], kappa))
     return MomentSequence(ms[1:])
 
 
@@ -207,7 +168,7 @@ def krein_expansion_check(
     if grid_size <= burn_in + 2:
         raise DomainError("grid too short for the burn-in")
     r = boolean_from_moments(m.truncate(p))
-    signed = [(-1) ** k * r.r(k) for k in range(1, p + 1)]
+    signed = [(-1) ** k * r[k - 1] for k in range(1, p + 1)]
 
     xs: list[float] = []
     ratios: list[Fraction | float] = []

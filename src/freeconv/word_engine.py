@@ -143,7 +143,7 @@ def _cumulants_of(marginal: MomentSequence) -> int:
     kid = _CUMULANT_CACHE.get(marginal)
     if kid is None:
         kid = len(_KAPPA_VALUES)
-        _KAPPA_VALUES.append(free_from_moments(marginal).values)
+        _KAPPA_VALUES.append(free_from_moments(marginal))
         _CUMULANT_CACHE[marginal] = kid
     return kid
 

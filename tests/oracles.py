@@ -16,9 +16,10 @@ word engine that enumerates every candidate block of the first letter, the
 object-array ``np.einsum``, a batched cyclic Jacobi eigensolver and
 scipy's adaptive quadrature, which float results must match within a
 tolerance.  The dense GOE draw that family member 1 used before it took
-its tridiagonal form is the reference law for the sampler, and the tail
-product of the inequality sweep that started from the identity must give
-bit-identical reports.  The operator norm, the integer absolute moment,
+its tridiagonal form is the reference law for the sampler.  The L^p
+inequality sweep that stacked every matrix of every tuple on one list
+and read the norms back tuple by tuple is the reference for the sweep
+over the tuple axis.  The operator norm, the integer absolute moment,
 series composition and the dichotomy report's freeness flag are former
 library functions with no library caller left.  The (L, Q) dichotomy
 that expanded each centered pattern into its 2^#Q uncentered
@@ -398,7 +399,7 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
 
     pattern = _normalize_pattern(pattern)
     degree = pattern_degree(pattern)
-    kappa = free_from_moments(marginal).values
+    kappa = free_from_moments(marginal)
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
     b = np.array([int(v * den) for v in spec.b], dtype=object)
     a = np.array([[int(v * den) for v in row] for row in spec.a], dtype=object)
@@ -495,12 +496,124 @@ def dense_goe(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> 
     return (a + np.swapaxes(a, -1, -2)) / math.sqrt(2.0 * n)
 
 
-def tail_product_from_identity(mats, start: int) -> np.ndarray:
-    """Ordered product of ``mats[start:]``, starting from the identity."""
-    out = np.eye(mats[0].shape[0])
+def _tail_product(mats, start: int):
+    """Ordered product of ``mats[start:]``, or None when that is empty."""
+    out = None
     for m in mats[start:]:
-        out = out @ m
+        out = m if out is None else out @ m
     return out
+
+
+def _norm_from_sigma(sigma: np.ndarray, p: float) -> float:
+    return float(np.mean(sigma ** p) ** (1.0 / p))
+
+
+def verify_inequalities_by_tuple(tuples, exponents, p_minkowski: float = 4.0, slack: float = 1e-9):
+    """The L^p inequality sweep one tuple at a time: every matrix goes on
+    one list, a single ``singular_values`` call takes the whole stack, and
+    a per-tuple loop reads each norm back through its list index.
+    Violations come tuple-major."""
+    from freeconv.matrix_lab import InequalityReport, singular_values
+
+    if not tuples:
+        raise DomainError("no tuples supplied")
+    k = len(tuples[0])
+    if any(len(t) != k for t in tuples):
+        raise DomainError("all tuples must have equal length")
+    if len(exponents) != k:
+        raise DomainError("need one exponent per tuple entry")
+    if any(p <= 1 for p in exponents):
+        raise DomainError("Hoelder exponents must exceed 1")
+    if abs(sum(1.0 / p for p in exponents) - 1.0) > 1e-12:
+        raise DomainError("Hoelder exponents must satisfy sum 1/p_i = 1")
+    if p_minkowski < 1:
+        raise DomainError("Minkowski exponent must be >= 1")
+
+    n = tuples[0][0].shape[0]
+    stack: list[np.ndarray] = []
+
+    def push(mat: np.ndarray) -> int:
+        stack.append(mat)
+        return len(stack) - 1
+
+    layout = []
+    for mats in tuples:
+        product = mats[0]
+        for m in mats[1:]:
+            product = product @ m
+        pair01 = mats[0] @ mats[1] if k >= 2 else None
+        pair10 = mats[1] @ mats[0] if k >= 2 else None
+        pair12 = mats[1] @ mats[2] if k >= 3 else None
+        entry = {
+            "singles": [push(m) for m in mats],
+            "product": push(product),
+            "sum": push(sum(mats[1:], start=mats[0].copy())),
+            "trace": float(np.trace(product)) / n,
+        }
+        if pair01 is not None:
+            entry["pair01"] = push(pair01)
+            entry["pair10"] = push(pair10)
+            word59 = mats[0] @ pair01
+            tail = _tail_product(mats, 2)
+            entry["word59"] = push(word59 if tail is None else word59 @ tail)
+        if pair12 is not None:
+            entry["pair12"] = push(pair12)
+            entry["word513"] = push(mats[0] @ mats[1] @ pair12)
+        layout.append(entry)
+
+    sigma = singular_values(np.array(stack))
+
+    def lp(idx: int, p: float) -> float:
+        return _norm_from_sigma(sigma[idx], p)
+
+    checks = 0
+    margin = -math.inf
+    violations: list[str] = []
+    families: dict[str, int] = {}
+
+    def record(family: str, lhs: float, rhs: float, label: str):
+        nonlocal checks, margin
+        checks += 1
+        families[family] = families.get(family, 0) + 1
+        margin = max(margin, lhs - rhs)
+        if lhs > rhs + slack:
+            violations.append(f"{family}: {label}: {lhs!r} > {rhs!r}")
+
+    for i, entry in enumerate(layout):
+        singles = entry["singles"]
+        holder_rhs = 1.0
+        for idx, p in zip(singles, exponents):
+            holder_rhs *= lp(idx, p)
+        record("holder-trace", abs(entry["trace"]), holder_rhs, f"tuple {i}")
+        record("holder-product", lp(entry["product"], 1.0), holder_rhs, f"tuple {i}")
+
+        mink_lhs = lp(entry["sum"], p_minkowski)
+        mink_rhs = sum(lp(idx, p_minkowski) for idx in singles)
+        record("minkowski", mink_lhs, mink_rhs, f"tuple {i}")
+
+        if "pair01" in entry:
+            opn = float(sigma[singles[0]].max())
+            xnorm = lp(singles[1], p_minkowski)
+            record("ideal", lp(entry["pair01"], p_minkowski), opn * xnorm, f"tuple {i} ax")
+            record("ideal", lp(entry["pair10"], p_minkowski), opn * xnorm, f"tuple {i} xa")
+
+            # chain for x_0^2 x_1 x_2 ... x_{k-1}: letter count k+1, d = k
+            d = float(k)
+            rhs = lp(singles[0], d) * lp(entry["pair01"], d)
+            for idx in singles[2:]:
+                rhs *= lp(idx, d)
+            record("chain-even", lp(entry["word59"], 1.0), rhs, f"tuple {i}")
+
+        if "pair12" in entry:
+            rhs = lp(entry["pair01"], 2.0) * lp(entry["pair12"], 2.0)
+            record("chain-grouped", lp(entry["word513"], 1.0), rhs, f"tuple {i}")
+
+    return InequalityReport(
+        checks=checks,
+        violations=tuple(violations),
+        max_margin=margin,
+        families=families,
+    )
 
 
 def operator_norm(matrix: np.ndarray) -> float:

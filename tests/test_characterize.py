@@ -6,7 +6,7 @@ import pytest
 from freeconv import characterize
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, Semicircle, moments
-from freeconv.transforms import FreeCumulants, moments_from_free
+from freeconv.transforms import moments_from_free
 from freeconv.word_engine import Word, mixed_moment, clear_cache
 from freeconv.characterize import (
     QuadraticFormSpec,
@@ -364,6 +364,6 @@ class TestDichotomy:
         # kappa_2 = 1 and kappa_r the only other nonzero cumulant: the
         # first nonzero deviation sits at degree r
         kappa = [0, 1] + [0] * (r - 3) + [1] + [0, 0]
-        m = moments_from_free(FreeCumulants(kappa))
+        m = moments_from_free(kappa)
         report = freeness_dichotomy(preset_sample_mean_variance(n), m, r + 2)
         assert report.verdict == f"not-free-at-order-{r}"

@@ -310,6 +310,49 @@ class TestSubordinate:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(rows) == 6  # header + 5 grid points
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--z=-1,0,7"], 2),
+            (["--z=-inf"], 3),
+            (["--z=inf,1"], 3),
+            (["--tol", "inf"], 3),
+            (["--tol", "nan"], 3),
+            (["--max-iter", "0"], 3),
+            (["--grid", "0"], 3),
+            (["--grid", "-4"], 3),
+        ],
+    )
+    def test_unusable_values_are_rejected(self, files, capsys, flags, code):
+        got, out, err = run(
+            ["subordinate", files["bernoulli"], files["bernoulli"], *flags], capsys
+        )
+        assert (got, out) == (code, "")
+        assert err.startswith("freeconv: ") and err.count("\n") == 1
+
+
+class TestThreads:
+    def test_threads_below_one_is_two(self, files, capsys):
+        code, out, err = run(
+            ["--threads", "-3", "cumulants", files["bernoulli"], "--order", "2"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "freeconv: parse error: --threads must be a positive integer, got -3\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_environment_value_is_two(self, files, capsys, monkeypatch, value):
+        monkeypatch.setenv("FREECONV_THREADS", value)
+        code, out, err = run(["cumulants", files["bernoulli"], "--order", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"freeconv: parse error: FREECONV_THREADS must be a positive integer, got {value!r}\n"
+        )
+
+    def test_environment_value_reaches_the_header(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("FREECONV_THREADS", "2")
+        code, out, _ = run(["cumulants", files["bernoulli"], "--order", "2"], capsys)
+        assert code == 0 and json.loads(out)["meta"]["threads"] == 2
+
 
 class TestDiagnose:
     def test_delta_sandwich_line(self, files, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from freeconv.matrix_lab import (
     singular_values,
     verify_inequalities,
 )
-from oracles import dense_goe, jacobi_eigenvalues, operator_norm, tail_product_from_identity
+from oracles import dense_goe, jacobi_eigenvalues, operator_norm, verify_inequalities_by_tuple
 
 
 def goe_spec(n=128, count=2, seed=0):
@@ -319,28 +320,47 @@ class TestInequalities:
         report = verify_inequalities(self._tuples(20, 2, 6, 45), (2.0, 2.0))
         assert report.max_margin < 0
 
-    def test_tail_without_identity_is_bit_identical(self, monkeypatch):
-        cases = [
-            ((100, 2, 8, 41), (2.0, 2.0)),
-            ((150, 3, 8, 42), (3.0, 3.0, 3.0)),
-            ((60, 5, 6, 43), (5.0,) * 5),
-            ((20, 2, 6, 45), (2.0, 2.0)),
+    SWEEP_CASES = [
+        ((100, 2, 8, 41), (2.0, 2.0)),
+        ((150, 3, 8, 42), (3.0, 3.0, 3.0)),
+        ((60, 5, 6, 43), (5.0,) * 5),
+        ((20, 2, 6, 45), (2.0, 2.0)),
+    ]
+    VIOLATION = re.compile(
+        r"^([a-z-]+): tuple (\d+)( ax| xa)?: "
+        r"(-?(?:inf|nan|\d+(?:\.\d+)?(?:e[+-]\d+)?)) > (-?(?:inf|nan|\d+(?:\.\d+)?(?:e[+-]\d+)?))$"
+    )
+
+    def _violating(self, report):
+        return {self.VIOLATION.match(v).group(1, 2, 3) for v in report.violations}
+
+    def test_agrees_with_per_tuple_sweep(self):
+        goe = MatrixEnsembleSpec(dimension=24, count=3, kind="goe", seed=0)
+        triples = [sample_family(goe, np.random.default_rng([0, t])) for t in range(40)]
+        cases = [(self._tuples(*args), exps) for args, exps in self.SWEEP_CASES]
+        for tuples, exps in cases + [(triples, (3.0, 3.0, 3.0))]:
+            got = verify_inequalities(tuples, exps)
+            want = verify_inequalities_by_tuple(tuples, exps)
+            assert (got.checks, got.families, got.passed) == (
+                want.checks, want.families, want.passed
+            )
+            assert abs(got.max_margin - want.max_margin) <= 1e-12
+            got = verify_inequalities(tuples, exps, slack=-1.0)
+            want = verify_inequalities_by_tuple(tuples, exps, slack=-1.0)
+            assert got.violations and self._violating(got) == self._violating(want)
+
+    def test_negative_slack_reports_every_check(self):
+        # norms near 0.25 keep every right-hand side below 1, so with
+        # slack -1 each inequality reads as violated
+        tuples = [[0.1 * m for m in mats] for mats in self._tuples(30, 3, 6, 46)]
+        report = verify_inequalities(tuples, (3.0, 3.0, 3.0), slack=-1.0)
+        assert not report.passed
+        assert len(report.violations) == report.checks == 30 * 7
+        # family-major order, and within a family tuple order
+        assert [v.split(":")[0] for v in report.violations] == [
+            family for family, count in report.families.items() for _ in range(count)
         ]
-
-        def sweep():
-            stacks = []
-
-            def recording(matrix):
-                stacks.append(matrix)
-                return singular_values(matrix)
-
-            monkeypatch.setattr(matrix_lab, "singular_values", recording)
-            reports = [verify_inequalities(self._tuples(*args), exps) for args, exps in cases]
-            return reports, stacks
-
-        reports, stacks = sweep()
-        monkeypatch.setattr(matrix_lab, "_tail_product", tail_product_from_identity)
-        want_reports, want_stacks = sweep()
-        assert reports == want_reports
-        assert all(np.array_equal(a, b) for a, b in zip(stacks, want_stacks))
-        assert len(stacks) == len(want_stacks) == len(cases)
+        for text in report.violations:
+            match = self.VIOLATION.match(text)
+            assert match, text
+            assert float(match.group(4)) > float(match.group(5)) - 1.0

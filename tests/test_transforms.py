@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, MomentSequence, moments
 from freeconv.transforms import (
-    BooleanCumulants,
-    FreeCumulants,
     _divide_by_one_plus,
     boolean_from_moments,
     free_from_moments,
@@ -60,7 +58,7 @@ class TestBooleanCumulants:
     def test_bernoulli_geometric(self):
         # frozen from the closed forms on m = (1/2, 1/2, 1/2, 1/2)
         r = boolean_from_moments(seq(["1/2", "1/2", "1/2", "1/2"]))
-        assert r.values == (
+        assert r == (
             Fraction(1, 2),
             Fraction(1, 4),
             Fraction(1, 8),
@@ -70,25 +68,25 @@ class TestBooleanCumulants:
     def test_point_mass_single_cumulant(self):
         c = Fraction(5, 3)
         r = boolean_from_moments(seq([c, c ** 2, c ** 3]))
-        assert r.values == (c, 0, 0)
+        assert r == (c, 0, 0)
 
     def test_standard_semicircle(self):
         r = boolean_from_moments(seq([0, 1, 0, 2]))
-        assert r.values == (0, 1, 0, 1)
+        assert r == (0, 1, 0, 1)
 
     @given(st.lists(rationals, min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_matches_universal_closed_forms(self, ms):
-        got = boolean_from_moments(seq(ms)).values
+        got = boolean_from_moments(seq(ms))
         assert list(got) == boolean_cumulants_closed_form(ms)
 
     def test_inverse_point_mass(self):
         c = Fraction(-3, 7)
-        m = moments_from_boolean(BooleanCumulants([c, 0, 0]))
+        m = moments_from_boolean([c, 0, 0])
         assert m.moments == (c, c ** 2, c ** 3)
 
     def test_inverse_semicircle(self):
-        m = moments_from_boolean(BooleanCumulants([0, 1, 0, 1]))
+        m = moments_from_boolean([0, 1, 0, 1])
         assert m.moments == (0, 1, 0, 2)
 
     @given(st.lists(rationals, min_size=1, max_size=12))
@@ -96,6 +94,16 @@ class TestBooleanCumulants:
     def test_round_trip_exact(self, ms):
         m = seq(ms)
         assert moments_from_boolean(boolean_from_moments(m)) == m
+
+    def test_inverses_take_any_rationals_and_reject_empty(self):
+        # floats convert by their exact binary64 ratio, as the subordination fit needs
+        cumulants = [0.1, "1/3", 2]
+        exact = [Fraction(0.1), Fraction(1, 3), Fraction(2)]
+        assert moments_from_boolean(cumulants) == moments_from_boolean(exact)
+        assert moments_from_free(cumulants) == moments_from_free(exact)
+        for inverse in (moments_from_boolean, moments_from_free):
+            with pytest.raises(DomainError):
+                inverse([])
 
     def test_series_route_agrees(self):
         # K = M/(1+M) and M = K/(1-K) by series division, against the closed forms
@@ -108,17 +116,17 @@ class TestBooleanCumulants:
 class TestFreeCumulants:
     def test_semicircle_vanishing(self):
         kappa = free_from_moments(seq([0, 1, 0, 2, 0, 5]))
-        assert kappa.values == (0, 1, 0, 0, 0, 0)
+        assert kappa == (0, 1, 0, 0, 0, 0)
 
     def test_point_mass(self):
         c = Fraction(2, 3)
-        m = moments_from_free(FreeCumulants([c, 0, 0]))
+        m = moments_from_free([c, 0, 0])
         assert m.moments == (c, c ** 2, c ** 3)
 
     def test_bernoulli_half_projection(self):
         # frozen from the brute-force NC(n) solve
         kappa = free_from_moments(seq(["1/2"] * 4))
-        assert kappa.values == (
+        assert kappa == (
             Fraction(1, 2),
             Fraction(1, 4),
             Fraction(0),
@@ -128,7 +136,7 @@ class TestFreeCumulants:
     @given(st.lists(rationals, min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_against_bruteforce_nc_solve(self, ms):
-        got = free_from_moments(seq(ms)).values
+        got = free_from_moments(seq(ms))
         assert list(got) == free_cumulants_bruteforce([Fraction(v) for v in ms])
 
     def test_against_moebius_inversion_to_order_seven(self):
@@ -141,9 +149,9 @@ class TestFreeCumulants:
             Fraction(1, 2),
             Fraction(1, 2),
         ]
-        assert list(free_from_moments(seq(ms)).values) == free_cumulants_moebius(ms)
+        assert list(free_from_moments(seq(ms))) == free_cumulants_moebius(ms)
         ms2 = [Fraction(k, 3) for k in (1, 2, 1, -1, 2, 0, 1)]
-        assert list(free_from_moments(seq(ms2)).values) == free_cumulants_moebius(ms2)
+        assert list(free_from_moments(seq(ms2))) == free_cumulants_moebius(ms2)
 
     @given(st.lists(rationals, min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -161,8 +169,8 @@ class TestFreeCumulants:
             want_kappa = free_from_moments_by_powers(ms)
             want_m = moments_from_free_by_powers(ms)
             for d in range(1, 25):
-                assert list(free_from_moments(seq(ms[:d])).values) == want_kappa[:d]
-                got = moments_from_free(FreeCumulants(ms[:d])).moments
+                assert list(free_from_moments(seq(ms[:d]))) == want_kappa[:d]
+                got = moments_from_free(ms[:d]).moments
                 assert list(got) == want_m[:d]
 
     def test_round_trip_at_order_48(self):
@@ -172,7 +180,7 @@ class TestFreeCumulants:
     @given(st.lists(rationals, min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_forward_matches_bruteforce(self, ks):
-        got = moments_from_free(FreeCumulants([Fraction(v) for v in ks]))
+        got = moments_from_free([Fraction(v) for v in ks])
         assert list(got.moments) == moments_from_free_bruteforce(ks)
 
 

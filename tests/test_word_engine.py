@@ -136,7 +136,7 @@ class TestMixedMoment:
         for _ in range(120):
             word = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 14)))
             marginals = [*fixed, moments(third, max(1, word.count(3)))]
-            kappas = [free_from_moments(m).values for m in marginals]
+            kappas = [free_from_moments(m) for m in marginals]
             want = nc_moment_by_block_subsets(kappas, [l - 1 for l in word])
             assert mixed_moment(marginals, Word(word)) == want, word
 
