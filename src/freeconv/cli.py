@@ -9,7 +9,10 @@ logs.  Exact values print every digit, also past Python's int-string
 conversion limit, which still guards the parsing of input.
 
 Each subcommand imports its engine module when it runs, so an exact
-subcommand loads neither numpy nor the float modules.
+subcommand loads neither numpy nor the float modules.  The float
+subcommands on atomic measures (``boxtimes`` by any method,
+``subordinate`` and ``diagnose``) run in plain Python too; numpy loads
+only for a grid measure and for ``matrixlab``.
 """
 
 from __future__ import annotations

@@ -27,18 +27,19 @@ the Taylor route.  Fractional moment diagnostics bound m_alpha through
 the integral of K on (0, 1].
 
 Every integral here uses the tanh-sinh rule ``quad`` of the measures
-module (Takahasi and Mori, 1974), whose integrand maps an array of
-nodes to an array of values; for atomic measures K(-x) is one float
-expression over all nodes.  Each call site checks the rule's error
-estimate, the difference of its last two levels, against the absolute
-bound 1e-8 and raises ConvergenceError above it: the diagnostic's
-remainder integral, its three refinement probes, and the closure
-check's three partial integrals.
+module (Takahasi and Mori, 1974), whose integrand maps one node to one
+float; for atomic measures K(-x) is a loop over the float atoms.  Each
+call site checks the rule's error estimate, the difference of its last
+two levels, against the absolute bound 1e-8 and raises ConvergenceError
+above it: the diagnostic's remainder integral, its three refinement
+probes, and the closure check's three partial integrals.
 
 The exact routes (``boxplus_moments``, ``boxtimes_moments`` and the word
-oracle) need no floats; numpy is imported only inside the float code:
-the subordination fit, K on the negative axis, c_mu of a grid, the
-diagnostics' grid branch and the closure check.
+oracle) need no floats, and on atomic measures the float routes run in
+plain Python: the subordination solve, the contour fit (``cmath`` and
+``math.fsum``), the diagnostics and the closure check.  numpy is
+imported only for a grid measure: in its psi, its c_mu and the
+diagnostics' grid branch.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
@@ -73,9 +74,6 @@ from .transforms import (
     power_table,
 )
 from .word_engine import Word, mixed_moment
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "boxplus_moments",
@@ -290,10 +288,10 @@ def fit_boolean_cumulants_from_subordination(
     cross-check the exact Taylor route; accuracy is solver tolerance
     divided by radius^k.  The radius comes from the supports
     (:func:`_fit_radius`); one whose power radius^-n_coeffs is outside the
-    binary64 range raises DomainError before any solve.
+    binary64 range raises DomainError before any solve.  Each node pairs
+    with its conjugate, so coefficient k is the mean of Re(K(z) z^-k) over
+    the upper half, summed by ``math.fsum``.
     """
-    import numpy as np
-
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
     radius = _fit_radius(mu1, mu2)
@@ -306,12 +304,11 @@ def fit_boolean_cumulants_from_subordination(
     for m in range(FIT_POINTS // 2):
         angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS
         z = radius * complex(math.cos(angle), math.sin(angle))
-        upper.append(solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000).k_value)
-    k_values = np.array(upper + [v.conjugate() for v in reversed(upper)])
-    zs = radius * np.exp(
-        2j * math.pi * (np.arange(FIT_POINTS) + 0.5) / FIT_POINTS
-    )
-    return [float(np.mean(k_values * zs ** (-k)).real) for k in range(1, n_coeffs + 1)]
+        upper.append((z, solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000).k_value))
+    return [
+        math.fsum((k_value * z ** -k).real for z, k_value in upper) / len(upper)
+        for k in range(1, n_coeffs + 1)
+    ]
 
 
 def boxtimes_via_subordination(
@@ -368,28 +365,28 @@ class DiagnosticsReport:
     verdict: str
 
 
-def _krein_on_negative_axis(mu: Measure) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> K(-x) on an array of x > 0.
+def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:
+    """x -> K(-x) for x > 0.
 
-    For atomic measures this is one float expression over all nodes,
+    For atomic measures this is one loop over the float atoms,
     K(-x) = -x sum w u/(1+xu) / sum w/(1+xu), whose denominator (= 1 + psi)
     is a sum of positive terms.
     """
-    import numpy as np
+    if not isinstance(mu, Atomic):
+        return lambda x: krein_k(mu, complex(-x)).real
+    atoms = mu.float_atoms
 
-    if isinstance(mu, Atomic):
-        locs, weights = np.array(mu.float_atoms).T
-
-        def evaluate(x: np.ndarray) -> np.ndarray:
-            spread = 1.0 + np.multiply.outer(x, locs)
-            return -x * ((weights * locs) / spread).sum(axis=1) / (weights / spread).sum(axis=1)
-    else:
-        def evaluate(x: np.ndarray) -> np.ndarray:
-            return np.array([krein_k(mu, complex(-t)).real for t in x])
+    def evaluate(x: float) -> float:
+        num = den = 0.0
+        for u, w in atoms:
+            spread = 1.0 + x * u
+            num += w * u / spread
+            den += w / spread
+        return -x * num / den
     return evaluate
 
 
-def _integral(func: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float) -> float:
+def _integral(func: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """``quad`` whose error estimate must stay below 1e-8, otherwise
     ConvergenceError.  The bound is absolute: the diagnostic adds its
     remainder integral to the mean, and the two may nearly cancel."""
@@ -434,7 +431,7 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
     k_neg = _krein_on_negative_axis(mu)
     mean = _mean(mu)
 
-    def remainder(x: np.ndarray) -> np.ndarray:
+    def remainder(x: float) -> float:
         return (-k_neg(x) - mean * x) * x ** (-1.0 - alpha)
 
     integral_value = mean + (1.0 - alpha) * _integral(remainder, 0.0, 1.0, 1e-10)
@@ -455,7 +452,7 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
     upper = c_mu * m_alpha / alpha
 
     # Refinement probe: the partial integrals must have stabilized.
-    def raw(x: np.ndarray) -> np.ndarray:
+    def raw(x: float) -> float:
         return -k_neg(x) * x ** (-1.0 - alpha)
 
     probes = [_integral(raw, eps, 1.0, 1e-10) for eps in (1e-6, 5e-7, 2.5e-7)]
@@ -560,12 +557,8 @@ def boxtimes_fractional_closure_check(
     eps0 = max(eps0, 1e-250)
     epsilons = (eps0, eps0 / 2.0, eps0 / 4.0)
 
-    import numpy as np
-
     def partial(lo: float, hi: float) -> float:
-        return _integral(
-            lambda ts: np.array([integrand_log(t) for t in ts]), math.log(lo), math.log(hi), 1e-9
-        )
+        return _integral(integrand_log, math.log(lo), math.log(hi), 1e-9)
 
     base = partial(epsilons[0], x0)
     inc1 = partial(epsilons[1], epsilons[0])

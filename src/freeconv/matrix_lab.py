@@ -22,10 +22,12 @@ then needs no QR factorization, and GOE member 1 takes 2N - 1 random
 variates instead of N^2.
 
 The noncommutative L^p norm is ||x||_p = tau(|x|^p)^(1/p) with
-|x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values are
-the square roots of the LAPACK symmetric eigenvalues of x^T x.  The
-inequality sweep processes thousands of small instances, so it takes
-them in one batched call per family of matrices, over the tuple axis.
+|x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values come
+from LAPACK's SVD, which holds even a small one to about eps * ||x||;
+square roots of the eigenvalues of x^T x hold it only to
+sqrt(eps) * ||x||.  The inequality sweep processes thousands of small
+instances, so it takes them in one batched call per family of matrices,
+over the tuple axis.
 """
 
 from __future__ import annotations
@@ -255,13 +257,9 @@ def exact_word_moment(spec: MatrixEnsembleSpec, word: Word) -> float:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Ascending singular values of a matrix (or of each matrix in a stack).
-
-    Computed as square roots of the eigenvalues of x^T x.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    gram = np.swapaxes(arr, -1, -2) @ arr
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+    """Ascending singular values of a matrix (or of each matrix in a stack),
+    by LAPACK's SVD."""
+    return np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)[..., ::-1]
 
 
 def _lp_norms(sigma: np.ndarray, p: float) -> np.ndarray:

@@ -19,12 +19,13 @@ multiplicative free convolution is subordinated at the level of K.
 User rationals become floats through ``as_float``, which turns binary64
 overflow into a DomainError.  ``quad`` is the package's one quadrature
 rule (tanh-sinh), shared by the semicircle's fractional moments and the
-diagnostics of the convolution module.
+diagnostics of the convolution module; it integrates a scalar function
+in plain Python.
 
-Exact work on atomic and semicircle measures needs no floats, so numpy is
-imported only inside the float code: ``DensityGrid``, the grid branches
-of ``moments``, ``psi`` and ``fractional_moment``, the semicircle's
-fractional moment, ``quad`` and ``hankel_psd``.
+Atomic and semicircle measures need numpy neither for exact work nor for
+floats, so numpy is imported only where a grid or a matrix is at hand:
+``DensityGrid``, the grid branches of ``moments``, ``psi`` and
+``fractional_moment``, and ``hankel_psd``, which checks grid moments.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ TANH_SINH_LEVELS = 8
 
 
 def quad(
-    func: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = 1e-10
+    func: Callable[[float], float], a: float, b: float, tol: float = 1e-10
 ) -> tuple[float, float]:
     """Integral of ``func`` over [a, b] by the tanh-sinh rule, with its error.
 
@@ -376,31 +377,33 @@ def quad(
     relative terms close to the ends.  The trapezoid rule in t starts at
     step 1/2 and halves it, reusing every earlier node, until two levels
     agree to within ``tol``; the difference of the last two levels is
-    returned as the error estimate.  ``func`` maps an array of nodes to
-    an array of values.  A non-finite sum returns at once with an
-    infinite error.
+    returned as the error estimate.  ``func`` maps one node to one float,
+    and each level's weighted values are summed by ``math.fsum``.  A
+    non-finite sum returns at once with an infinite error.
     """
-    import numpy as np
-
     c, r = 0.5 * (a + b), 0.5 * (b - a)
 
-    def weighted_sum(t: np.ndarray) -> float:
-        # e = exp(-2|u|) with u = pi/2 sinh t: 1 - tanh|u| = 2e/(1+e) and
-        # sech(u)^2 = 4e/(1+e)^2
-        e = np.exp(-math.pi * np.sinh(t))
-        dist = 2.0 * r * e / (1.0 + e)
-        weight = 2.0 * math.pi * r * np.cosh(t) * e / (1.0 + e) ** 2
-        values = func(np.concatenate((a + dist, b - dist)))
-        return float(np.dot(np.concatenate((weight, weight)), values))
+    def weighted_sum(ts: range, h: float) -> float:
+        terms = []
+        for k in ts:
+            # e = exp(-2|u|) with u = pi/2 sinh t: 1 - tanh|u| = 2e/(1+e) and
+            # sech(u)^2 = 4e/(1+e)^2
+            t = k * h
+            e = math.exp(-math.pi * math.sinh(t))
+            dist = 2.0 * r * e / (1.0 + e)
+            weight = 2.0 * math.pi * r * math.cosh(t) * e / (1.0 + e) ** 2
+            terms += (weight * func(a + dist), weight * func(b - dist))
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError):  # inf - inf, or a finite overflow
+            return sum(terms)
 
     h = 0.5
-    total = 0.5 * math.pi * r * float(func(np.array([c]))[0]) + weighted_sum(
-        np.arange(1, int(TANH_SINH_T / h) + 1) * h
-    )
+    total = 0.5 * math.pi * r * func(c) + weighted_sum(range(1, int(TANH_SINH_T / h) + 1), h)
     value = h * total
     for _ in range(TANH_SINH_LEVELS):
         h *= 0.5
-        total += weighted_sum(np.arange(1, int(TANH_SINH_T / h) + 1, 2) * h)
+        total += weighted_sum(range(1, int(TANH_SINH_T / h) + 1, 2), h)
         previous, value = value, h * total
         error = abs(value - previous)
         if not math.isfinite(value):
@@ -421,10 +424,8 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
             float(mu.weight_at(0)) if alpha == 0 else 0.0
         )
     if isinstance(mu, Semicircle):
-        import numpy as np
-
         lo, hi = as_float(mu.center - mu.radius), as_float(mu.center + mu.radius)
-        val, err = quad(lambda t: np.sqrt((t - lo) * (hi - t)) * t ** alpha, lo, hi)
+        val, err = quad(lambda t: math.sqrt(max(0.0, (t - lo) * (hi - t))) * t ** alpha, lo, hi)
         if not err <= 1e-8 * max(1.0, abs(val)):
             raise ConvergenceError(f"quadrature error {err:.2e} of m_alpha exceeds its bound")
         return 8.0 / (math.pi * (hi - lo) ** 2) * val

@@ -15,8 +15,13 @@ word engine that enumerates every candidate block of the first letter, the
 (L, Q) joint moment that contracts each partition's coefficients with one
 object-array ``np.einsum``, a batched cyclic Jacobi eigensolver and
 scipy's adaptive quadrature, which float results must match within a
-tolerance.  The dense GOE draw that family member 1 used before it took
-its tridiagonal form is the reference law for the sampler.  The L^p
+tolerance.  The numpy forms of the float layer are the references for
+its plain-Python routes: the tanh-sinh rule over arrays of nodes, K(-x)
+of an atomic measure as one expression over all nodes, and the contour
+fit's mean over all its nodes.  Singular values from the eigenvalues of
+x^T x are the reference for the SVD.  The dense GOE draw that family
+member 1 used before it took its tridiagonal form is the reference law
+for the sampler.  The L^p
 inequality sweep that stacked every matrix of every tuple on one list
 and read the norms back tuple by tuple is the reference for the sweep
 over the tuple axis.  The operator norm, the integer absolute moment,
@@ -645,13 +650,78 @@ def absolute_moment(mu, alpha: int) -> Fraction:
 
 def scipy_quad(func, a: float, b: float) -> tuple[float, float]:
     """``scipy.integrate.quad`` (QUADPACK's adaptive Gauss-Kronrod) at the
-    tolerances the library once asked of it, for an integrand that maps an
-    array of nodes to an array of values."""
+    tolerances the library once asked of it, for a scalar integrand."""
     from scipy.integrate import quad
 
-    return quad(
-        lambda x: float(func(np.array([x]))[0]), a, b, epsabs=1e-10, epsrel=1e-10, limit=200
+    return quad(func, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)
+
+
+def quad_numpy(func, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+    """The tanh-sinh rule over numpy arrays: ``func`` maps an array of nodes
+    to an array of values, and each level is one ``np.dot``.  Same nodes,
+    levels, stopping rule and error estimate as ``measures.quad``."""
+    from freeconv.measures import TANH_SINH_LEVELS, TANH_SINH_T
+
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+
+    def weighted_sum(t: np.ndarray) -> float:
+        e = np.exp(-math.pi * np.sinh(t))
+        dist = 2.0 * r * e / (1.0 + e)
+        weight = 2.0 * math.pi * r * np.cosh(t) * e / (1.0 + e) ** 2
+        values = func(np.concatenate((a + dist, b - dist)))
+        return float(np.dot(np.concatenate((weight, weight)), values))
+
+    h = 0.5
+    total = 0.5 * math.pi * r * float(func(np.array([c]))[0]) + weighted_sum(
+        np.arange(1, int(TANH_SINH_T / h) + 1) * h
     )
+    value = h * total
+    for _ in range(TANH_SINH_LEVELS):
+        h *= 0.5
+        total += weighted_sum(np.arange(1, int(TANH_SINH_T / h) + 1, 2) * h)
+        previous, value = value, h * total
+        error = abs(value - previous)
+        if not math.isfinite(value):
+            return value, math.inf
+        if error <= tol:
+            break
+    return value, error
+
+
+def krein_on_negative_axis_vectorized(mu):
+    """x -> K(-x) of an atomic measure on an array of x > 0, as one float
+    expression over all nodes and atoms."""
+    locs, weights = np.array(mu.float_atoms).T
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        spread = 1.0 + np.multiply.outer(x, locs)
+        return -x * ((weights * locs) / spread).sum(axis=1) / (weights / spread).sum(axis=1)
+    return evaluate
+
+
+def fit_boolean_cumulants_numpy(mu1, mu2, n_coeffs: int) -> list[float]:
+    """The subordination contour fit with its mean taken by numpy over all
+    ``FIT_POINTS`` nodes, the lower half mirrored from the solved upper
+    half."""
+    from freeconv.convolution import FIT_POINTS, FIT_TOL, _fit_radius, solve_subordination
+
+    radius = _fit_radius(mu1, mu2)
+    upper = []
+    for m in range(FIT_POINTS // 2):
+        angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS
+        z = radius * complex(math.cos(angle), math.sin(angle))
+        upper.append(solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000).k_value)
+    k_values = np.array(upper + [v.conjugate() for v in reversed(upper)])
+    zs = radius * np.exp(2j * math.pi * (np.arange(FIT_POINTS) + 0.5) / FIT_POINTS)
+    return [float(np.mean(k_values * zs ** (-k)).real) for k in range(1, n_coeffs + 1)]
+
+
+def singular_values_by_gram(matrix: np.ndarray) -> np.ndarray:
+    """Ascending singular values as square roots of the symmetric
+    eigenvalues of x^T x; a small one is good only to about sqrt(eps)."""
+    arr = np.asarray(matrix, dtype=float)
+    gram = np.swapaxes(arr, -1, -2) @ arr
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
 
 
 def compose(outer, inner) -> tuple[Fraction, ...]:

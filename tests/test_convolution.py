@@ -32,7 +32,14 @@ from freeconv.convolution import (
     fractional_diagnostics,
     solve_subordination,
 )
-from oracles import boxtimes_moments_by_passes, moments_from_boolean_float, scipy_quad
+from oracles import (
+    boxtimes_moments_by_passes,
+    fit_boolean_cumulants_numpy,
+    krein_on_negative_axis_vectorized,
+    moments_from_boolean_float,
+    quad_numpy,
+    scipy_quad,
+)
 
 
 def atomic(*pairs):
@@ -222,6 +229,11 @@ class TestSubordination:
         assert max(residuals) < 1e-10
         assert iterations >= 1
 
+    def test_fitted_cumulants_match_numpy_mean(self, bernoulli, two_point):
+        got = fit_boolean_cumulants_from_subordination(bernoulli, two_point, 8)
+        want = fit_boolean_cumulants_numpy(bernoulli, two_point, 8)
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+
     def test_subordination_moments_match_float_loop(self, bernoulli, two_point):
         # the replaced binary64 recursion is the reference
         ms, _, _ = boxtimes_via_subordination(bernoulli, two_point, 8)
@@ -396,12 +408,46 @@ class TestQuadrature:
             assert abs(value - float(want)) <= 1e-9
 
     def test_vectorized_krein_matches_exact(self):
+        # the loop over atoms, and the numpy expression it replaced
         xs = [Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(1, 3), Fraction(1), Fraction(7, 2)]
         for mu in ATOM_POOL:
-            got = convolution._krein_on_negative_axis(mu)(np.array([float(x) for x in xs]))
-            for x, value in zip(xs, got):
+            k_neg = convolution._krein_on_negative_axis(mu)
+            vectorized = krein_on_negative_axis_vectorized(mu)(np.array([float(x) for x in xs]))
+            for x, old in zip(xs, vectorized):
                 want = float(krein_k_exact(mu, -x))
-                assert abs(value - want) <= 4e-16 * abs(want)
+                for value in (k_neg(float(x)), old):
+                    assert abs(value - want) <= 4e-16 * abs(want)
+
+    def test_diagnostic_integrals_match_numpy_rule(self, monkeypatch, bernoulli, two_point):
+        calls = record_quadratures(monkeypatch)
+        cases = [(mu, alpha) for mu in (bernoulli, two_point) for alpha in (0.25, 0.75)]
+        for mu, alpha in cases:
+            fractional_diagnostics(mu, alpha)  # the remainder and three probes
+        assert len(calls) == 4 * len(cases)
+        for (mu, alpha), at in zip(cases, range(0, len(calls), 4)):
+            k_neg = krein_on_negative_axis_vectorized(mu)
+            mean = float(moments(mu, 1).m(1))
+
+            def remainder(x):
+                return (-k_neg(x) - mean * x) * x ** (-1.0 - alpha)
+
+            def raw(x):
+                return -k_neg(x) * x ** (-1.0 - alpha)
+
+            for a, b, value, _, _ in calls[at:at + 4]:
+                want, _ = quad_numpy(remainder if a == 0.0 else raw, a, b)
+                assert abs(value - want) <= 1e-12 * abs(want), (mu, alpha, a)
+
+    def test_semicircle_fractional_moment_matches_numpy_rule(self):
+        for center, radius in ((2, 2), (1, 1), (3, 1)):
+            lo, hi = center - radius, center + radius
+            for alpha in (0.25, 0.5, 0.75):
+                integral, _ = quad_numpy(
+                    lambda t: np.sqrt((t - lo) * (hi - t)) * t ** alpha, lo, hi
+                )
+                want = 8.0 / (math.pi * (hi - lo) ** 2) * integral
+                got = fractional_moment(Semicircle(center, radius), alpha)
+                assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_error_above_bound_is_convergence_error(self, monkeypatch, bernoulli):
         def loose_when(predicate):
@@ -419,15 +465,20 @@ class TestQuadrature:
 
     def test_rule_on_closed_forms(self):
         cases = [
-            (lambda x: np.sqrt(x), 0.0, 1.0, 2.0 / 3.0),
-            (lambda x: np.exp(x), -1.0, 2.0, math.exp(2.0) - math.exp(-1.0)),
+            (math.sqrt, 0.0, 1.0, 2.0 / 3.0),
+            (math.exp, -1.0, 2.0, math.exp(2.0) - math.exp(-1.0)),
             (lambda x: 1.0 / (1.0 + x * x), 5.0, -5.0, -2.0 * math.atan(5.0)),
-            (lambda x: np.sqrt(1.0 - x * x), -1.0, 1.0, math.pi / 2.0),
+            (lambda x: math.sqrt(1.0 - x * x), -1.0, 1.0, math.pi / 2.0),
         ]
         for func, a, b, want in cases:
             value, error = measures.quad(func, a, b, 1e-12)
             assert abs(value - want) <= 1e-13 and error <= 1e-12
 
     def test_non_finite_integrand_reports_infinite_error(self):
-        value, error = measures.quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        value, error = measures.quad(lambda x: math.nan, 0.0, 1.0)
         assert math.isnan(value) and error == math.inf
+        # sums that math.fsum refuses: inf - inf, and finite terms past the range
+        value, error = measures.quad(lambda x: math.inf if x < 0.5 else -math.inf, 0.0, 1.0)
+        assert math.isnan(value) and error == math.inf
+        value, error = measures.quad(lambda x: 1e308, 0.0, 1.0)
+        assert value == math.inf and error == math.inf

@@ -18,7 +18,13 @@ from freeconv.matrix_lab import (
     singular_values,
     verify_inequalities,
 )
-from oracles import dense_goe, jacobi_eigenvalues, operator_norm, verify_inequalities_by_tuple
+from oracles import (
+    dense_goe,
+    jacobi_eigenvalues,
+    operator_norm,
+    singular_values_by_gram,
+    verify_inequalities_by_tuple,
+)
 
 
 def goe_spec(n=128, count=2, seed=0):
@@ -299,6 +305,17 @@ class TestInequalities:
         assert report.passed
         assert report.families["holder-trace"] == 150
         assert report.families["chain-grouped"] == 150
+
+    def test_trace_norm_does_not_depend_on_association(self):
+        # square roots of eig(x^T x) put ||x0^2 x1 x2||_1 of tuple 23 1.3e-9
+        # apart between the two orders, above the sweep's default slack
+        x = np.array(self._tuples(150, 3, 8, 42))
+        right = x[:, 0] @ (x[:, 0] @ x[:, 1] @ x[:, 2])
+        left = (x[:, 0] @ (x[:, 0] @ x[:, 1])) @ x[:, 2]
+        norms = [np.array([ncLp_norm(m, 1.0) for m in stack]) for stack in (right, left)]
+        assert np.all(np.abs(norms[0] - norms[1]) <= 1e-12 * norms[1])
+        by_gram = [singular_values_by_gram(stack).mean(axis=-1) for stack in (right, left)]
+        assert np.abs(by_gram[0] - by_gram[1]).max() > 1e-9
 
     def test_minkowski_five_summands(self):
         report = verify_inequalities(

@@ -1,10 +1,11 @@
 """Repository checks: the benchmark's traced run finds every library
 function it wraps, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, importing the package
-loads only its exceptions, the exact subcommands never load numpy,
-characterize never loads the word engine, every exported name is read
-in the package or kept for a stated reason, and neither the package
-source nor the tests import anything they do not use."""
+loads only its exceptions, neither the exact subcommands nor the float
+ones on atomic measures load numpy, characterize never loads the word
+engine, every exported name is read in the package or kept for a stated
+reason, and neither the package source nor the tests import anything
+they do not use."""
 
 import ast
 import importlib
@@ -104,6 +105,18 @@ def run_probe(probe: str, *args: str) -> str:
     return result.stdout
 
 
+def run_in_one_process(runs: list[list[str]], package: str) -> tuple[list[int], list[str]]:
+    """Exit codes of the CLI runs, made one after another in one fresh
+    process, and the modules of ``package`` loaded at the end."""
+    probe = (
+        "import json, os, sys\n"
+        "from freeconv.cli import main\n"
+        "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[2])]))"
+    )
+    return json.loads(run_probe(probe, json.dumps(runs), package))
+
+
 def test_import_leaves_scipy_unloaded():
     probe = "import sys, freeconv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert run_probe(probe).strip() == "[]"
@@ -124,13 +137,7 @@ def test_subcommands_leave_scipy_unloaded():
          "--ensemble", "diagonal", "--measure", demo["bernoulli"]],
         ["matrixlab", "--word", "T1^2", "--N", "16", "--trials", "4"],
     ]
-    probe = (
-        "import json, os, sys\n"
-        "from freeconv.cli import main\n"
-        "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
-    )
-    codes, scipy_modules = json.loads(run_probe(probe, json.dumps(runs)))
+    codes, scipy_modules = run_in_one_process(runs, "scipy")
     assert codes == [0] * len(runs)
     assert scipy_modules == []
 
@@ -156,13 +163,21 @@ def test_exact_subcommands_leave_numpy_unloaded():
         ["characterize", "--preset", "mean-variance", demo["rademacher"], "--max-len", "6"],
         ["characterize", "--preset", "mean-variance", demo["semicircle"], "--max-len", "6"],
     ]
-    probe = (
-        "import json, os, sys\n"
-        "from freeconv.cli import main\n"
-        "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')]))"
-    )
-    codes, numpy_modules = json.loads(run_probe(probe, json.dumps(runs)))
+    codes, numpy_modules = run_in_one_process(runs, "numpy")
+    assert codes == [0] * len(runs)
+    assert numpy_modules == []
+
+
+def test_atomic_float_subcommands_leave_numpy_unloaded():
+    demo = {name: str(ROOT / "demos" / "data" / f"{name}.json") for name in ("bernoulli", "two_point")}
+    runs = [
+        ["diagnose", demo["bernoulli"], "--alpha", "0.5"],
+        ["subordinate", demo["bernoulli"], demo["two_point"], "--z", "-0.5"],
+        ["subordinate", demo["bernoulli"], demo["two_point"], "--grid", "3"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "subordination"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "all"],
+    ]
+    codes, numpy_modules = run_in_one_process(runs, "numpy")
     assert codes == [0] * len(runs)
     assert numpy_modules == []
 
