@@ -12,8 +12,11 @@ convolution of measures on [0, inf) is computed two independent ways:
 
   The coefficient of x^d in Z_j needs only the powers of Z_k at degree
   d-1, so the power tables of Z_1 and Z_2 are filled one degree at a
-  time by the transforms module's power-table kernel, O(p^3) exact
-  operations to order p; K of the product is then K_1 composed with Z_1.
+  time by the transforms module's power-table kernel, O(p^3) operations
+  to order p; K of the product is then K_1 composed with Z_1.  It runs
+  in ints: D_a mu_1 boxtimes D_b mu_2 = D_ab (mu_1 boxtimes mu_2) for the
+  dilations to integer moments, and coefficient k is divided by (ab)^k
+  once, at the end.
 
 * a word bridge: the k-th moment of the product measure is the trace
   of the alternating word (T S)^k, evaluated by the non-crossing
@@ -59,14 +62,16 @@ from .measures import (
     MomentSequence,
     Semicircle,
     as_float,
+    dilate,
     fractional_moment,
     in_m_plus,
     krein_k,
     moments,
     quad,
+    undilate,
 )
 from .transforms import (
-    boolean_from_moments,
+    _divide_by_one_plus,
     fill_power_degree,
     free_from_moments,
     moments_from_boolean,
@@ -116,31 +121,31 @@ def _check_boxtimes_inputs(m1: MomentSequence, m2: MomentSequence, p: int) -> No
 def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
     """Moments of the multiplicative free convolution to order p, exactly.
 
-    Runs the subordination Taylor recursion in exact rational series
-    arithmetic and reads the product's boolean cumulants off
-    K_1(Z_1(-x)).
+    Runs the subordination Taylor recursion on the factors dilated to
+    integer moments, D_c1 mu_1 and D_c2 mu_2, whose product is
+    D_(c1 c2)(mu_1 boxtimes mu_2); the product's boolean cumulants are
+    read off K_1(Z_1(-x)) and coefficient k is divided by (c1 c2)^k once.
     """
     _check_boxtimes_inputs(m1, m2, p)
-    r1 = boolean_from_moments(m1.truncate(p))
-    r2 = boolean_from_moments(m2.truncate(p))
+    c1, s1 = dilate(m1.moments[:p])
+    c2, s2 = dilate(m2.moments[:p])
+    r1, r2 = _divide_by_one_plus(s1, s1), _divide_by_one_plus(s2, s2)  # K = M / (1 + M)
 
     # pow1[j][d] = [x^d] Z_1(-x)^j, and pow2 likewise for Z_2.  Degree d
     # of Z_1 needs Z_2's powers at degree d-1 only, so both tables fill
     # one degree at a time.
-    zero = Fraction(0)
     pow1 = power_table(p)
     pow2 = power_table(p)
     for d in range(1, p + 1):
-        pow1[1][d] = -sum((r2[i] * pow2[i][d - 1] for i in range(d)), start=zero)
-        pow2[1][d] = -sum((r1[i] * pow1[i][d - 1] for i in range(d)), start=zero)
+        pow1[1][d] = -sum(r2[i] * pow2[i][d - 1] for i in range(d))
+        pow2[1][d] = -sum(r1[i] * pow1[i][d - 1] for i in range(d))
         fill_power_degree(pow1, d)
         fill_power_degree(pow2, d)
 
-    # K of the product as a series in x: K_1 composed with Z_1(-x).
-    return moments_from_boolean([
-        (-1) ** k * sum((r1[i - 1] * pow1[i][k] for i in range(1, k + 1)), start=zero)
-        for k in range(1, p + 1)
-    ])
+    # K of the product as a series in x, K_1 composed with Z_1(-x), and
+    # its moments by M = K / (1 - K)
+    r = [(-1) ** k * sum(r1[i - 1] * pow1[i][k] for i in range(1, k + 1)) for k in range(1, p + 1)]
+    return MomentSequence(undilate(_divide_by_one_plus(r, [-v for v in r]), c1 * c2))
 
 
 def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
@@ -203,10 +208,13 @@ def solve_subordination(
     the direction of successive updates flips.  Accepts z in the open
     upper half plane or on the negative real axis, which includes any z
     with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0, and needs a finite z,
-    0 < tol < inf and max_iter >= 1.
+    0 < tol < inf, max_iter >= 1 and two measures in M+ whose K can be
+    evaluated, so no semicircle.
     """
     if not in_m_plus(mu1) or not in_m_plus(mu2):
         raise DomainError("subordination needs measures on [0, inf) with mass at 0 below 1")
+    if isinstance(mu1, Semicircle) or isinstance(mu2, Semicircle):
+        raise DomainError("subordination needs K evaluation; semicircles are moments-only")
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:

@@ -298,40 +298,27 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _semicircle_centered_moments(radius: Fraction, order: int) -> list[Fraction]:
-    out = []
-    for k in range(1, order + 1):
-        if k % 2:
-            out.append(Fraction(0))
-        else:
-            out.append(catalan(k // 2) * (radius / 2) ** k)
-    return out
-
-
 def moments(mu: Measure, order: int) -> MomentSequence:
     """Exact moments m_k = integral of x^k d mu for k = 1..order.
 
     Atomic and semicircle measures are exact; grid measures are integrated
     by the composite trapezoid rule and the binary64 results promoted to
-    rationals by their exact float ratio.
+    rationals by their exact float ratio.  The Hankel matrices (m_(i+j)),
+    and (m_(i+j+1)) with support in [0, inf), must be PSD: in binary64 for
+    grids, else exactly, in integers, on the dilation D_c mu (x scaled by
+    c) with moments c^k m_k (:func:`dilate`), whose Hankel matrix D H D,
+    D = diag(c^i), is PSD exactly when H is.
     """
     if order < 1:
         raise DomainError("moment order must be >= 1")
     if isinstance(mu, Atomic):
-        vals = [
-            sum((w * loc ** k for loc, w in mu.atoms), start=Fraction(0))
-            for k in range(1, order + 1)
-        ]
+        vals = [sum(w * loc ** k for loc, w in mu.atoms) for k in range(1, order + 1)]
     elif isinstance(mu, Semicircle):
-        centered = [Fraction(1)] + _semicircle_centered_moments(mu.radius, order)
+        # binomial expansion about the center; odd centered moments vanish
+        half = mu.radius / 2
+        centered = [0 if j % 2 else catalan(j // 2) * half ** j for j in range(order + 1)]
         vals = [
-            sum(
-                (
-                    math.comb(k, j) * mu.center ** (k - j) * centered[j]
-                    for j in range(0, k + 1)
-                ),
-                start=Fraction(0),
-            )
+            sum(math.comb(k, j) * mu.center ** (k - j) * centered[j] for j in range(k + 1))
             for k in range(1, order + 1)
         ]
     elif isinstance(mu, DensityGrid):
@@ -348,7 +335,7 @@ def moments(mu: Measure, order: int) -> MomentSequence:
     if isinstance(mu, DensityGrid):
         passed = hankel_psd(seq, shifted=shifted)
     else:
-        passed = all(_exact_psd(h) for h in _hankel_matrices(seq, shifted))
+        passed = _exact_hankel_psd(seq.moments, shifted)
     if not passed:
         raise DomainError("moment sequence from measure failed the Hankel check")
     return seq
@@ -437,27 +424,56 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
     raise TypeError(f"not a measure: {mu!r}")
 
 
-def _hankel_matrices(seq: MomentSequence, shifted: bool) -> list[list[list[Fraction]]]:
-    """The largest Hankel matrix (m_(i+j)) the sequence fills, and with
-    ``shifted`` also the once-shifted one (m_(i+j+1))."""
-    ms = [Fraction(1), *seq.moments]
+def dilate(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A dilation c and the integers c^k s_k for s_1..s_D = ``values``:
+    from c = 1, each s_k with denominator d sets c <- c d / gcd(c^k, d),
+    which keeps the earlier c^j s_j integral.  Nothing is factored, and c
+    stays far below the lcm of the denominators."""
+    c = 1
+    for k, s in enumerate(values, 1):
+        c = c * s.denominator // math.gcd(c ** k, s.denominator)
+    return c, [s.numerator * (c ** k // s.denominator) for k, s in enumerate(values, 1)]
+
+
+def undilate(ints: Sequence[int], c: int) -> list[Fraction]:
+    """Coefficient k divided by c^k: the one division of a dilated series."""
+    return [Fraction(v, c ** k) for k, v in enumerate(ints, 1)]
+
+
+def _hankel_matrices(ms: Sequence, shifted: bool) -> list[list[list]]:
+    """The largest Hankel matrix (m_(i+j)) that m_0, m_1, ... = ``ms``
+    fills, and with ``shifted`` also the once-shifted one (m_(i+j+1))."""
     sizes = [(0, (len(ms) + 1) // 2)] + ([(1, len(ms) // 2)] if shifted else [])
     return [[[ms[i + j + s] for j in range(n)] for i in range(n)] for s, n in sizes]
 
 
-def _exact_psd(mat: list[list[Fraction]]) -> bool:
-    """Exact positive semidefiniteness by symmetric elimination (LDL^T): a
-    zero pivot passes only when the rest of its Schur-complement row is zero."""
+def _integer_psd(mat: list[list[int]]) -> bool:
+    """Exact positive semidefiniteness of a symmetric integer matrix.
+
+    Fraction-free (Bareiss) elimination: after pivots I, each entry left
+    is det(A_I) > 0 times its Schur complement entry, an integer minor, so
+    every division is exact and signs are the Schur complement's.  A zero
+    pivot passes only with a zero row, and is skipped, keeping the divisor.
+    """
     a = [list(row) for row in mat]
+    prev = 1
     for k, row in enumerate(a):
-        if row[k] < 0 or (row[k] == 0 and any(row[k + 1 :])):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
             return False
-        if row[k]:
+        if pivot:
             for lower in a[k + 1 :]:
-                factor = lower[k] / row[k]
+                factor = lower[k]
                 for j in range(k + 1, len(a)):
-                    lower[j] -= factor * row[j]
+                    lower[j] = (pivot * lower[j] - factor * row[j]) // prev
+            prev = pivot
     return True
+
+
+def _exact_hankel_psd(values: Sequence[Fraction], shifted: bool) -> bool:
+    """The Hankel check of m_1..m_D = ``values`` on their dilation to integers."""
+    _, ints = dilate(values)
+    return all(_integer_psd(h) for h in _hankel_matrices([1, *ints], shifted))
 
 
 def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) -> bool:
@@ -476,7 +492,7 @@ def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) ->
         return bool(np.linalg.eigvalsh(mat).min() >= -tol * scale)
 
     return all(
-        psd(np.array(mat, dtype=float)) for mat in _hankel_matrices(seq, shifted)
+        psd(np.array(mat, dtype=float)) for mat in _hankel_matrices([1, *seq.moments], shifted)
     )
 
 

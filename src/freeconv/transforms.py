@@ -1,13 +1,13 @@
 """Exact moment/cumulant conversions over truncated power series.
 
-A truncated series is the sequence of its rational coefficients
-c_1..c_D, the constant term fixed at zero: the moment series
-M(z) = sum m_k z^k, the boolean cumulant series K(z) = sum r_k z^k, and
-the subordination expansions in the convolution module.  The only
-division such sequences need is by 1 + (a series).
+A truncated series is the sequence of its coefficients c_1..c_D, the
+constant term fixed at zero: the moment series M(z) = sum m_k z^k, the
+boolean cumulant series K(z) = sum r_k z^k, and the subordination
+expansions in the convolution module.  The only division such sequences
+need is by 1 + (a series).
 
 Every recursion on powers of such a series u runs on one power table
-pw[j][d] = [z^d] u(z)^j, filled a degree at a time in O(D^3) exact
+pw[j][d] = [z^d] u(z)^j, filled a degree at a time in O(D^3) integer
 operations (:func:`fill_power_degree`): both free-cumulant conversions
 and the subordination recursion of the convolution module.
 
@@ -17,6 +17,12 @@ m_n = sum_s kappa_s [z^n] u(z)^s with u(z) = z(1 + M(z)), the
 non-crossing partition moment formula summed by outer block; one
 recursion solves it for kappa_n or for m_n, so the conversions
 round-trip to the identity.
+
+The series are Python ints.  The dilation D_c mu (x scaled by c) has
+moments c^k m_k, boolean cumulants c^k r_k and free cumulants
+c^k kappa_k, so each conversion dilates its input to integers
+(``measures.dilate``), runs in ints, and divides coefficient k by c^k
+once on the way out (``measures.undilate``).
 
 Cumulants are plain tuples of Fractions: :func:`boolean_from_moments`
 returns (r_1, ..., r_D) and :func:`free_from_moments` returns
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError
@@ -37,9 +44,11 @@ from .measures import (
     MomentSequence,
     RationalLike,
     as_fraction,
+    dilate,
     in_m_plus,
     krein_k,
     krein_k_exact,
+    undilate,
 )
 
 __all__ = [
@@ -52,14 +61,14 @@ __all__ = [
 ]
 
 
-def power_table(order: int) -> list[list[Fraction]]:
+def power_table(order: int) -> list[list[int]]:
     """Zeroed table pw[j][d] for j, d = 0..order, except pw[0][0] = 1 (u^0)."""
-    pw = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
-    pw[0][0] = Fraction(1)
+    pw = [[0] * (order + 1) for _ in range(order + 1)]
+    pw[0][0] = 1
     return pw
 
 
-def fill_power_degree(pw: list[list[Fraction]], d: int) -> None:
+def fill_power_degree(pw: list[list[int]], d: int) -> None:
     """Fill degree d of u^2..u^d in a power table, where u = pw[1].
 
     u must have zero constant term and be known through degree d, and
@@ -68,36 +77,31 @@ def fill_power_degree(pw: list[list[Fraction]], d: int) -> None:
     """
     u = pw[1]
     for j in range(2, d + 1):
-        prev = pw[j - 1]
-        pw[j][d] = sum(
-            (u[a] * prev[d - a] for a in range(1, d - j + 2)), start=Fraction(0)
-        )
+        pw[j][d] = sum(map(mul, u[1 : d - j + 2], reversed(pw[j - 1][j - 1 : d])))
 
 
-def _divide_by_one_plus(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
+def _divide_by_one_plus(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """num / (1 + den) for coefficient sequences of equal length; the only
-    division the carriers ever need."""
-    out: list[Fraction] = []
+    division the carriers ever need, exact over the integers."""
+    out: list[int] = []
     for k in range(1, len(num) + 1):
-        acc = num[k - 1]
-        for i in range(1, k):
-            acc -= out[i - 1] * den[k - i - 1]
-        out.append(acc)
+        out.append(num[k - 1] - sum(map(mul, out, reversed(den[: k - 1]))))
     return out
 
 
 def boolean_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
     """Boolean cumulants r_1..r_D via K = M/(1+M): r_k = m_k - sum m_i r_{k-i}."""
-    return tuple(_divide_by_one_plus(m.moments, m.moments))
+    c, ms = dilate(m.moments)
+    return tuple(undilate(_divide_by_one_plus(ms, ms), c))
 
 
 def moments_from_boolean(r: Sequence[RationalLike]) -> MomentSequence:
     """Inverse conversion via M = K/(1-K): m_k = r_k + sum r_i m_{k-i}."""
-    r = [as_fraction(v) for v in r]
-    return MomentSequence(_divide_by_one_plus(r, [-c for c in r]))
+    c, rs = dilate([as_fraction(v) for v in r])
+    return MomentSequence(undilate(_divide_by_one_plus(rs, [-v for v in rs]), c))
 
 
-def _split_blocks(pw: list[list[Fraction]], n: int, m_prev: Fraction, kappa) -> Fraction:
+def _split_blocks(pw: list[list[int]], n: int, m_prev: int, kappa: list[int]) -> int:
     """sum_{s<n} kappa_s [z^n] u^s, once u = z(1 + M) gains u[n] = m_(n-1).
 
     These are the partitions of NC(n) whose block of 1 has s < n elements;
@@ -105,26 +109,28 @@ def _split_blocks(pw: list[list[Fraction]], n: int, m_prev: Fraction, kappa) -> 
     """
     pw[1][n] = m_prev
     fill_power_degree(pw, n)
-    return sum((kappa[s - 1] * pw[s][n] for s in range(1, n)), start=Fraction(0))
+    return sum(kappa[s - 1] * pw[s][n] for s in range(1, n))
 
 
 def free_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
     """Free cumulants kappa_1..kappa_D: kappa_n = m_n - sum_{s<n} kappa_s [z^n] u(z)^s."""
+    c, ms = dilate(m.moments)
+    ms.insert(0, 1)
     pw = power_table(m.order)
-    kappa: list[Fraction] = []
+    kappa: list[int] = []
     for n in range(1, m.order + 1):
-        kappa.append(m.m(n) - _split_blocks(pw, n, m.m(n - 1), kappa))
-    return tuple(kappa)
+        kappa.append(ms[n] - _split_blocks(pw, n, ms[n - 1], kappa))
+    return tuple(undilate(kappa, c))
 
 
 def moments_from_free(kappa: Sequence[RationalLike]) -> MomentSequence:
     """Moments by the same recursion run forward: m_n = kappa_n + split blocks."""
-    kappa = [as_fraction(v) for v in kappa]
-    pw = power_table(len(kappa))
-    ms = [Fraction(1)]
-    for n in range(1, len(kappa) + 1):
-        ms.append(kappa[n - 1] + _split_blocks(pw, n, ms[n - 1], kappa))
-    return MomentSequence(ms[1:])
+    c, ks = dilate([as_fraction(v) for v in kappa])
+    pw = power_table(len(ks))
+    ms = [1]
+    for n in range(1, len(ks) + 1):
+        ms.append(ks[n - 1] + _split_blocks(pw, n, ms[n - 1], ks))
+    return MomentSequence(undilate(ms[1:], c))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 Everything here trades efficiency for obviousness: set partitions are
 enumerated exhaustively and filtered, cumulant relations are solved
-directly from their defining sums, and the lattice Moebius function is
-assembled from the complementation map.  The library must agree with
+directly from their defining sums (boolean ones over interval
+partitions), and the lattice Moebius function is assembled from the
+complementation map.  The library must agree with
 these exactly.
 
 Several references are former library engines kept for comparison: the
 O(p^4) multiplicative-convolution recursion that reruns full fixed-point
 passes, the free-cumulant conversions that multiply raw powers of
-1 + M(z), the float boolean-to-moment loop of the subordination route, the
+1 + M(z), all three in Fractions, which the library's integer series
+must match exactly, the Fraction LDL^T elimination that checked exact
+Hankel matrices before the integer (Bareiss) check, the float
+boolean-to-moment loop of the subordination route, the
 (L, Q) joint moment that expands a pattern into every index word, the
 word engine that enumerates every candidate block of the first letter, the
 (L, Q) joint moment that contracts each partition's coefficients with one
@@ -217,6 +221,55 @@ def free_cumulants_moebius(moments: list[Fraction]) -> list[Fraction]:
             total += term
         out.append(total)
     return out
+
+
+def interval_partitions(n: int):
+    """The interval partitions of {1..n} as tuples of block sizes."""
+    for cuts in product((False, True), repeat=n - 1):
+        sizes, size = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(size)
+                size = 0
+            size += 1
+        yield (*sizes, size)
+
+
+def boolean_from_moments_by_intervals(m) -> list[Fraction]:
+    """r_n = sum over interval partitions pi of (-1)^(|pi|-1) prod m_|V|,
+    the Moebius inversion on the interval-partition lattice."""
+    ms = [Fraction(v) for v in m]
+    return [
+        sum(
+            (-1) ** (len(sizes) - 1) * math.prod(ms[s - 1] for s in sizes)
+            for sizes in interval_partitions(n)
+        )
+        for n in range(1, len(ms) + 1)
+    ]
+
+
+def moments_from_boolean_by_intervals(r) -> list[Fraction]:
+    """m_n = sum over interval partitions pi of prod r_|V|."""
+    rs = [Fraction(v) for v in r]
+    return [
+        sum(math.prod(rs[s - 1] for s in sizes) for sizes in interval_partitions(n))
+        for n in range(1, len(rs) + 1)
+    ]
+
+
+def exact_psd_ldl(mat: list[list[Fraction]]) -> bool:
+    """Exact positive semidefiniteness by symmetric elimination (LDL^T): a
+    zero pivot passes only when the rest of its Schur-complement row is zero."""
+    a = [[Fraction(v) for v in row] for row in mat]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1 :])):
+            return False
+        if row[k]:
+            for lower in a[k + 1 :]:
+                factor = lower[k] / row[k]
+                for j in range(k + 1, len(a)):
+                    lower[j] -= factor * row[j]
+    return True
 
 
 def boolean_cumulants_closed_form(m: list[Fraction]) -> list[Fraction]:

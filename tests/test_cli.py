@@ -14,6 +14,7 @@ DELTA3 = '{"kind": "atomic", "atoms": [["3", "1"]]}'
 DELTA0 = '{"kind": "atomic", "atoms": [["0", "1"]]}'
 RADEMACHER = '{"kind": "atomic", "atoms": [["-1", "1/2"], ["1", "1/2"]]}'
 SEMICIRCLE = '{"kind": "semicircle", "center": 0.0, "radius": 2.0}'
+SEMICIRCLE_POSITIVE = '{"kind": "semicircle", "center": "3", "radius": "2"}'
 
 
 @pytest.fixture
@@ -26,6 +27,7 @@ def files(tmp_path):
         ("delta0", DELTA0),
         ("rademacher", RADEMACHER),
         ("semicircle", SEMICIRCLE),
+        ("semicircle_positive", SEMICIRCLE_POSITIVE),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(text)
@@ -67,6 +69,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert "domain" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subordinate", "{sc}", "{bern}", "--z", "-0.5"],
+            ["boxtimes", "{sc}", "{bern}", "--order", "4", "--method", "subordination"],
+            ["boxtimes", "{bern}", "{sc}", "--order", "4", "--method", "all"],
+        ],
+    )
+    def test_semicircle_in_subordination_is_three(self, files, capsys, argv):
+        # a semicircle in M+ has moments but no K evaluation: the solver
+        # must reject it up front, not report non-convergence
+        argv = [a.format(sc=files["semicircle_positive"], bern=files["bernoulli"]) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == "freeconv: domain error: subordination needs K evaluation; semicircles are moments-only\n"
 
     def test_nonconvergence_is_four(self, files, capsys):
         code, _, err = run(

@@ -5,6 +5,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.errors import ConvergenceError, DomainError
 from freeconv import measures
@@ -12,6 +13,7 @@ from freeconv.measures import (
     Atomic,
     MomentSequence,
     Semicircle,
+    as_fraction,
     fractional_moment,
     krein_k_exact,
     moments,
@@ -33,9 +35,11 @@ from freeconv.convolution import (
     solve_subordination,
 )
 from oracles import (
+    boolean_from_moments_by_intervals,
     boxtimes_moments_by_passes,
     fit_boolean_cumulants_numpy,
     krein_on_negative_axis_vectorized,
+    moments_from_boolean_by_intervals,
     moments_from_boolean_float,
     quad_numpy,
     scipy_quad,
@@ -55,6 +59,23 @@ ATOM_POOL = [
     atomic(("0", "1/4"), ("1", "1/2"), ("4", "1/4")),
     atomic(("2/3", "2/5"), ("5/2", "3/5")),
 ]
+
+# small rationals, and binary64-derived ones from 1e-300 to 1e3
+COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=20),
+    st.builds(
+        lambda mantissa, exponent: as_fraction(mantissa * 10.0 ** exponent),
+        st.floats(min_value=-9.99, max_value=9.99),
+        st.integers(-300, 2),
+    ),
+)
+
+
+def moment_lists(p):
+    """Lists m_1..m_p of COEFFICIENTS with m_1 != 0."""
+    return st.tuples(
+        COEFFICIENTS.filter(bool), st.lists(COEFFICIENTS, min_size=p - 1, max_size=p - 1)
+    ).map(lambda first_rest: [first_rest[0], *first_rest[1]])
 
 
 class TestBoxplus:
@@ -156,6 +177,28 @@ class TestBoxtimesExact:
             )
             want = moments_from_boolean(r_box)
             assert boxtimes_moments(m1, m2, p) == want
+
+    def test_matches_pass_recursion_at_order_32(self, bernoulli, two_point):
+        # the input of the benchmark's order-32 job
+        p = 32
+        m1, m2 = moments(bernoulli, p), moments(two_point, p)
+        r_box = boxtimes_moments_by_passes(
+            list(boolean_from_moments(m1)), list(boolean_from_moments(m2)), p
+        )
+        assert boxtimes_moments(m1, m2, p) == moments_from_boolean(r_box)
+
+    @given(st.integers(1, 6).flatmap(lambda p: st.tuples(moment_lists(p), moment_lists(p))))
+    @settings(max_examples=50, deadline=None)
+    def test_integer_route_matches_pass_recursion(self, pair):
+        # moment-like sequences with m_1 != 0, small or float-derived, and the
+        # Fraction oracles on both sides of the recursion
+        ms1, ms2 = pair
+        p = len(ms1)
+        r_box = boxtimes_moments_by_passes(
+            boolean_from_moments_by_intervals(ms1), boolean_from_moments_by_intervals(ms2), p
+        )
+        got = boxtimes_moments(MomentSequence(ms1), MomentSequence(ms2), p)
+        assert list(got) == moments_from_boolean_by_intervals(r_box)
 
     def test_commutativity(self):
         m1 = moments(ATOM_POOL[3], 6)

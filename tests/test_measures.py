@@ -8,12 +8,15 @@ from scipy.integrate import quad
 
 from freeconv.errors import DomainError, ParseError
 from freeconv.measures import (
-    _exact_psd,
+    _exact_hankel_psd,
+    _hankel_matrices,
+    _integer_psd,
     Atomic,
     DensityGrid,
     MomentSequence,
     Semicircle,
     as_fraction,
+    dilate,
     hankel_psd,
     in_m_plus,
     is_positive_supported,
@@ -25,7 +28,7 @@ from freeconv.measures import (
     psi,
     psi_exact,
 )
-from oracles import absolute_moment
+from oracles import absolute_moment, exact_psd_ldl
 
 
 def semicircle_density_moment(center, radius, k):
@@ -167,7 +170,10 @@ class TestMoments:
         ],
     )
     def test_exact_psd_by_elimination(self, mat, psd):
-        assert _exact_psd([[Fraction(v) for v in row] for row in mat]) is psd
+        # a positive multiple of the matrix clears its denominators
+        scale = math.lcm(*(Fraction(v).denominator for row in mat for v in row))
+        assert _integer_psd([[int(Fraction(v) * scale) for v in row] for row in mat]) is psd
+        assert exact_psd_ldl(mat) is psd
 
     @given(
         st.integers(1, 4).flatmap(
@@ -182,7 +188,60 @@ class TestMoments:
         b = np.array(rows)
         mat = b.T @ b + shift * np.eye(b.shape[1], dtype=int)
         want = bool(np.linalg.eigvalsh(mat.astype(float)).min() >= -1e-9)
-        assert _exact_psd([[Fraction(int(v)) for v in row] for row in mat]) is want
+        assert _integer_psd([[int(v) for v in row] for row in mat]) is want
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                st.integers(1, 9),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda atom: atom[0],
+        ),
+        st.integers(1, 12),
+        st.fractions(min_value=-2, max_value=2, max_denominator=9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_hankel_check_agrees_with_ldl(self, atoms, k, nudge):
+        # order 12 of at most 3 atoms leaves a singular 7 x 7 Hankel matrix,
+        # so the zero-pivot path runs; a nudged moment can go either way
+        total = sum(w for _, w in atoms)
+        ms = [sum(Fraction(w, total) * x ** j for x, w in atoms) for j in range(1, 13)]
+        nudged = list(ms)
+        nudged[k - 1] += nudge
+        for values in (ms, nudged):
+            for shifted in (False, True):
+                mats = _hankel_matrices([Fraction(1), *values], shifted)
+                want = all(exact_psd_ldl(h) for h in mats)
+                assert _exact_hankel_psd(values, shifted) is want
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_nudged_last_moment_decides_singular_hankel(self, two_point, shifted):
+        # the Hankel matrices of two atoms have rank 2; the last moment, m_12
+        # (unshifted, 7 x 7) or m_11 (shifted, 6 x 6), enters only the last
+        # pivot, after zero pivots with zero rows
+        last = 11 if shifted else 12
+        ms = list(moments(two_point, last).moments)
+        for nudge, want in ((0, True), (Fraction(1, 7), True), (Fraction(-1, 7), False)):
+            values = list(ms)
+            values[last - 1] += nudge
+            assert _exact_hankel_psd(values, shifted) is want
+            assert all(exact_psd_ldl(h) for h in _hankel_matrices([1, *values], shifted)) is want
+
+    @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), min_size=1, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_dilation_makes_every_coefficient_integral(self, values):
+        c, ints = dilate(values)
+        assert all(type(v) is int for v in ints)
+        assert ints == [Fraction(c) ** k * s for k, s in enumerate(values, 1)]
+
+    def test_dilation_follows_the_incremental_rule(self):
+        # 1/2 sets c = 2; 1/8 at k = 2 needs c^2 divisible by 8, so c = 4;
+        # 3/4 at k = 3 is already integral after c^3 = 64
+        assert dilate([Fraction(1, 2), Fraction(1, 8), Fraction(3, 4)]) == (4, [2, 2, 48])
+        assert dilate([Fraction(5), Fraction(-7)]) == (1, [5, -7])
 
 
 class TestPsi:

@@ -3,9 +3,9 @@ function it wraps, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, importing the package
 loads only its exceptions, neither the exact subcommands nor the float
 ones on atomic measures load numpy, characterize never loads the word
-engine, every exported name is read in the package or kept for a stated
-reason, and neither the package source nor the tests import anything
-they do not use."""
+engine, the exact series kernels see only Python ints, every exported
+name is read in the package or kept for a stated reason, and neither the
+package source nor the tests import anything they do not use."""
 
 import ast
 import importlib
@@ -191,6 +191,45 @@ def test_characterize_leaves_word_engine_unloaded():
     )
     rademacher = str(ROOT / "demos" / "data" / "rademacher.json")
     assert run_probe(probe, rademacher).split() == ["0", "False"]
+
+
+def test_series_kernels_see_only_ints(monkeypatch):
+    # Fractions back in the power table or the series division would still
+    # give exact results, only many times slower; this counts entries, not time
+    from fractions import Fraction
+
+    from freeconv import convolution, transforms
+    from freeconv.measures import Atomic, moments
+
+    seen = {"fill_power_degree": 0, "_divide_by_one_plus": 0}
+    not_int = []
+
+    def check(name, values):
+        seen[name] += len(values)
+        not_int.extend(type(v).__name__ for v in values if type(v) is not int)
+
+    fill, divide = transforms.fill_power_degree, transforms._divide_by_one_plus
+
+    def fill_checked(pw, d):
+        fill(pw, d)
+        check("fill_power_degree", [v for row in pw for v in row])
+
+    def divide_checked(num, den):
+        out = divide(num, den)
+        check("_divide_by_one_plus", [*num, *den, *out])
+        return out
+
+    for module in (transforms, convolution):
+        monkeypatch.setattr(module, "fill_power_degree", fill_checked)
+        monkeypatch.setattr(module, "_divide_by_one_plus", divide_checked)
+
+    mu1 = Atomic([(Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 2), Fraction(2, 3))])
+    mu2 = Atomic([(1, Fraction(1, 2)), (2, Fraction(1, 2))])
+    m1, m2 = moments(mu1, 24), moments(mu2, 24)
+    convolution.boxtimes_moments(m1, m2, 24)
+    transforms.moments_from_free(transforms.free_from_moments(m1))
+    transforms.moments_from_boolean(transforms.boolean_from_moments(m2))
+    assert all(seen.values()) and not_int == []
 
 
 def unused_imports(source: str) -> list[str]:

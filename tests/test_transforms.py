@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv.errors import DomainError
-from freeconv.measures import Atomic, MomentSequence, moments
+from freeconv.measures import Atomic, MomentSequence, as_fraction, moments
 from freeconv.transforms import (
     _divide_by_one_plus,
     boolean_from_moments,
@@ -16,10 +16,12 @@ from freeconv.transforms import (
 )
 from oracles import (
     boolean_cumulants_closed_form,
+    boolean_from_moments_by_intervals,
     compose,
     free_cumulants_bruteforce,
     free_cumulants_moebius,
     free_from_moments_by_powers,
+    moments_from_boolean_by_intervals,
     moments_from_free_bruteforce,
     moments_from_free_by_powers,
 )
@@ -27,6 +29,25 @@ from oracles import (
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=20
 )
+
+# binary64-derived rationals as large as 1e3 and as small as 1e-300, whose
+# denominators run to 2^1000 and more
+float_rationals = st.builds(
+    lambda mantissa, exponent: as_fraction(mantissa * 10.0 ** exponent),
+    st.floats(min_value=-9.99, max_value=9.99),
+    st.integers(-300, 2),
+)
+coefficients = st.one_of(rationals, float_rationals)
+
+
+@st.composite
+def series(draw, max_size):
+    """Coefficient lists mixing small rationals and float-derived ones,
+    with the first coefficient zero a quarter of the time."""
+    values = draw(st.lists(coefficients, min_size=1, max_size=max_size))
+    if draw(st.integers(0, 3)) == 0:
+        values[0] = Fraction(0)
+    return values
 
 
 def seq(values):
@@ -111,6 +132,23 @@ class TestBooleanCumulants:
         ks = _divide_by_one_plus(ms, ms)
         assert ks == boolean_cumulants_closed_form(ms)
         assert _divide_by_one_plus(ks, [-k for k in ks]) == ms
+
+
+class TestIntegerRoute:
+    """The conversions run on dilated integer series; the Fraction routes
+    in ``oracles`` must agree with them exactly."""
+
+    @given(series(max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_boolean_conversions_match_interval_sums(self, values):
+        assert list(boolean_from_moments(seq(values))) == boolean_from_moments_by_intervals(values)
+        assert list(moments_from_boolean(values)) == moments_from_boolean_by_intervals(values)
+
+    @given(series(max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_free_conversions_match_power_recursions(self, values):
+        assert list(free_from_moments(seq(values))) == free_from_moments_by_powers(values)
+        assert list(moments_from_free(values)) == moments_from_free_by_powers(values)
 
 
 class TestFreeCumulants:
