@@ -26,13 +26,13 @@ _EXPORTS = {
         "krein_k", "measure_from_json", "measure_to_json", "moments", "psi",
     ),
     "transforms": (
-        "boolean_from_moments", "free_from_moments", "krein_expansion_check",
-        "moments_from_boolean", "moments_from_free",
+        "boolean_from_moments", "free_from_moments", "moments_from_boolean",
+        "moments_from_free",
     ),
     "word_engine": ("Word", "mixed_moment"),
     "convolution": (
-        "boxplus_moments", "boxtimes_fractional_closure_check", "boxtimes_moments",
-        "boxtimes_word_oracle", "fractional_diagnostics", "solve_subordination",
+        "boxplus_moments", "boxtimes_moments", "boxtimes_word_oracle",
+        "fractional_diagnostics", "solve_subordination",
     ),
     "characterize": (
         "QuadraticFormSpec", "freeness_dichotomy", "joint_moment",

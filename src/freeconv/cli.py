@@ -124,7 +124,9 @@ def _load_form_spec(path: str) -> QuadraticFormSpec:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also a number past the int-string limit
+    # ValueError also for a number past the int-string limit, RecursionError
+    # for arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid form JSON: {exc}") from exc
     from .characterize import QuadraticFormSpec
 

@@ -34,15 +34,14 @@ module (Takahasi and Mori, 1974), whose integrand maps one node to one
 float; for atomic measures K(-x) is a loop over the float atoms.  Each
 call site checks the rule's error estimate, the difference of its last
 two levels, against the absolute bound 1e-8 and raises ConvergenceError
-above it: the diagnostic's remainder integral, its three refinement
-probes, and the closure check's three partial integrals.
+above it: the diagnostic's remainder integral and its three refinement
+probes.
 
 The exact routes (``boxplus_moments``, ``boxtimes_moments`` and the word
 oracle) need no floats, and on atomic measures the float routes run in
 plain Python: the subordination solve, the contour fit (``cmath`` and
-``math.fsum``), the diagnostics and the closure check.  numpy is
-imported only for a grid measure: in its psi, its c_mu and the
-diagnostics' grid branch.
+``math.fsum``) and the diagnostics.  numpy is imported only for a grid
+measure: in its psi, its c_mu and the diagnostics' grid branch.
 """
 
 from __future__ import annotations
@@ -90,8 +89,6 @@ __all__ = [
     "boxtimes_via_subordination",
     "DiagnosticsReport",
     "fractional_diagnostics",
-    "ClosureReport",
-    "boxtimes_fractional_closure_check",
 ]
 
 
@@ -475,117 +472,5 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
         upper_bound=upper,
         c_mu=c_mu,
         m_alpha=m_alpha,
-        verdict=verdict,
-    )
-
-
-# ---------------------------------------------------------------------------
-# fractional closure of the product
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    """Finiteness indication for m_(alpha*beta) of a product measure."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    x0: float
-    epsilons: tuple[float, ...]
-    partial_integrals: tuple[float, ...]
-    changes: tuple[float, ...]
-    integral_value: float
-    verdict: str
-
-
-def boxtimes_fractional_closure_check(
-    mu1: Measure,
-    mu2: Measure,
-    alpha: float,
-    beta: float,
-    x0: Optional[float] = None,
-    tol: float = 1e-11,
-) -> ClosureReport:
-    """Probe the integral criterion for the product measure at alpha*beta.
-
-    K of the product is evaluated through the subordination solver on
-    (0, x0].  Partial integrals over (eps, x0] are computed on a
-    shrinking ladder of cutoffs; the verdict is "finite" when two
-    successive halvings change the integral by less than 1e-6.  The
-    starting cutoff is chosen so the expected tail mass (linear behavior
-    of K near 0) is already below that threshold; with a fixed cutoff the
-    probe would report spurious growth for exponents near 1.  Each
-    partial integral runs the tanh-sinh rule to 1e-9 over log x, one
-    subordination solve per node, and raises ConvergenceError when its
-    error estimate exceeds 1e-8.
-    """
-    if not (0 < alpha <= 1 and 0 < beta <= 1):
-        raise DomainError("alpha and beta must lie in (0, 1]")
-    if not isinstance(mu1, Atomic) or not isinstance(mu2, Atomic):
-        raise DomainError("closure check expects atomic inputs")
-    gamma = alpha * beta
-    mean_product = _mean(mu1) * _mean(mu2)
-    if mean_product == 0:
-        raise DomainError("closure check requires m_1 != 0 for both inputs")
-    if x0 is None:
-        x0 = min(1.0, 1.0 / (4.0 * mean_product))
-    if not 0 < x0 <= 1.0:
-        raise DomainError("x0 must lie in (0, 1]")
-
-    if gamma >= 1.0:
-        # alpha = beta = 1: the integral criterion does not apply (it
-        # diverges even for finite means); finiteness of the first moment
-        # follows from the exact recursion instead.
-        m1_box = float(boxtimes_moments(moments(mu1, 1), moments(mu2, 1), 1).m(1))
-        return ClosureReport(
-            alpha=float(alpha),
-            beta=float(beta),
-            gamma=1.0,
-            x0=float(x0),
-            epsilons=(),
-            partial_integrals=(),
-            changes=(),
-            integral_value=m1_box,
-            verdict="finite" if math.isfinite(m1_box) else "unbounded-indicated",
-        )
-
-    def k_box(x: float) -> float:
-        return solve_subordination(mu1, mu2, complex(-x), tol=tol).k_value.real
-
-    # Log-substitution x = e^t keeps the quadrature well behaved across
-    # many decades: dx = e^t dt.
-    def integrand_log(t: float) -> float:
-        x = math.exp(t)
-        return -k_box(x) * x ** (-gamma)
-
-    target = 5e-7
-    eps0 = (target * (1.0 - gamma) / max(mean_product, 1e-12)) ** (1.0 / (1.0 - gamma))
-    eps0 = min(1e-6, eps0)
-    eps0 = max(eps0, 1e-250)
-    epsilons = (eps0, eps0 / 2.0, eps0 / 4.0)
-
-    def partial(lo: float, hi: float) -> float:
-        return _integral(integrand_log, math.log(lo), math.log(hi), 1e-9)
-
-    base = partial(epsilons[0], x0)
-    inc1 = partial(epsilons[1], epsilons[0])
-    inc2 = partial(epsilons[2], epsilons[1])
-    partials = (base, base + inc1, base + inc1 + inc2)
-    changes = (abs(inc1), abs(inc2))
-    verdict = "finite" if all(c < 1e-6 for c in changes) else "unbounded-indicated"
-
-    tail = mean_product * epsilons[2] ** (1.0 - gamma) / (1.0 - gamma)
-    integral_value = (1.0 - gamma) * (partials[2] + tail)
-
-    return ClosureReport(
-        alpha=float(alpha),
-        beta=float(beta),
-        gamma=float(gamma),
-        x0=float(x0),
-        epsilons=epsilons,
-        partial_integrals=partials,
-        changes=changes,
-        integral_value=integral_value,
         verdict=verdict,
     )

@@ -3,9 +3,7 @@
 Three measure kinds are supported: finite atomic measures with exact
 rational atoms, the semicircle family, and tabulated densities on a grid.
 Atomic measures are carried in exact rational arithmetic end to end; the
-analytic path (transform evaluation on grids) uses binary64, with an
-additional exact evaluation path for atomic measures on the negative real
-axis.
+analytic path (transform evaluation) uses binary64.
 
 For a measure ``mu`` supported on [0, inf) the module evaluates
 
@@ -18,9 +16,8 @@ multiplicative free convolution is subordinated at the level of K.
 
 User rationals become floats through ``as_float``, which turns binary64
 overflow into a DomainError.  ``quad`` is the package's one quadrature
-rule (tanh-sinh), shared by the semicircle's fractional moments and the
-diagnostics of the convolution module; it integrates a scalar function
-in plain Python.
+rule (tanh-sinh), used by the diagnostics of the convolution module; it
+integrates a scalar function in plain Python.
 
 Atomic and semicircle measures need numpy neither for exact work nor for
 floats, so numpy is imported only where a grid or a matrix is at hand:
@@ -37,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
-from .errors import ConvergenceError, DomainError, ParseError
+from .errors import DomainError, ParseError
 
 __all__ = [
     "Atomic",
@@ -53,9 +50,7 @@ __all__ = [
     "fractional_moment",
     "hankel_psd",
     "psi",
-    "psi_exact",
     "krein_k",
-    "krein_k_exact",
     "is_positive_supported",
     "in_m_plus",
     "measure_from_json",
@@ -86,11 +81,12 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Accepts Fractions, ints, "p/q" strings and finite floats.  Floats
     are promoted by their exact binary64 ratio, so the quantization is
-    the one already present in the input.
+    the one already present in the input.  Booleans are not numbers
+    here, though bool is an int subclass: JSON ``true`` is a ParseError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, float)):
+    if isinstance(value, (int, str, float)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -282,11 +278,6 @@ class MomentSequence:
             raise DomainError(f"moment m_{k} outside stored order {self.order}")
         return self.moments[k - 1]
 
-    def truncate(self, order: int) -> "MomentSequence":
-        if not 1 <= order <= self.order:
-            raise DomainError(f"cannot truncate order-{self.order} sequence to {order}")
-        return MomentSequence(self.moments[:order])
-
     def __iter__(self):
         return iter(self.moments)
 
@@ -401,21 +392,19 @@ def quad(
 
 
 def fractional_moment(mu: Measure, alpha: float) -> float:
-    """m_alpha = integral of x^alpha d mu for a positively supported measure."""
+    """m_alpha = integral of x^alpha d mu for a positively supported atomic
+    or grid measure."""
     if alpha < 0:
         raise DomainError("fractional moment order must be >= 0")
+    if isinstance(mu, Semicircle):
+        raise DomainError("fractional moments are not evaluated for semicircles; "
+                          "semicircles are moments-only")
     if not is_positive_supported(mu):
         raise DomainError("fractional moments require support in [0, inf)")
     if isinstance(mu, Atomic):
         return sum(as_float(w) * as_float(loc) ** alpha for loc, w in mu.atoms if loc > 0) + (
             float(mu.weight_at(0)) if alpha == 0 else 0.0
         )
-    if isinstance(mu, Semicircle):
-        lo, hi = as_float(mu.center - mu.radius), as_float(mu.center + mu.radius)
-        val, err = quad(lambda t: math.sqrt(max(0.0, (t - lo) * (hi - t))) * t ** alpha, lo, hi)
-        if not err <= 1e-8 * max(1.0, abs(val)):
-            raise ConvergenceError(f"quadrature error {err:.2e} of m_alpha exceeds its bound")
-        return 8.0 / (math.pi * (hi - lo) ** 2) * val
     if isinstance(mu, DensityGrid):
         import numpy as np
 
@@ -540,30 +529,6 @@ def krein_k(mu: Measure, z: complex) -> complex:
     return p / denom
 
 
-def psi_exact(mu: Atomic, x: RationalLike) -> Fraction:
-    """Exact psi at a rational point off [0, inf), for atomic measures."""
-    if not isinstance(mu, Atomic):
-        raise DomainError("exact transform evaluation needs an atomic measure")
-    if not is_positive_supported(mu):
-        raise DomainError("transform evaluation requires support in [0, inf)")
-    xq = as_fraction(x)
-    if xq >= 0:
-        raise DomainError(f"evaluation point {xq} lies on [0, inf)")
-    total = Fraction(0)
-    for loc, w in mu.atoms:
-        total += w * xq * loc / (1 - xq * loc)
-    return total
-
-
-def krein_k_exact(mu: Atomic, x: RationalLike) -> Fraction:
-    """Exact Krein transform at a rational point, for atomic measures."""
-    p = psi_exact(mu, x)
-    denom = 1 + p
-    if denom == 0:
-        raise DomainError(f"K has a pole at x={x}")
-    return p / denom
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
@@ -604,7 +569,9 @@ def measure_from_json(source: Union[str, dict]) -> Measure:
     if isinstance(source, str):
         try:
             data = json.loads(source)
-        except ValueError as exc:  # also a number past the int-string limit
+        # ValueError also for a number past the int-string limit,
+        # RecursionError for arrays or objects nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid measure JSON: {exc}") from exc
     else:
         data = source

@@ -32,32 +32,17 @@ rationals (floats convert exactly) and return a MomentSequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import ConvergenceError, DomainError
-from .measures import (
-    Atomic,
-    Measure,
-    MomentSequence,
-    RationalLike,
-    as_fraction,
-    dilate,
-    in_m_plus,
-    krein_k,
-    krein_k_exact,
-    undilate,
-)
+from .measures import MomentSequence, RationalLike, as_fraction, dilate, undilate
 
 __all__ = [
     "boolean_from_moments",
     "moments_from_boolean",
     "free_from_moments",
     "moments_from_free",
-    "krein_expansion_check",
-    "KreinExpansionReport",
 ]
 
 
@@ -131,78 +116,3 @@ def moments_from_free(kappa: Sequence[RationalLike]) -> MomentSequence:
     for n in range(1, len(ks) + 1):
         ms.append(ks[n - 1] + _split_blocks(pw, n, ms[n - 1], ks))
     return MomentSequence(undilate(ms[1:], c))
-
-
-# ---------------------------------------------------------------------------
-# Taylor expansion check for the Krein transform
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KreinExpansionReport:
-    """Ratio table for |K(-x) - poly_p(x)| / x^p on a dyadic grid."""
-
-    p: int
-    xs: tuple[float, ...]
-    ratios: tuple[float, ...]
-    burn_in: int
-    passed: bool
-
-
-def krein_expansion_check(
-    mu: Measure,
-    m: MomentSequence,
-    p: int,
-    grid_size: int = 24,
-    burn_in: int = 4,
-) -> KreinExpansionReport:
-    """Check that K(-x) matches its boolean-cumulant polynomial to order p.
-
-    Evaluates E(x) = K(-x) - sum_{k<=p} (-1)^k r_k x^k on the grid
-    x = 2^-i and requires |E(x)|/x^p to decay monotonically once the
-    first ``burn_in`` points are discarded (the expansion is asymptotic,
-    so early grid points are uninformative).  Atomic measures are
-    evaluated in exact rational arithmetic, so the monotonicity verdict
-    is certified rather than estimated.
-    """
-    if p < 1:
-        raise DomainError("expansion order must be >= 1")
-    if m.order < p:
-        raise DomainError(f"need moments to order {p}, got {m.order}")
-    if not in_m_plus(mu):
-        raise DomainError("expansion check requires a measure in M+")
-    if grid_size <= burn_in + 2:
-        raise DomainError("grid too short for the burn-in")
-    r = boolean_from_moments(m.truncate(p))
-    signed = [(-1) ** k * r[k - 1] for k in range(1, p + 1)]
-
-    xs: list[float] = []
-    ratios: list[Fraction | float] = []
-    exact = isinstance(mu, Atomic)
-    for i in range(grid_size):
-        if exact:
-            x = Fraction(1, 2 ** i)
-            kval = krein_k_exact(mu, -x)
-            poly = sum(signed[k - 1] * x ** k for k in range(1, p + 1))
-            ratios.append(abs(kval - poly) / x ** p)
-            xs.append(float(x))
-        else:
-            x = 2.0 ** -i
-            if x ** p == 0.0:
-                raise ConvergenceError("grid underflow before the ratio decayed")
-            kval = krein_k(mu, complex(-x)).real
-            poly = sum(float(signed[k - 1]) * x ** k for k in range(1, p + 1))
-            ratios.append(abs(kval - poly) / x ** p)
-            xs.append(x)
-
-    tail = ratios[burn_in:]
-    monotone = all(b <= a for a, b in zip(tail, tail[1:]))
-    decayed = tail[-1] == 0 or tail[-1] < tail[0]
-    passed = monotone and (decayed or all(t == 0 for t in tail))
-    return KreinExpansionReport(
-        p=p,
-        xs=tuple(xs),
-        ratios=tuple(float(t) for t in ratios),
-        burn_in=burn_in,
-        passed=passed,
-    )

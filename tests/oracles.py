@@ -29,8 +29,11 @@ for the sampler.  The L^p
 inequality sweep that stacked every matrix of every tuple on one list
 and read the norms back tuple by tuple is the reference for the sweep
 over the tuple axis.  The operator norm, the integer absolute moment,
-series composition and the dichotomy report's freeness flag are former
-library functions with no library caller left.  The (L, Q) dichotomy
+series composition, the dichotomy report's freeness flag, the exact psi
+and K of an atomic measure, and the Krein expansion check (|K(-x) minus
+its boolean-cumulant polynomial| / x^p on a dyadic grid, decaying
+monotonically) are former library functions with no library caller
+left; the exact K is the reference for the float K(-x) loop.  The (L, Q) dichotomy
 that expanded each centered pattern into its 2^#Q uncentered
 sub-patterns, and subtracted the prediction for a free pair with the
 forms' own moment sequences, is the reference for the filtered
@@ -40,6 +43,7 @@ non-crossing sum.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
 from string import ascii_letters
@@ -699,6 +703,96 @@ def absolute_moment(mu, alpha: int) -> Fraction:
     if isinstance(mu, DensityGrid):
         return as_fraction(float(np.trapezoid(mu.f * np.abs(mu.x) ** alpha, mu.x)))
     raise TypeError(f"not a measure: {mu!r}")
+
+
+def psi_exact(mu, x) -> Fraction:
+    """Exact psi at a rational point off [0, inf), for atomic measures."""
+    from freeconv.measures import Atomic, as_fraction, is_positive_supported
+
+    if not isinstance(mu, Atomic):
+        raise DomainError("exact transform evaluation needs an atomic measure")
+    if not is_positive_supported(mu):
+        raise DomainError("transform evaluation requires support in [0, inf)")
+    xq = as_fraction(x)
+    if xq >= 0:
+        raise DomainError(f"evaluation point {xq} lies on [0, inf)")
+    return sum((w * xq * loc / (1 - xq * loc) for loc, w in mu.atoms), start=Fraction(0))
+
+
+def krein_k_exact(mu, x) -> Fraction:
+    """Exact Krein transform K = psi / (1 + psi) at a rational point, for
+    atomic measures."""
+    p = psi_exact(mu, x)
+    if p == -1:
+        raise DomainError(f"K has a pole at x={x}")
+    return p / (1 + p)
+
+
+@dataclass(frozen=True)
+class KreinExpansionReport:
+    """Ratio table for |K(-x) - poly_p(x)| / x^p on a dyadic grid."""
+
+    p: int
+    xs: tuple[float, ...]
+    ratios: tuple[float, ...]
+    burn_in: int
+    passed: bool
+
+
+def krein_expansion_check(mu, m, p: int, grid_size: int = 24, burn_in: int = 4):
+    """Check that K(-x) matches its boolean-cumulant polynomial to order p.
+
+    Evaluates E(x) = K(-x) - sum_{k<=p} (-1)^k r_k x^k on the grid
+    x = 2^-i and requires |E(x)|/x^p to decay monotonically once the
+    first ``burn_in`` points are discarded (the expansion is asymptotic,
+    so early grid points are uninformative).  Atomic measures are
+    evaluated in exact rational arithmetic, so the monotonicity verdict
+    is certified rather than estimated.
+    """
+    from freeconv.measures import Atomic, in_m_plus, krein_k
+    from freeconv.transforms import boolean_from_moments
+
+    if p < 1:
+        raise DomainError("expansion order must be >= 1")
+    if m.order < p:
+        raise DomainError(f"need moments to order {p}, got {m.order}")
+    if not in_m_plus(mu):
+        raise DomainError("expansion check requires a measure in M+")
+    if grid_size <= burn_in + 2:
+        raise DomainError("grid too short for the burn-in")
+    r = boolean_from_moments(m)[:p]
+    signed = [(-1) ** k * r[k - 1] for k in range(1, p + 1)]
+
+    xs: list[float] = []
+    ratios: list = []
+    exact = isinstance(mu, Atomic)
+    for i in range(grid_size):
+        if exact:
+            x = Fraction(1, 2 ** i)
+            kval = krein_k_exact(mu, -x)
+            poly = sum(signed[k - 1] * x ** k for k in range(1, p + 1))
+            ratios.append(abs(kval - poly) / x ** p)
+            xs.append(float(x))
+        else:
+            x = 2.0 ** -i
+            if x ** p == 0.0:
+                raise ConvergenceError("grid underflow before the ratio decayed")
+            kval = krein_k(mu, complex(-x)).real
+            poly = sum(float(signed[k - 1]) * x ** k for k in range(1, p + 1))
+            ratios.append(abs(kval - poly) / x ** p)
+            xs.append(x)
+
+    tail = ratios[burn_in:]
+    monotone = all(b <= a for a, b in zip(tail, tail[1:]))
+    decayed = tail[-1] == 0 or tail[-1] < tail[0]
+    passed = monotone and (decayed or all(t == 0 for t in tail))
+    return KreinExpansionReport(
+        p=p,
+        xs=tuple(xs),
+        ratios=tuple(float(t) for t in ratios),
+        burn_in=burn_in,
+        passed=passed,
+    )
 
 
 def scipy_quad(func, a: float, b: float) -> tuple[float, float]:

@@ -236,10 +236,10 @@ class TestJointMoments:
         for pattern in alternating_form_patterns(6):
             assert joint_moment(spec, m, pattern) == joint_moment_by_einsum(spec, m, pattern)
 
-    def test_degree_guard(self, rademacher_marginal):
+    def test_degree_guard(self, rademacher):
         spec = preset_sample_mean_variance(2)
         with pytest.raises(DomainError):
-            joint_moment(spec, rademacher_marginal.truncate(2), (("Q", 2),))
+            joint_moment(spec, moments(rademacher, 2), (("Q", 2),))
 
     def test_form_moments_order(self, semicircle_marginal):
         spec = preset_sample_mean_variance(2)

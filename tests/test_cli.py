@@ -120,6 +120,26 @@ class TestExitCodes:
         assert err.startswith("freeconv: parse error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100000, id="nested-arrays"),
+            pytest.param('{"kind": ' * 100000, id="nested-objects"),
+            pytest.param('{"kind": "atomic", "atoms": [[true, true]]}', id="boolean-atom"),
+            pytest.param('{"kind": "atomic", "atoms": [["1", true]]}', id="boolean-weight"),
+            pytest.param('{"kind": "semicircle", "center": true, "radius": "2"}', id="boolean-center"),
+        ],
+    )
+    def test_malformed_measure_is_two(self, tmp_path, capsys, text):
+        # deep nesting used to escape as a RecursionError traceback, and
+        # JSON true used to read as the rational 1
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run(["moments", str(path), "--order", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("freeconv: parse error:")
+        assert err.count("\n") == 1
+
 
 class TestHugeAtoms:
     # 10^400 written out in full: exact, but beyond binary64
@@ -402,6 +422,12 @@ class TestDiagnose:
 
         assert json.loads(out, parse_constant=reject)["c_mu"] == 2.0
 
+    def test_semicircle_is_three(self, files, capsys):
+        # semicircles have moments but no K evaluation and no m_alpha
+        code, out, err = run(["diagnose", files["semicircle_positive"], "--alpha", "0.5"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "freeconv: domain error: diagnostics need K evaluation; semicircles are moments-only\n"
+
     def test_slowly_settling_probes_print_nothing_to_stderr(self, tmp_path, capsys):
         # a benchmark measure on which the probe quadrature used to warn
         path = tmp_path / "pos2.json"
@@ -444,7 +470,14 @@ class TestCharacterize:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"A": 5, "b": [1, 2]}', "[1, 2]", '{"A": [[0, 0], [0, 0]], "b": 3}'],
+        [
+            '{"A": 5, "b": [1, 2]}',
+            "[1, 2]",
+            '{"A": [[0, 0], [0, 0]], "b": 3}',
+            pytest.param("[" * 100000, id="nested-arrays"),
+            pytest.param('{"A": [[true, 0], [0, 1]], "b": [1, -1]}', id="boolean-entry"),
+            pytest.param('{"A": [[1, 0], [0, 1]], "b": [true, -1]}', id="boolean-coefficient"),
+        ],
     )
     def test_malformed_spec_is_two(self, files, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
@@ -452,6 +485,7 @@ class TestCharacterize:
         code, _, err = run(["characterize", str(spec), files["rademacher"]], capsys)
         assert code == 2
         assert err.startswith("freeconv: parse error:")
+        assert err.count("\n") == 1
 
     def test_explicit_spec_file(self, files, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -12,10 +12,7 @@ from freeconv import measures
 from freeconv.measures import (
     Atomic,
     MomentSequence,
-    Semicircle,
     as_fraction,
-    fractional_moment,
-    krein_k_exact,
     moments,
 )
 from freeconv.transforms import (
@@ -26,7 +23,6 @@ from freeconv import convolution, word_engine
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
     boxplus_moments,
-    boxtimes_fractional_closure_check,
     boxtimes_moments,
     boxtimes_via_subordination,
     boxtimes_word_oracle,
@@ -38,6 +34,7 @@ from oracles import (
     boolean_from_moments_by_intervals,
     boxtimes_moments_by_passes,
     fit_boolean_cumulants_numpy,
+    krein_k_exact,
     krein_on_negative_axis_vectorized,
     moments_from_boolean_by_intervals,
     moments_from_boolean_float,
@@ -123,7 +120,7 @@ class TestBoxtimesExact:
     def test_delta_one_is_identity(self, two_point):
         m = moments(two_point, 5)
         one = moments(atomic(("1", "1")), 5)
-        assert boxtimes_moments(one, m, 5) == m.truncate(5)
+        assert boxtimes_moments(one, m, 5) == m
 
     def test_bernoulli_pair_frozen_values(self, bernoulli):
         m = moments(bernoulli, 4)
@@ -362,40 +359,6 @@ class TestFractionalDiagnostics:
             fractional_diagnostics(rademacher, 0.5)
 
 
-class TestClosureCheck:
-    def test_delta_pair_matches_direct_diagnostics(self, delta_one):
-        report = boxtimes_fractional_closure_check(delta_one, delta_one, 0.5, 0.5, x0=1.0)
-        assert report.verdict == "finite"
-        direct = fractional_diagnostics(delta_one, 0.25)
-        assert abs(report.integral_value - direct.integral_value) < 1e-6
-
-    def test_bernoulli_pair_finite(self, bernoulli):
-        report = boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 0.5)
-        assert report.verdict == "finite"
-        assert all(c < 1e-6 for c in report.changes)
-
-    def test_mixed_exponents_finite(self, bernoulli):
-        delta2 = atomic(("2", "1"))
-        report = boxtimes_fractional_closure_check(delta2, bernoulli, 0.9, 1.0)
-        assert report.verdict == "finite"
-
-    def test_unit_exponents_use_moment_route(self, bernoulli):
-        report = boxtimes_fractional_closure_check(bernoulli, bernoulli, 1.0, 1.0)
-        assert report.verdict == "finite"
-        assert report.partial_integrals == ()
-        assert abs(report.integral_value - 0.25) < 1e-12
-
-    def test_default_cutoff_formula(self, bernoulli):
-        report = boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 0.5)
-        assert abs(report.x0 - 1.0) < 1e-12  # min(1, 1/(4 * 1/2 * 1/2)) = 1
-
-    def test_rejects_bad_exponents(self, bernoulli):
-        with pytest.raises(DomainError):
-            boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 1.5)
-
-
 def record_quadratures(monkeypatch, compare=None):
     """Route every quadrature call site through a recorder; returns the list
     of (a, b, value, error, compare(func, a, b)) it fills."""
@@ -408,7 +371,6 @@ def record_quadratures(monkeypatch, compare=None):
         return value, error
 
     monkeypatch.setattr(convolution, "quad", recording)
-    monkeypatch.setattr(measures, "quad", recording)
     return calls
 
 
@@ -427,11 +389,7 @@ class TestQuadrature:
         for mu in (bernoulli, two_point):
             for alpha in (0.25, 0.5, 0.75):
                 fractional_diagnostics(mu, alpha)  # the remainder and three probes
-        for center, radius in ((2, 2), (1, 1), (3, 1)):  # square-root ends, one at 0
-            for alpha in (0.25, 0.5, 0.75):
-                fractional_moment(Semicircle(center, radius), alpha)
-        boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 0.5)  # log-substituted
-        assert len(calls) == 6 * 4 + 9 + 3
+        assert len(calls) == 6 * 4
         for a, b, value, _, (reference, _) in calls:
             assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference)), (a, b)
 
@@ -481,17 +439,6 @@ class TestQuadrature:
                 want, _ = quad_numpy(remainder if a == 0.0 else raw, a, b)
                 assert abs(value - want) <= 1e-12 * abs(want), (mu, alpha, a)
 
-    def test_semicircle_fractional_moment_matches_numpy_rule(self):
-        for center, radius in ((2, 2), (1, 1), (3, 1)):
-            lo, hi = center - radius, center + radius
-            for alpha in (0.25, 0.5, 0.75):
-                integral, _ = quad_numpy(
-                    lambda t: np.sqrt((t - lo) * (hi - t)) * t ** alpha, lo, hi
-                )
-                want = 8.0 / (math.pi * (hi - lo) ** 2) * integral
-                got = fractional_moment(Semicircle(center, radius), alpha)
-                assert abs(got - want) <= 1e-12 * abs(want)
-
     def test_error_above_bound_is_convergence_error(self, monkeypatch, bernoulli):
         def loose_when(predicate):
             def fake(func, a, b, tol):
@@ -502,9 +449,9 @@ class TestQuadrature:
         monkeypatch.setattr(convolution, "quad", loose_when(lambda a: a > 0))  # probes only
         with pytest.raises(ConvergenceError):
             fractional_diagnostics(bernoulli, 0.5)
-        monkeypatch.setattr(convolution, "quad", loose_when(lambda a: True))
+        monkeypatch.setattr(convolution, "quad", loose_when(lambda a: a == 0))  # the remainder
         with pytest.raises(ConvergenceError):
-            boxtimes_fractional_closure_check(bernoulli, bernoulli, 0.5, 0.5)
+            fractional_diagnostics(bernoulli, 0.5)
 
     def test_rule_on_closed_forms(self):
         cases = [

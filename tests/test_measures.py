@@ -17,18 +17,17 @@ from freeconv.measures import (
     Semicircle,
     as_fraction,
     dilate,
+    fractional_moment,
     hankel_psd,
     in_m_plus,
     is_positive_supported,
     krein_k,
-    krein_k_exact,
     measure_from_json,
     measure_to_json,
     moments,
     psi,
-    psi_exact,
 )
-from oracles import absolute_moment, exact_psd_ldl
+from oracles import absolute_moment, exact_psd_ldl, krein_k_exact, psi_exact
 
 
 def semicircle_density_moment(center, radius, k):
@@ -138,6 +137,11 @@ class TestMoments:
         assert abs(float(seq.m(2)) - 13.0 / 3.0) < 1e-2
         assert abs(float(seq.m(3)) - 10.0) < 3e-2
 
+    def test_fractional_moment_rejects_semicircles(self):
+        # semicircles are moments-only: m_alpha has no evaluation path
+        with pytest.raises(DomainError, match="moments-only"):
+            fractional_moment(Semicircle(3, 2), 0.5)
+
     def test_order_must_be_positive(self, bernoulli):
         with pytest.raises(DomainError):
             moments(bernoulli, 0)
@@ -151,7 +155,7 @@ class TestMoments:
         assert seq.m(2) == Fraction(1, 3)
         with pytest.raises(DomainError):
             seq.m(3)
-        assert seq.truncate(1).order == 1
+        assert seq.moments[:1] == (Fraction(1, 2),)
 
     def test_hankel_psd_detects_impossible_sequence(self):
         ok = MomentSequence([Fraction(1, 2), Fraction(1, 2)])
@@ -407,6 +411,9 @@ class TestJson:
             measure_from_json('{"kind": "mystery"}')
         with pytest.raises(ParseError):
             measure_from_json('{"atoms": []}')
+        for text in ("[" * 100000, '{"kind": ' * 100000):  # past the decoder's recursion limit
+            with pytest.raises(ParseError):
+                measure_from_json(text)
 
     def test_invalid_values_raise_domain_error(self):
         with pytest.raises(DomainError):
@@ -417,4 +424,7 @@ class TestJson:
             as_fraction("one half")
         with pytest.raises(ParseError):
             as_fraction(1e999)
+        for value in (True, False):  # an int subclass, but JSON true is no rational
+            with pytest.raises(ParseError):
+                as_fraction(value)
         assert as_fraction(0.5) == Fraction(1, 2)

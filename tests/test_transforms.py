@@ -10,7 +10,6 @@ from freeconv.transforms import (
     _divide_by_one_plus,
     boolean_from_moments,
     free_from_moments,
-    krein_expansion_check,
     moments_from_boolean,
     moments_from_free,
 )
@@ -21,6 +20,7 @@ from oracles import (
     free_cumulants_bruteforce,
     free_cumulants_moebius,
     free_from_moments_by_powers,
+    krein_expansion_check,
     moments_from_boolean_by_intervals,
     moments_from_free_bruteforce,
     moments_from_free_by_powers,
