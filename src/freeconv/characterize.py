@@ -57,14 +57,14 @@ its run.  Meeting a higher degree is an internal error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
-from .measures import MomentSequence, RationalLike, as_fraction
+from .measures import MomentSequence, RationalLike, Value, as_fraction
 from .transforms import free_from_moments
 
 __all__ = [
@@ -82,8 +82,7 @@ __all__ = [
 Pattern = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class QuadraticFormSpec:
+class QuadraticFormSpec(Value):
     """Coefficients (A, b) of the quadratic form Q and linear form L."""
 
     n: int
@@ -107,16 +106,11 @@ class QuadraticFormSpec:
         object.__setattr__(self, "b", vec)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(namedtuple("ValidityReport", "symmetric annihilates_b power_sums_nonzero "
+                                 "power_sums has_diagonal_coupling failures")):
     """Exact pass/fail for each admissibility condition on (A, b)."""
 
-    symmetric: bool
-    annihilates_b: bool
-    power_sums_nonzero: bool
-    power_sums: tuple[Fraction, ...]
-    has_diagonal_coupling: bool
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -415,13 +409,10 @@ def alternating_form_patterns(max_degree: int) -> list[Pattern]:
     return out
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
-    """Exact deviations from freeness, pattern by pattern."""
+class DichotomyReport(namedtuple("DichotomyReport", "max_word_length deviations note")):
+    """Exact deviations from freeness: (pattern, deviation) pairs."""
 
-    max_word_length: int
-    deviations: tuple[tuple[Pattern, Fraction], ...]
-    note: str
+    __slots__ = ()
 
     @property
     def max_abs_deviation(self) -> Fraction:

@@ -8,30 +8,32 @@ with 12 significant digits so zero-vs-nonzero verdicts stay lossless in
 logs.  Exact values print every digit, also past Python's int-string
 conversion limit, which still guards the parsing of input.
 
-Each subcommand imports its engine module when it runs, so an exact
-subcommand loads neither numpy nor the float modules.  The float
-subcommands on atomic measures (``boxtimes`` by any method,
-``subordinate`` and ``diagnose``) run in plain Python too; numpy loads
-only for a grid measure and for ``matrixlab``.
+Each subcommand imports its engine when it runs.  Every run loads
+``measures``, ``argparse``, ``json`` and ``shlex``; ``moments`` loads
+nothing more.  ``cumulants`` adds ``transforms``; ``boxplus``,
+``boxtimes``, ``subordinate`` and ``diagnose`` add ``convolution`` with
+``transforms`` and ``word_engine``; ``characterize`` adds
+``characterize`` and ``transforms``; ``matrixlab`` adds ``matrix_lab``,
+``word_engine``, ``transforms`` and numpy, and ``concurrent.futures``
+with more than one thread.  The float subcommands on atomic measures run
+in plain Python, so numpy loads only for a grid measure and for
+``matrixlab``.  ``csv`` loads only for ``--format csv``.  No subcommand
+loads ``dataclasses`` (which brings ``inspect`` and ``ast``).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, ParseError
 from .measures import Measure, measure_from_json, moments
-from .transforms import boolean_from_moments, free_from_moments
 
 if TYPE_CHECKING:
     from .characterize import QuadraticFormSpec
@@ -63,34 +65,25 @@ def _fmt(value) -> str:
     return _exact(value)
 
 
-@dataclass
-class RunConfig:
-    """Full description of one CLI run, echoed into the output header."""
-
-    argv: tuple[str, ...]
-    seed: Optional[int] = None
-    threads: int = 1
-    output: Optional[str] = None
-    fmt: str = "json"
-
-    def header(self) -> dict:
-        meta = {
-            "version": __version__,
-            "command": shlex.join(["freeconv", *self.argv]),
-            "threads": self.threads,
-        }
-        if self.seed is not None:
-            meta["seed"] = self.seed
-        return meta
-
-
-def _emit(config: RunConfig, payload: dict, columns: Sequence[str], rows: list) -> None:
-    if config.fmt == "json":
-        doc = {"meta": config.header(), **payload, "rows": rows}
-        text = json.dumps(doc, indent=2, default=_fmt)
+def _emit(args, payload: dict, columns: Sequence[str], rows: list) -> None:
+    """Write the run's header, ``payload`` and ``rows`` as JSON or CSV.  The
+    header echoes the version, the command line, the resolved thread cap
+    and any seed, all read off the parsed ``args``."""
+    meta = {
+        "version": __version__,
+        "command": shlex.join(["freeconv", *args.argv]),
+        "threads": args.threads,
+    }
+    if getattr(args, "seed", None) is not None:
+        meta["seed"] = args.seed
+    if args.format == "json":
+        text = json.dumps({"meta": meta, **payload, "rows": rows}, indent=2, default=_fmt)
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
-        for key, value in config.header().items():
+        for key, value in meta.items():
             buf.write(f"# {key}={value}\n")
         for key, value in payload.items():
             buf.write(f"# {key}={_fmt(value)}\n")
@@ -99,12 +92,12 @@ def _emit(config: RunConfig, payload: dict, columns: Sequence[str], rows: list) 
         for row in rows:
             writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
         text = buf.getvalue()
-    if config.output:
+    if args.output:
         try:
-            with open(config.output, "w") as handle:
+            with open(args.output, "w") as handle:
                 handle.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
-            raise ParseError(f"cannot write {config.output}: {exc}") from exc
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -143,14 +136,16 @@ def _load_form_spec(path: str) -> QuadraticFormSpec:
 # ---------------------------------------------------------------------------
 
 
-def cmd_moments(args, config: RunConfig) -> None:
+def cmd_moments(args) -> None:
     mu = _load_measure(args.measure)
     seq = moments(mu, args.order)
     rows = [(k, _exact(seq.m(k))) for k in range(1, args.order + 1)]
-    _emit(config, {"measure": args.measure, "order": args.order}, ("k", "m_k"), rows)
+    _emit(args, {"measure": args.measure, "order": args.order}, ("k", "m_k"), rows)
 
 
-def cmd_cumulants(args, config: RunConfig) -> None:
+def cmd_cumulants(args) -> None:
+    from .transforms import boolean_from_moments, free_from_moments
+
     mu = _load_measure(args.measure)
     seq = moments(mu, args.order)
     if args.kind == "boolean":
@@ -161,24 +156,24 @@ def cmd_cumulants(args, config: RunConfig) -> None:
         label = "kappa_k"
     rows = [(k + 1, _exact(v)) for k, v in enumerate(values)]
     _emit(
-        config,
+        args,
         {"measure": args.measure, "order": args.order, "kind": args.kind},
         ("k", label),
         rows,
     )
 
 
-def cmd_boxplus(args, config: RunConfig) -> None:
+def cmd_boxplus(args) -> None:
     from .convolution import boxplus_moments
 
     m1 = moments(_load_measure(args.mu1), args.order)
     m2 = moments(_load_measure(args.mu2), args.order)
     out = boxplus_moments(m1, m2)
     rows = [(k, _exact(out.m(k))) for k in range(1, args.order + 1)]
-    _emit(config, {"order": args.order}, ("k", "m_k"), rows)
+    _emit(args, {"order": args.order}, ("k", "m_k"), rows)
 
 
-def cmd_boxtimes(args, config: RunConfig) -> None:
+def cmd_boxtimes(args) -> None:
     from .convolution import boxtimes_moments, boxtimes_via_subordination, boxtimes_word_oracle
 
     mu1 = _load_measure(args.mu1)
@@ -193,14 +188,14 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
         out = engine(m1, m2, p)
         payload["moments"] = [_exact(v) for v in out.moments]
         rows = [(k, _exact(out.m(k))) for k in range(1, p + 1)]
-        _emit(config, payload, ("k", "m_k"), rows)
+        _emit(args, payload, ("k", "m_k"), rows)
     elif args.method == "subordination":
         ms, residuals, iterations = boxtimes_via_subordination(mu1, mu2, p)
         payload["moments"] = [_fmt(v) for v in ms]
         payload["residuals"] = [residuals[0], residuals[1]]
         payload["iterations"] = iterations
         rows = [(k, _fmt(ms[k - 1])) for k in range(1, p + 1)]
-        _emit(config, payload, ("k", "m_k"), rows)
+        _emit(args, payload, ("k", "m_k"), rows)
     else:  # all
         taylor = boxtimes_moments(m1, m2, p)
         oracle = boxtimes_word_oracle(m1, m2, p)
@@ -220,10 +215,10 @@ def cmd_boxtimes(args, config: RunConfig) -> None:
             )
             for k in range(1, p + 1)
         ]
-        _emit(config, payload, ("k", "taylor", "oracle", "subordination"), rows)
+        _emit(args, payload, ("k", "taylor", "oracle", "subordination"), rows)
 
 
-def cmd_subordinate(args, config: RunConfig) -> None:
+def cmd_subordinate(args) -> None:
     from .convolution import solve_subordination
 
     mu1 = _load_measure(args.mu1)
@@ -253,14 +248,14 @@ def cmd_subordinate(args, config: RunConfig) -> None:
             )
         )
     _emit(
-        config,
+        args,
         {"tol": args.tol},
         ("z", "Z1", "Z2", "K", "residual_1", "residual_2", "iterations"),
         rows,
     )
 
 
-def cmd_diagnose(args, config: RunConfig) -> None:
+def cmd_diagnose(args) -> None:
     from .convolution import fractional_diagnostics
 
     mu = _load_measure(args.measure)
@@ -283,14 +278,14 @@ def cmd_diagnose(args, config: RunConfig) -> None:
         )
     ]
     _emit(
-        config,
+        args,
         payload,
         ("alpha", "lower", "integral", "upper", "verdict"),
         rows,
     )
 
 
-def cmd_characterize(args, config: RunConfig) -> None:
+def cmd_characterize(args) -> None:
     from .characterize import (
         freeness_dichotomy,
         pattern_degree,
@@ -321,10 +316,10 @@ def cmd_characterize(args, config: RunConfig) -> None:
         "max_word_length": result.max_word_length,
         "note": result.note,
     }
-    _emit(config, payload, ("pattern", "degree", "deviation"), rows)
+    _emit(args, payload, ("pattern", "degree", "deviation"), rows)
 
 
-def cmd_matrixlab(args, config: RunConfig) -> None:
+def cmd_matrixlab(args) -> None:
     from .matrix_lab import MatrixEnsembleSpec, estimate_word_traces, exact_word_moment
     from .word_engine import Word
 
@@ -341,7 +336,7 @@ def cmd_matrixlab(args, config: RunConfig) -> None:
         seed=args.seed,
         measure=measure,
     )
-    estimate = estimate_word_traces(spec, [sampled], args.trials, max_workers=config.threads)[0]
+    estimate = estimate_word_traces(spec, [sampled], args.trials, max_workers=args.threads)[0]
     exact = exact_word_moment(spec, sampled)
     # against the N = infinity moment, so it keeps the finite-N bias: GOE
     # has E tau(T1^2) = 1 + 1/N
@@ -362,7 +357,7 @@ def cmd_matrixlab(args, config: RunConfig) -> None:
         )
     ]
     _emit(
-        config,
+        args,
         {"ensemble": args.ensemble},
         ("word", "N", "trials", "mean", "se", "exact", "z-asymptotic"),
         rows,
@@ -483,14 +478,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
 
     try:
-        config = RunConfig(
-            argv=tuple(argv),
-            seed=getattr(args, "seed", None),
-            threads=_resolve_threads(args),
-            output=getattr(args, "output", None),
-            fmt=getattr(args, "format", "json"),
-        )
-        args.func(args, config)
+        args.argv, args.threads = argv, _resolve_threads(args)
+        args.func(args)
     except ParseError as exc:
         print(f"freeconv: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -49,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -164,20 +164,15 @@ def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> Mome
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubordinationSolution:
+class SubordinationSolution(namedtuple("SubordinationSolution",
+                                        "z z1 z2 k_value residuals iterations")):
     """Solved subordination pair at one evaluation point.
 
     ``k_value`` is K of the product measure at z; ``residuals`` are the
     absolute defects of the two subordination equations.
     """
 
-    z: complex
-    z1: complex
-    z2: complex
-    k_value: complex
-    residuals: tuple[float, float]
-    iterations: int
+    __slots__ = ()
 
 
 def _mean(mu: Measure) -> float:
@@ -196,6 +191,7 @@ def solve_subordination(
     z: complex,
     tol: float = 1e-12,
     max_iter: int = 500,
+    means: Optional[tuple[float, float]] = None,
 ) -> SubordinationSolution:
     """Solve Z_1 Z_2 = z K_1(Z_1), K_1(Z_1) = K_2(Z_2) at one point.
 
@@ -206,7 +202,9 @@ def solve_subordination(
     upper half plane or on the negative real axis, which includes any z
     with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0, and needs a finite z,
     0 < tol < inf, max_iter >= 1 and two measures in M+ whose K can be
-    evaluated, so no semicircle.
+    evaluated, so no semicircle.  ``means`` are m_1(mu_1) and m_1(mu_2)
+    as floats, computed here when not given: a caller solving at many
+    points computes them once.
     """
     if not in_m_plus(mu1) or not in_m_plus(mu2):
         raise DomainError("subordination needs measures on [0, inf) with mass at 0 below 1")
@@ -223,7 +221,7 @@ def solve_subordination(
     if on_negative_axis:
         z = complex(z.real, 0.0)
 
-    mean1, mean2 = _mean(mu1), _mean(mu2)
+    mean1, mean2 = means or (_mean(mu1), _mean(mu2))
     z1 = mean2 * z
     z2 = mean1 * z
     prev_step1: Optional[complex] = None
@@ -282,6 +280,7 @@ def fit_boolean_cumulants_from_subordination(
     mu1: Measure,
     mu2: Measure,
     n_coeffs: int,
+    means: Optional[tuple[float, float]] = None,
 ) -> list[float]:
     """Boolean cumulants of the product, fitted from solver values of K.
 
@@ -295,7 +294,8 @@ def fit_boolean_cumulants_from_subordination(
     (:func:`_fit_radius`); one whose power radius^-n_coeffs is outside the
     binary64 range raises DomainError before any solve.  Each node pairs
     with its conjugate, so coefficient k is the mean of Re(K(z) z^-k) over
-    the upper half, summed by ``math.fsum``.
+    the upper half, summed by ``math.fsum``.  The means of the two
+    measures (``means``, else computed here) are taken once for all solves.
     """
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
@@ -305,11 +305,13 @@ def fit_boolean_cumulants_from_subordination(
             f"contour radius {radius:.3g} is too small for {n_coeffs} coefficients: "
             f"radius^-{n_coeffs} is outside the binary64 range"
         )
+    means = means or (_mean(mu1), _mean(mu2))
     upper = []
     for m in range(FIT_POINTS // 2):
         angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS
         z = radius * complex(math.cos(angle), math.sin(angle))
-        upper.append((z, solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000).k_value))
+        sol = solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000, means=means)
+        upper.append((z, sol.k_value))
     return [
         math.fsum((k_value * z ** -k).real for z, k_value in upper) / len(upper)
         for k in range(1, n_coeffs + 1)
@@ -330,13 +332,14 @@ def boxtimes_via_subordination(
     """
     if p < 1:
         raise DomainError("output order must be >= 1")
-    r_fit = fit_boolean_cumulants_from_subordination(mu1, mu2, p)
     # the residual probes shrink with the fit's contour radius, below 0.01
     shrink = min(1.0, _fit_radius(mu1, mu2) / 0.01)
+    means = (_mean(mu1), _mean(mu2))
+    r_fit = fit_boolean_cumulants_from_subordination(mu1, mu2, p, means)
     worst = (0.0, 0.0)
     iterations = 0
     for x in (1e-3, 3e-3, 1e-2):
-        sol = solve_subordination(mu1, mu2, complex(-x * shrink))
+        sol = solve_subordination(mu1, mu2, complex(-x * shrink), means=means)
         worst = (max(worst[0], sol.residuals[0]), max(worst[1], sol.residuals[1]))
         iterations = max(iterations, sol.iterations)
     if not all(math.isfinite(r) for r in r_fit):
@@ -350,8 +353,8 @@ def boxtimes_via_subordination(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(namedtuple("DiagnosticsReport", "alpha integral_value lower_bound "
+                                   "upper_bound c_mu m_alpha verdict")):
     """Integral criterion for fractional moments of a measure in M+.
 
     ``integral_value`` is I = -(1-alpha) * integral over (0,1] of
@@ -361,13 +364,7 @@ class DiagnosticsReport:
         I <= c * m_alpha / alpha,     c = 1 / integral of 1/(1+u) d mu.
     """
 
-    alpha: float
-    integral_value: float
-    lower_bound: float
-    upper_bound: float
-    c_mu: float
-    m_alpha: float
-    verdict: str
+    __slots__ = ()
 
 
 def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import Atomic, Measure, Semicircle, as_float, moments
+from .measures import Atomic, Measure, Semicircle, Value, as_float, moments
 from .word_engine import Word, mixed_moment
 
 __all__ = [
@@ -61,8 +60,7 @@ MEMORY_BUDGET_BYTES = 1 << 30
 ENSEMBLE_KINDS = ("goe", "diagonal", "wishart")
 
 
-@dataclass(frozen=True)
-class MatrixEnsembleSpec:
+class MatrixEnsembleSpec(Value):
     """Reproducible description of a family of independent random matrices.
 
     ``kind`` selects standardized GOE (symmetric, off-diagonal variance
@@ -83,29 +81,28 @@ class MatrixEnsembleSpec:
     count: int
     kind: str
     seed: int
-    measure: Optional[Measure] = None
+    measure: Optional[Measure]
 
-    def __post_init__(self):
-        if self.dimension < 2:
+    def __init__(
+        self, dimension: int, count: int, kind: str, seed: int, measure: Optional[Measure] = None
+    ):
+        if dimension < 2:
             raise DomainError("dimension must be >= 2")
-        if self.count < 1:
+        if count < 1:
             raise DomainError("count must be >= 1")
-        if self.kind not in ENSEMBLE_KINDS:
+        if kind not in ENSEMBLE_KINDS:
             raise DomainError(f"kind must be one of {ENSEMBLE_KINDS}")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
-        if self.kind == "diagonal" and not isinstance(self.measure, Atomic):
+        if kind == "diagonal" and not isinstance(measure, Atomic):
             raise DomainError("diagonal ensembles need an atomic measure")
+        vars(self).update(dimension=dimension, count=count, kind=kind, seed=seed, measure=measure)
 
 
-@dataclass(frozen=True)
-class TraceEstimate:
+class TraceEstimate(namedtuple("TraceEstimate", "expression mean standard_error trials")):
     """Monte Carlo estimate of a normalized trace with its standard error."""
 
-    expression: str
-    mean: float
-    standard_error: float
-    trials: int
+    __slots__ = ()
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -217,6 +214,8 @@ def estimate_word_traces(
 
     workers = min(max_workers, trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_trial, range(trials)))
     else:
@@ -279,14 +278,10 @@ def ncLp_norm(matrix: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of a batch of L^p inequality checks."""
+class InequalityReport(namedtuple("InequalityReport", "checks violations max_margin families")):
+    """Outcome of a batch of L^p inequality checks, with checks per family."""
 
-    checks: int
-    violations: tuple[str, ...]
-    max_margin: float
-    families: dict
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

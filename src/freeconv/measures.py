@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
@@ -115,8 +114,32 @@ def as_float(value: Fraction) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Value:
+    """Immutable value, compared, hashed and printed by the fields its
+    class annotates.  ``__init__`` sets each field once, past
+    ``__setattr__``; any other assignment raises AttributeError."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Atomic(Value):
     """Finite atomic measure: rational locations with rational weights.
 
     Weights must be nonnegative and sum exactly to one.  Atoms are
@@ -157,8 +180,7 @@ class Atomic:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class Semicircle:
+class Semicircle(Value):
     """Semicircle distribution with density 2/(pi r^2) * sqrt((r^2 - (x-m)^2)+).
 
     ``center`` and ``radius`` are stored as exact rationals so that the
@@ -178,16 +200,17 @@ class Semicircle:
         object.__setattr__(self, "radius", r)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityGrid:
+class DensityGrid(Value):
     """Density tabulated on an ascending grid, trapezoid-normalized.
 
     The trapezoid integral of ``f`` over ``x`` must equal 1 within 1e-12;
-    use :meth:`normalized` to rescale raw samples.
+    use :meth:`normalized` to rescale raw samples.  Grids compare by
+    identity: arrays have no single truth value to compare by.
     """
 
     x: np.ndarray
     f: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, x: Sequence[float], f: Sequence[float]):
         import numpy as np
@@ -196,6 +219,9 @@ class DensityGrid:
         fa = np.asarray(f, dtype=float)
         if xa.ndim != 1 or fa.shape != xa.shape:
             raise DomainError("grid abscissae and density must be 1-d and equal length")
+        # JSON true and false are not numbers here, though bool is an int subclass
+        if any(type(v) is bool for seq in (x, f) if isinstance(seq, (list, tuple)) for v in seq):
+            raise ParseError("grid abscissae and density values must be numbers, not booleans")
         if xa.size < 2:
             raise DomainError("density grid needs at least 2 nodes")
         if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(fa))):
@@ -254,8 +280,7 @@ def in_m_plus(mu: Measure) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Value):
     """Exact rational moments m_1..m_D of a distribution (m_0 = 1 implicit)."""
 
     moments: tuple[Fraction, ...]

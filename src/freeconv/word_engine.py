@@ -27,13 +27,12 @@ alternating product of centered free variables, comes out exactly 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .measures import MomentSequence
+from .measures import MomentSequence, Value
 from .transforms import free_from_moments
 
 __all__ = [
@@ -51,8 +50,7 @@ __all__ = [
 _LETTER_RE = re.compile(r"^T(\d+)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Word in noncommuting variables, flattened to exponent-1 letters."""
 
     letters: tuple[int, ...]

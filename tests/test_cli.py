@@ -128,6 +128,7 @@ class TestExitCodes:
             pytest.param('{"kind": "atomic", "atoms": [[true, true]]}', id="boolean-atom"),
             pytest.param('{"kind": "atomic", "atoms": [["1", true]]}', id="boolean-weight"),
             pytest.param('{"kind": "semicircle", "center": true, "radius": "2"}', id="boolean-center"),
+            pytest.param('{"kind": "grid", "x": [0, true, 2], "f": [0, 1, false]}', id="boolean-grid"),
         ],
     )
     def test_malformed_measure_is_two(self, tmp_path, capsys, text):

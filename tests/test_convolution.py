@@ -281,10 +281,24 @@ class TestSubordination:
         want = moments_from_boolean_float(fitted)
         assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(ms, want))
 
+    def test_means_taken_once_per_fit(self, bernoulli, two_point, monkeypatch):
+        # every solve used to recompute both exact means: 70 moment calls at p = 12
+        orders = []
+
+        def counted(mu, order):
+            orders.append(order)
+            return moments(mu, order)
+
+        monkeypatch.setattr(convolution, "moments", counted)
+        ms, _, _ = boxtimes_via_subordination(bernoulli, two_point, 12)
+        monkeypatch.undo()
+        assert orders == [1, 1]
+        assert ms == boxtimes_via_subordination(bernoulli, two_point, 12)[0]
+
     def test_non_finite_fit_is_a_convergence_error(self, bernoulli, monkeypatch):
         monkeypatch.setattr(
             convolution, "fit_boolean_cumulants_from_subordination",
-            lambda mu1, mu2, p: [float("nan")] * p,
+            lambda mu1, mu2, p, means: [float("nan")] * p,
         )
         with pytest.raises(ConvergenceError):
             boxtimes_via_subordination(bernoulli, bernoulli, 3)

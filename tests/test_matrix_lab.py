@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 
@@ -202,7 +203,8 @@ class TestWordTraces:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(matrix_lab, "ThreadPoolExecutor", Recorder)
+        # estimate_word_traces imports the pool class only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(matrix_lab.os, "cpu_count", lambda: 4)
         spec, words = goe_spec(8, 1, seed=28), [Word((1, 1))]
         serial = estimate_word_traces(spec, words, 6, max_workers=1)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from freeconv.characterize import DichotomyReport, QuadraticFormSpec, ValidityReport
+from freeconv.convolution import DiagnosticsReport, SubordinationSolution
 from freeconv.errors import DomainError, ParseError
+from freeconv.matrix_lab import InequalityReport, MatrixEnsembleSpec, TraceEstimate
 from freeconv.measures import (
     _exact_hankel_psd,
     _hankel_matrices,
@@ -27,6 +30,7 @@ from freeconv.measures import (
     moments,
     psi,
 )
+from freeconv.word_engine import Word
 from oracles import absolute_moment, exact_psd_ldl, krein_k_exact, psi_exact
 
 
@@ -84,6 +88,44 @@ class TestConstruction:
     def test_grid_must_ascend(self):
         with pytest.raises(DomainError):
             DensityGrid([1.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Atomic([(0, "1/2"), (1, "1/2")]),
+            lambda: Semicircle(1, 2),
+            lambda: MomentSequence([0, 1]),
+            lambda: Word((1, 2, 1)),
+            lambda: QuadraticFormSpec([[1, -1], [-1, 1]], [1, 1]),
+            lambda: MatrixEnsembleSpec(4, 2, "diagonal", 0, Atomic([(1, 1)])),
+            *(
+                lambda cls=cls: cls(*range(len(cls._fields)))
+                for cls in (ValidityReport, DichotomyReport, SubordinationSolution,
+                            DiagnosticsReport, TraceEstimate, InequalityReport)
+            ),
+        ],
+    )
+    def test_values_compare_by_fields_and_are_frozen(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert repr(a).startswith(f"{type(a).__name__}(")
+        field = next(iter(getattr(a, "_fields", None) or type(a).__annotations__))
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+
+    def test_grid_is_compared_by_identity(self):
+        grid = DensityGrid([0.0, 1.0], [1.0, 1.0])
+        assert grid == grid and grid != DensityGrid([0.0, 1.0], [1.0, 1.0])
+        assert hash(grid) == hash(grid)
+        with pytest.raises(AttributeError):
+            grid.x = grid.f
+
+    def test_atomic_caches_float_atoms(self, bernoulli):
+        assert bernoulli.float_atoms is bernoulli.float_atoms == ((0.0, 0.5), (1.0, 0.5))
+
+    def test_ensemble_spec_measure_defaults_to_none(self):
+        assert MatrixEnsembleSpec(dimension=4, count=1, kind="goe", seed=0).measure is None
 
     def test_support_flags(self, bernoulli, rademacher):
         assert is_positive_supported(bernoulli)

@@ -1,12 +1,13 @@
 """Repository checks: the benchmark's traced run finds every library
 function it wraps, every exported name exists, neither importing the
-package nor running any subcommand loads scipy, importing the package
+package nor running any subcommand loads scipy, no subcommand loads
+dataclasses, and none writing JSON loads csv, importing the package
 loads only its exceptions, neither the exact subcommands nor the float
-ones on atomic measures load numpy, characterize never loads the word
-engine, the exact series kernels see only Python ints, every exported
-name is reachable from the CLI's source or kept for a stated reason, and
-neither the package source nor the tests import anything they do not
-use."""
+ones on atomic measures load numpy or inspect, characterize never loads
+the word engine, the exact series kernels see only Python ints, every
+exported name is reachable from the CLI's source or kept for a stated
+reason, and neither the package source nor the tests import anything
+they do not use."""
 
 import ast
 import importlib
@@ -147,16 +148,19 @@ def run_probe(probe: str, *args: str) -> str:
     return result.stdout
 
 
-def run_in_one_process(runs: list[list[str]], package: str) -> tuple[list[int], list[str]]:
+def run_in_one_process(
+    runs: list[list[str]], *packages: str
+) -> tuple[list[int], dict[str, list[str]]]:
     """Exit codes of the CLI runs, made one after another in one fresh
-    process, and the modules of ``package`` loaded at the end."""
+    process, and for each of ``packages`` its modules loaded at the end."""
     probe = (
         "import json, os, sys\n"
         "from freeconv.cli import main\n"
         "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[2])]))"
+        "loaded = {p: sorted(m for m in sys.modules if m.split('.')[0] == p) for p in sys.argv[2:]}\n"
+        "print(json.dumps([codes, loaded]))"
     )
-    return json.loads(run_probe(probe, json.dumps(runs), package))
+    return json.loads(run_probe(probe, json.dumps(runs), *packages))
 
 
 def test_import_leaves_scipy_unloaded():
@@ -179,9 +183,10 @@ def test_subcommands_leave_scipy_unloaded():
          "--ensemble", "diagonal", "--measure", demo["bernoulli"]],
         ["matrixlab", "--word", "T1^2", "--N", "16", "--trials", "4"],
     ]
-    codes, scipy_modules = run_in_one_process(runs, "scipy")
+    # every run writes JSON, so csv is never needed
+    codes, loaded = run_in_one_process(runs, "scipy", "dataclasses", "csv")
     assert codes == [0] * len(runs)
-    assert scipy_modules == []
+    assert loaded == {"scipy": [], "dataclasses": [], "csv": []}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -205,9 +210,9 @@ def test_exact_subcommands_leave_numpy_unloaded():
         ["characterize", "--preset", "mean-variance", demo["rademacher"], "--max-len", "6"],
         ["characterize", "--preset", "mean-variance", demo["semicircle"], "--max-len", "6"],
     ]
-    codes, numpy_modules = run_in_one_process(runs, "numpy")
+    codes, loaded = run_in_one_process(runs, "numpy", "inspect")
     assert codes == [0] * len(runs)
-    assert numpy_modules == []
+    assert loaded == {"numpy": [], "inspect": []}
 
 
 def test_atomic_float_subcommands_leave_numpy_unloaded():
@@ -219,9 +224,9 @@ def test_atomic_float_subcommands_leave_numpy_unloaded():
         ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "subordination"],
         ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "all"],
     ]
-    codes, numpy_modules = run_in_one_process(runs, "numpy")
+    codes, loaded = run_in_one_process(runs, "numpy", "inspect")
     assert codes == [0] * len(runs)
-    assert numpy_modules == []
+    assert loaded == {"numpy": [], "inspect": []}
 
 
 def test_characterize_leaves_word_engine_unloaded():
