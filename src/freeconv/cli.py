@@ -12,7 +12,8 @@ Each subcommand imports its engine when it runs.  Every run loads
 ``measures``, ``argparse``, ``json`` and ``shlex``; ``moments`` loads
 nothing more.  ``cumulants`` adds ``transforms``; ``boxplus``,
 ``boxtimes``, ``subordinate`` and ``diagnose`` add ``convolution`` with
-``transforms`` and ``word_engine``; ``characterize`` adds
+``transforms``, and ``boxtimes --method oracle|all`` also
+``word_engine``; ``characterize`` adds
 ``characterize`` and ``transforms``; ``matrixlab`` adds ``matrix_lab``,
 ``word_engine``, ``transforms`` and numpy, and ``concurrent.futures``
 with more than one thread.  The float subcommands on atomic measures run
@@ -219,7 +220,7 @@ def cmd_boxtimes(args) -> None:
 
 
 def cmd_subordinate(args) -> None:
-    from .convolution import solve_subordination
+    from .convolution import _mean, solve_subordination
 
     mu1 = _load_measure(args.mu1)
     mu2 = _load_measure(args.mu2)
@@ -233,9 +234,10 @@ def cmd_subordinate(args) -> None:
         if args.grid < 1:
             raise DomainError(f"--grid must be >= 1, got {args.grid}")
         points = [complex(-(10.0 ** (-k / 10.0)), 0.0) for k in range(1, args.grid + 1)]
+    means = (_mean(mu1), _mean(mu2))  # once for every point
     rows = []
     for z in points:
-        sol = solve_subordination(mu1, mu2, z, tol=args.tol, max_iter=args.max_iter)
+        sol = solve_subordination(mu1, mu2, z, tol=args.tol, max_iter=args.max_iter, means=means)
         rows.append(
             (
                 _fmt(z),

@@ -77,7 +77,6 @@ from .transforms import (
     moments_from_free,
     power_table,
 )
-from .word_engine import Word, mixed_moment
 
 __all__ = [
     "boxplus_moments",
@@ -150,6 +149,9 @@ def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> Mome
 
     Independent of the Taylor route; the two must agree exactly.
     """
+    # no other route of this module needs the word engine
+    from .word_engine import Word, mixed_moment
+
     _check_boxtimes_inputs(m1, m2, p)
     marginals = (m1, m2)
     vals = [

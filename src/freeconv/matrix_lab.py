@@ -19,7 +19,16 @@ everything else.  Word traces, singular values and L^p norms are all
 invariant under a common orthogonal conjugation, so every functional
 computed here has the same distribution either way.  A one-letter word
 then needs no QR factorization, and GOE member 1 takes 2N - 1 random
-variates instead of N^2.
+variates instead of N^2.  A dense GOE member takes N(N+1)/2: its
+upper triangle, mirrored.
+
+The Monte Carlo word traces keep member 1 compact, as its diagonal and
+superdiagonal: applying it to a dense member is an O(N^2) band
+operation and closing a trace on it an O(N) band contraction.  A word
+is evaluated as tau(XY) = <X, Y^T> / N over its two halves X and Y, and
+a half that repeats is computed once, so tau((T1 T2)^2) costs one band
+product and no dense one.  ``sample_family`` returns the same draws
+with member 1 made dense.
 
 The noncommutative L^p norm is ||x||_p = tau(|x|^p)^(1/p) with
 |x| = (x^T x)^(1/2) and tau the normalized trace.  Singular values come
@@ -68,13 +77,15 @@ class MatrixEnsembleSpec(Value):
     diagonal matrices with i.i.d. entries drawn from an atomic measure, or
     a Wishart-style Gram matrix.  Member 1 of a GOE or diagonal family
     takes its canonical form: the symmetric tridiagonal (Householder)
-    form of a GOE matrix, or the unrotated diagonal matrix.  Members 2..k
-    are dense GOE draws, or diagonal matrices conjugated by their own Haar
-    orthogonal matrix.  Conjugating the whole family by the orthogonal
-    matrix that puts member 1 in canonical form leaves word traces,
-    singular values and norms unchanged and the later members' law
-    intact, so this has the law of drawing every member in full.  The
-    seed determines the full sample stream.
+    form of a GOE matrix, or the unrotated diagonal matrix, and word
+    traces keep it in that compact form.  Members 2..k are dense GOE
+    draws, from the N(N+1)/2 entries on and above the diagonal, or
+    diagonal matrices conjugated by their own Haar orthogonal matrix.
+    Conjugating the whole family by the orthogonal matrix that puts
+    member 1 in canonical form leaves word traces, singular values and
+    norms unchanged and the later members' law intact, so this has the
+    law of drawing every member in full.  The seed determines the full
+    sample stream.
     """
 
     dimension: int
@@ -113,28 +124,65 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def _sample_one(spec: MatrixEnsembleSpec, rng: np.random.Generator, rotate: bool) -> np.ndarray:
+class Band(namedtuple("Band", "diag off")):
+    """Member 1 in canonical form: a symmetric matrix with main diagonal
+    ``diag`` and super- (= sub-) diagonal ``off``, None for a diagonal
+    matrix."""
+
+    __slots__ = ()
+
+
+def _dense(member) -> np.ndarray:
+    if not isinstance(member, Band):
+        return member
+    t = np.diag(member.diag)
+    if member.off is not None:
+        i = np.arange(len(member.off))
+        t[i, i + 1] = t[i + 1, i] = member.off
+    return t
+
+
+def _upper_triangle(spec: MatrixEnsembleSpec) -> Optional[np.ndarray]:
+    """For each entry of a dense GOE member, the index of its draw among
+    the N(N+1)/2 upper-triangle entries, mirrored below the diagonal; None
+    when the family has no dense GOE member."""
+    if spec.kind != "goe" or spec.count < 2:
+        return None
+    n = spec.dimension
+    i, j = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(len(i))
+    return index
+
+
+def _sample_one(
+    spec: MatrixEnsembleSpec, rng: np.random.Generator, rotate: bool, upper: Optional[np.ndarray]
+):
     n = spec.dimension
     if spec.kind == "goe":
         if not rotate:
             # the Householder tridiagonal form (see the module docstring)
-            t = np.diag(rng.standard_normal(n) * math.sqrt(2.0 / n))
-            i = np.arange(n - 1)
-            t[i, i + 1] = t[i + 1, i] = np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1)) / n)
-            return t
-        a = rng.standard_normal((n, n))
-        return (a + a.T) / math.sqrt(2.0 * n)
+            diag = rng.standard_normal(n) * math.sqrt(2.0 / n)
+            return Band(diag, np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1)) / n))
+        entries = rng.standard_normal(n * (n + 1) // 2) / math.sqrt(n)
+        entries[np.diagonal(upper)] *= math.sqrt(2.0)  # diagonal variance 2/N
+        return entries[upper]
     if spec.kind == "diagonal":
         locs, weights = np.array(spec.measure.float_atoms).T
         diag = rng.choice(locs, size=n, p=weights / weights.sum())
         if not rotate:
-            return np.diag(diag)
+            return Band(diag, None)
         q = haar_orthogonal(n, rng)
         return (q * diag) @ q.T
     if spec.kind == "wishart":
         g = rng.standard_normal((n, n))
         return g @ g.T / n
     raise DomainError(f"unsupported ensemble kind {spec.kind!r}")
+
+
+def _draw(spec: MatrixEnsembleSpec, rng: np.random.Generator, upper: Optional[np.ndarray]) -> list:
+    """One family, member 1 as a Band where the ensemble has a canonical form."""
+    return [_sample_one(spec, rng, member > 0, upper) for member in range(spec.count)]
 
 
 def _check_budget(spec: MatrixEnsembleSpec) -> None:
@@ -148,32 +196,70 @@ def _check_budget(spec: MatrixEnsembleSpec) -> None:
 def sample_family(
     spec: MatrixEnsembleSpec, rng: Optional[np.random.Generator] = None
 ) -> list[np.ndarray]:
-    """Draw the independent matrices described by ``spec``.
+    """Draw the independent matrices described by ``spec``, all dense.
 
     With no generator supplied the family is the trial-0 stream of the
     spec's seed, so repeated calls are bitwise identical.
     """
     _check_budget(spec)
     if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
-    return [_sample_one(spec, rng, rotate=member > 0) for member in range(spec.count)]
+        rng = _trial_rng(spec, 0)
+    return [_dense(member) for member in _draw(spec, rng, _upper_triangle(spec))]
 
 
 def _trial_rng(spec: MatrixEnsembleSpec, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(trial,)))
 
 
-def _word_trace(family: Sequence[np.ndarray], letters: Sequence[int]) -> float:
-    mats = [family[l - 1] for l in letters]
-    if len(mats) == 1:
-        prod = mats[0]
-        return float(np.trace(prod)) / prod.shape[0]
-    head = mats[0]
-    for m in mats[1:-1]:
-        head = head @ m
-    # tau(AB) = sum(A * B^T) / N without forming the last product; every
-    # ensemble member is symmetric, so B^T = B and this is one dot product.
-    return float(np.vdot(head, mats[-1])) / head.shape[0]
+def _band_times(band: Band, a: np.ndarray) -> np.ndarray:
+    """band @ a for a dense a, in O(N^2)."""
+    out = band.diag[:, None] * a
+    if band.off is not None:
+        off = band.off[:, None]
+        out[:-1] += off * a[1:]
+        out[1:] += off * a[:-1]
+    return out
+
+
+def _product(family: Sequence, letters: Sequence[int]):
+    """The ordered product of the named members: a Band when it is one
+    Band member, else dense; a Band factor costs O(N^2)."""
+    out = family[letters[0] - 1]
+    for letter in letters[1:]:
+        m = family[letter - 1]
+        if isinstance(m, Band):  # out @ m = (m @ out^T)^T, m being symmetric
+            out = _band_times(m, _dense(out).T).T
+        elif isinstance(out, Band):
+            out = _band_times(out, m)
+        else:
+            out = out @ m
+    return out
+
+
+def _pair_trace(x, y) -> float:
+    """N tau(x y) = <x, y^T>, in O(N) when either factor is a Band."""
+    if isinstance(x, Band) and isinstance(y, Band):  # member 1 twice
+        return float(x.diag @ y.diag + (0.0 if x.off is None else 2.0 * (x.off @ y.off)))
+    if isinstance(x, Band):
+        x, y = y, x
+    if isinstance(y, Band):
+        total = y.diag @ np.diagonal(x)
+        if y.off is not None:
+            total += y.off @ (np.diagonal(x, 1) + np.diagonal(x, -1))
+        return float(total)
+    return float(np.vdot(x, y.T))
+
+
+def _word_trace(family: Sequence, letters: Sequence[int], n: int) -> float:
+    """tau of the word, as <X, Y^T> / N over its two halves X and Y; a
+    half that repeats is computed once."""
+    if len(letters) == 1:
+        m = family[letters[0] - 1]
+        return float(m.diag.sum() if isinstance(m, Band) else np.trace(m)) / n
+    half = len(letters) // 2
+    x = _product(family, letters[:half])
+    y = x if letters[half:] == letters[:half] else _product(family, letters[half:])
+    return _pair_trace(x, y) / n
 
 
 def estimate_word_traces(
@@ -201,10 +287,12 @@ def estimate_word_traces(
                 f"but the family has {spec.count} matrices"
             )
 
+    upper = _upper_triangle(spec)
+
     def run_trial(trial: int) -> list[float]:
-        family = sample_family(spec, _trial_rng(spec, trial))
+        family = _draw(spec, _trial_rng(spec, trial), upper)
         with np.errstate(over="ignore", invalid="ignore"):
-            traces = [_word_trace(family, w.letters) for w in words]
+            traces = [_word_trace(family, w.letters, spec.dimension) for w in words]
         for word, trace in zip(words, traces):
             if not math.isfinite(trace):
                 raise DomainError(

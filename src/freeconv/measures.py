@@ -172,6 +172,12 @@ class Atomic(Value):
         """
         return tuple((as_float(loc), as_float(w)) for loc, w in self.atoms)
 
+    @cached_property
+    def positive_supported(self) -> bool:
+        """True when every location is >= 0, decided once: the float
+        transforms ask on every evaluation."""
+        return self.atoms[0][0] >= 0
+
     def weight_at(self, location: RationalLike) -> Fraction:
         loc = as_fraction(location)
         for x, w in self.atoms:
@@ -256,7 +262,7 @@ Measure = Union[Atomic, Semicircle, DensityGrid]
 def is_positive_supported(mu: Measure) -> bool:
     """True when the support of ``mu`` lies in [0, inf)."""
     if isinstance(mu, Atomic):
-        return all(loc >= 0 for loc, _ in mu.atoms)
+        return mu.positive_supported
     if isinstance(mu, Semicircle):
         return mu.center - mu.radius >= 0
     if isinstance(mu, DensityGrid):

@@ -25,7 +25,9 @@ of an atomic measure as one expression over all nodes, and the contour
 fit's mean over all its nodes.  Singular values from the eigenvalues of
 x^T x are the reference for the SVD.  The dense GOE draw that family
 member 1 used before it took its tridiagonal form is the reference law
-for the sampler.  The L^p
+for the sampler, and the dense product chain that evaluated each word
+before member 1 was kept compact is the reference for the word traces.
+The L^p
 inequality sweep that stacked every matrix of every tuple on one list
 and read the norms back tuple by tuple is the reference for the sweep
 over the tuple axis.  The operator norm, the integer absolute moment,
@@ -556,6 +558,20 @@ def dense_goe(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> 
     A i.i.d. standard normal, stacked over the leading shape ``batch``."""
     a = rng.standard_normal(batch + (n, n))
     return (a + np.swapaxes(a, -1, -2)) / math.sqrt(2.0 * n)
+
+
+def dense_word_trace(family, letters) -> float:
+    """tau of a word on dense symmetric members, by the product chain the
+    Monte Carlo estimator ran before it kept member 1 compact: every letter
+    but the last multiplied in order, closed by one dot product."""
+    mats = [family[l - 1] for l in letters]
+    if len(mats) == 1:
+        return float(np.trace(mats[0])) / mats[0].shape[0]
+    head = mats[0]
+    for m in mats[1:-1]:
+        head = head @ m
+    # tau(AB) = sum(A * B^T) / N, and every member is symmetric
+    return float(np.vdot(head, mats[-1])) / head.shape[0]
 
 
 def _tail_product(mats, start: int):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from freeconv import convolution
 from freeconv.cli import main
 
 BERNOULLI = '{"kind": "atomic", "atoms": [["0", "1/2"], ["1", "1/2"]]}'
@@ -348,6 +349,32 @@ class TestSubordinate:
         )
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(rows) == 6  # header + 5 grid points
+
+    def test_means_taken_once_per_grid(self, files, capsys, monkeypatch):
+        # every grid point used to recompute both exact means: 62 moment
+        # calls on the default 31-point grid
+        argv = ["subordinate", files["bernoulli"], files["delta2"]]
+        orders = []
+        moments = convolution.moments
+
+        def counted(mu, order):
+            orders.append(order)
+            return moments(mu, order)
+
+        monkeypatch.setattr(convolution, "moments", counted)
+        code, out, _ = run(argv, capsys)
+        monkeypatch.undo()
+        assert code == 0 and orders == [1, 1]
+        assert len(json.loads(out)["rows"]) == 31
+
+        # byte-identical to solving every point with its own means
+        solve = convolution.solve_subordination
+
+        def without_means(*args, means=None, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(convolution, "solve_subordination", without_means)
+        assert run(argv, capsys) == (0, out, "")
 
     @pytest.mark.parametrize(
         "flags, code",

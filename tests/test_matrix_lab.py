@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import re
 
@@ -21,6 +22,7 @@ from freeconv.matrix_lab import (
 )
 from oracles import (
     dense_goe,
+    dense_word_trace,
     jacobi_eigenvalues,
     operator_norm,
     singular_values_by_gram,
@@ -147,6 +149,30 @@ class TestSampling:
 
 
 class TestWordTraces:
+    @pytest.mark.parametrize("kind", ["goe", "diagonal"])
+    def test_compact_traces_match_dense_products(self, kind):
+        # member 1 kept compact and each word split into two halves, against
+        # the dense product chain on the same family: every word up to
+        # length 6 over 3 members, one-letter words and T1^k included
+        mu = Atomic([(-1, "1/4"), (0, "1/4"), (2, "1/2")]) if kind == "diagonal" else None
+        n = 12
+        spec = MatrixEnsembleSpec(dimension=n, count=3, kind=kind, seed=30, measure=mu)
+        rng = matrix_lab._trial_rng(spec, 0)
+        compact = matrix_lab._draw(spec, rng, matrix_lab._upper_triangle(spec))
+        assert isinstance(compact[0], matrix_lab.Band)
+        dense = sample_family(spec)
+        mismatched = [
+            letters
+            for length in range(1, 7)
+            for letters in itertools.product((1, 2, 3), repeat=length)
+            if not math.isclose(
+                matrix_lab._word_trace(compact, letters, n),
+                dense_word_trace(dense, letters),
+                rel_tol=1e-12,
+            )
+        ]
+        assert mismatched == []
+
     def test_centered_product_near_zero(self):
         spec = goe_spec(128, 2, seed=21)
         est = estimate_word_traces(spec, [Word((1, 2))], 60)[0]

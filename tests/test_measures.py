@@ -124,6 +124,13 @@ class TestConstruction:
     def test_atomic_caches_float_atoms(self, bernoulli):
         assert bernoulli.float_atoms is bernoulli.float_atoms == ((0.0, 0.5), (1.0, 0.5))
 
+    def test_atomic_caches_positivity(self, bernoulli):
+        # psi checks the support on every call; the Fraction comparison runs once
+        psi(bernoulli, -0.5)
+        assert vars(bernoulli)["positive_supported"] is True
+        mixed = Atomic([(2, "1/2"), (-1, "1/4"), (0, "1/4")])
+        assert not is_positive_supported(mixed) and vars(mixed)["positive_supported"] is False
+
     def test_ensemble_spec_measure_defaults_to_none(self):
         assert MatrixEnsembleSpec(dimension=4, count=1, kind="goe", seed=0).measure is None
 

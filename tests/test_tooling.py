@@ -3,7 +3,8 @@ function it wraps, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, no subcommand loads
 dataclasses, and none writing JSON loads csv, importing the package
 loads only its exceptions, neither the exact subcommands nor the float
-ones on atomic measures load numpy or inspect, characterize never loads
+ones on atomic measures load numpy or inspect, characterize and the
+convolution subcommands other than the boxtimes word oracle never load
 the word engine, the exact series kernels see only Python ints, every
 exported name is reachable from the CLI's source or kept for a stated
 reason, and neither the package source nor the tests import anything
@@ -54,6 +55,7 @@ KEEP = {
     "joint_moment": "the benchmark's traced run wraps it by name",
     "centered_product_moment": "the benchmark's traced run wraps it by name",
     "singular_values": "the benchmark's traced run wraps it by name",
+    "sample_family": "the benchmark's library job calls it; the CLI draws through the same _sample_one",
     "verify_inequalities": "the benchmark's library job calls it",
     "InequalityReport": "what verify_inequalities returns to the benchmark's library job",
     "ncLp_norm": "the benchmark's library job calls it",
@@ -238,6 +240,22 @@ def test_characterize_leaves_word_engine_unloaded():
     )
     rademacher = str(ROOT / "demos" / "data" / "rademacher.json")
     assert run_probe(probe, rademacher).split() == ["0", "False"]
+
+
+def test_convolution_jobs_leave_word_engine_unloaded():
+    # only the word oracle of boxtimes needs the word engine
+    demo = {name: str(ROOT / "demos" / "data" / f"{name}.json") for name in ("bernoulli", "two_point")}
+    runs = [
+        ["boxplus", demo["bernoulli"], demo["two_point"], "--order", "4"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "taylor"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "subordination"],
+        ["subordinate", demo["bernoulli"], demo["two_point"], "--grid", "3"],
+        ["diagnose", demo["two_point"], "--alpha", "0.5"],
+    ]
+    codes, loaded = run_in_one_process(runs, "freeconv")
+    assert codes == [0] * len(runs)
+    assert "freeconv.convolution" in loaded["freeconv"]
+    assert "freeconv.word_engine" not in loaded["freeconv"]
 
 
 def test_series_kernels_see_only_ints(monkeypatch):
