@@ -15,43 +15,54 @@ certified zero of every deviation up to the configured degree, and a
 nonzero deviation is an exact witness against freeness.
 
 The admissibility conditions on (A, b) are: A b = 0, the diagonal power
-sums sum_j b_j^m a_jj never vanish, and b_j a_jj != 0 for some j.  The
-power-sum condition quantifies over every positive integer m; grouping
-indices with equal b_j reduces it to a generalized power sum over at
-most n distinct values, which a Vandermonde argument pins down by the
-first n exponents.
+sums s_m = sum_j b_j^m a_jj never vanish, and b_j a_jj != 0 for some j.
+The power-sum condition quantifies over every positive integer m.
+Grouping indices with equal b_j, and +u with -u, writes s_m for m of one
+parity as sum_u e_u u^m over distinct u > 0.  Either every e_u is 0, and
+s_m vanishes at that parity, or the largest u with e_u != 0 outgrows the
+rest: once |e_u| u^m exceeds the sum of the other |e_u'| u'^m it does so
+for every larger m.  So s_m is checked exactly for m = 1, 2, ... until
+that holds at both parities.  A term past 2^16 bits before then leaves
+the condition undecided, which is a DomainError.
 
 A joint moment is a sum over the non-crossing partitions pi of the
-pattern's positions, and each term contracts the coefficients with one
-index j_V in [n] per block V.  This module enumerates those partitions
-itself, recursing on the block of the first position, and skips every
-partition with a block whose free cumulant vanishes.  The contraction
-runs on the block graph of pi, in integers (the coefficients scaled to a
-common denominator): block V carries the unary weight
-b^(number of L in V) times a_jj for every Q with both positions in V,
-and every Q whose positions lie in blocks U != V is an n x n edge
-between them, parallel edges multiplying entrywise.  Blocks are
-eliminated one at a time, in decreasing order of their first position.
-A block of degree 0 multiplies the result by the sum of its weights, one
-of degree 1 folds into its neighbour's weight, and one of degree 2
-becomes the n x n matrix product edge between its two neighbours,
-O(n^3).  Each partition so costs O(|pi| n^3), not the n^|pi| of summing
-over every index assignment.
+pattern's d positions, and each term contracts the coefficients with one
+index per block.  Put an index i_p on each position p.  Position p
+carries the weight w_p = b at an L and all ones otherwise, and positions
+p and p + 1 are coupled by C_p = A inside a Q and by the all-ones matrix
+J between letters, so a term is kappa_pi times the sum of
+prod_p w_p[i_p] C_p[i_p, i_(p+1)] over the indices constant on each
+block.  This module sums it by one interval recursion.  F[s][t] is the
+n x n matrix of the sum over the non-crossing partitions of positions
+s..t, with i_s and i_t fixed.  The block of s is a chain
+s = e_0 < e_1 < ... < e_(k-1), tracked by its length k.  What lies
+between consecutive elements e < e' is a non-crossing partition of the
+gap, which contributes diag(C_e F[e+1][e'-1] C_(e'-1)), or diag(C_e)
+when the gap is empty.  Closed[s][e] sums the chains that end at e,
+each of length k times kappa_k; a chain longer than the last nonzero
+kappa_k never closes, so it is not kept.  Every other block lies inside
+a gap or right of the chain's last element e, so
 
-No block ever has degree above 2.  Put the positions on a circle and
-join consecutive elements of each block by a chord: the chords of a
-non-crossing partition do not cross, so with the circle's arcs they form
-an outerplanar graph.  Every Q joins adjacent positions, an arc, so the
-block graph is a minor of it (contract the chords, drop the other arcs).
-Outerplanar graphs are closed under minors and have a vertex of degree
-at most 2; eliminating it deletes it (degree 0 or 1) or contracts one of
-its edges (degree 2), so one always remains.  The order above always
-picks such a vertex: every block still present when V's turn comes lies
-left of V or encloses it, so V's positions are consecutive among the
-positions present.  Edges only ever join consecutive present positions
-(a Q joins adjacent ones, and eliminating a block joins the two
-positions around it), so V has at most the two neighbours just outside
-its run.  Meeting a higher degree is an internal error.
+    F[s][t] = diag(Closed[s][t]) + sum_(e<t) diag(Closed[s][e]) C_e F[e+1][t],
+
+and the trace is the sum of the entries of F[0][d-1].  The tables hold
+ints: the coefficients are scaled to a common denominator and kappa_k is
+dilated to c^k kappa_k (``measures.dilate``), so the result is divided
+once.  They cost O(d^4 n + d^3 n^2 + d^2 n^3).  This is the M_n-valued
+moment-cumulant recursion of D = diag(T_1, ..., T_n), with the
+coefficient matrices between its factors.  D's entries are free, so D is
+R-cyclic: a cumulant of its entries vanishes unless every index agrees
+(Nica, Shlyakhtenko & Speicher, J. Funct. Anal. 188 (2002);
+Nica & Speicher, Lectures on the Combinatorics of Free Probability,
+Lecture 11).
+
+F[s][t] never looks past position t, so the trace of every prefix that
+ends on a letter reads off the same tables.  Every alternating pattern
+is a prefix of the longest one with the same first letter, so the
+dichotomy builds two sets of tables.  Its filter drops every partition
+in which a Q's two positions form a block of their own.  That block is
+the chain {s, s + 1} that starts at the Q's first position s, the only
+chain of s ending at s + 1, so the filter zeroes Closed[s][s+1] there.
 """
 
 from __future__ import annotations
@@ -59,12 +70,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
-from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from operator import add, mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .measures import MomentSequence, RationalLike, Value, as_fraction
+from .measures import MomentSequence, RationalLike, Value, as_fraction, dilate
 from .transforms import free_from_moments
 
 __all__ = [
@@ -117,8 +128,52 @@ class ValidityReport(namedtuple("ValidityReport", "symmetric annihilates_b power
         return not self.failures
 
 
+# Past this many bits in a term, no base has outgrown the rest soon enough
+# to decide the power-sum condition by direct evaluation.
+_MAX_POWER_SUM_BITS = 1 << 16
+
+
+def _first_vanishing_power_sum(
+    b: Sequence[Fraction], diag: Sequence[Fraction]
+) -> Optional[int]:
+    """The first m >= 1 with s_m = sum_j b_j^m a_jj = 0, or None when no
+    s_m vanishes (see the module docstring)."""
+    # |b_j| -> [coefficient at even m, coefficient at odd m]
+    coeff: dict[Fraction, list[Fraction]] = {}
+    for v, c in zip(b, diag):
+        if v:
+            e = coeff.setdefault(abs(v), [Fraction(0), Fraction(0)])
+            e[0] += c
+            e[1] += c if v > 0 else -c
+    # In ints: with u = U / den and e = E / scale, s_m den^m scale = sum_u E U^m.
+    bases = sorted(coeff, reverse=True)
+    den = math.lcm(*(u.denominator for u in bases))
+    scale = math.lcm(*(e.denominator for u in bases for e in coeff[u]))
+    ints = [u.numerator * (den // u.denominator) for u in bases]
+    scaled = [[int(e * scale) for e in coeff[u]] for u in bases]
+    powers = [1] * len(bases)
+    settled = [False, False]
+    m = 0
+    while not all(settled):
+        m += 1
+        powers = list(map(mul, powers, ints))
+        terms = [e[m % 2] * p for e, p in zip(scaled, powers) if e[m % 2]]
+        if sum(terms) == 0:
+            return m
+        rest = sum(map(abs, terms[1:]))
+        if rest.bit_length() > _MAX_POWER_SUM_BITS:
+            raise DomainError(
+                "cannot decide the diagonal power-sum condition: no term of "
+                f"sum b_j^m a_jj outgrows the rest by m = {m}"
+            )
+        settled[m % 2] = abs(terms[0]) > rest
+    return None
+
+
 def validate_spec(spec: QuadraticFormSpec) -> ValidityReport:
-    """Check symmetry, A b = 0, nonvanishing diagonal power sums, coupling."""
+    """Check symmetry, A b = 0, nonvanishing diagonal power sums, coupling.
+
+    ``power_sums`` holds s_1..s_n; the condition is checked for every m."""
     n = spec.n
     symmetric = all(
         spec.a[i][j] == spec.a[j][i] for i in range(n) for j in range(i + 1, n)
@@ -127,16 +182,12 @@ def validate_spec(spec: QuadraticFormSpec) -> ValidityReport:
         sum((spec.a[i][j] * spec.b[j] for j in range(n)), start=Fraction(0)) == 0
         for i in range(n)
     )
-    # Group equal b-values: the power sum is sum_v c_v v^m over at most n
-    # distinct values, determined by exponents m = 1..n.
-    grouped: dict[Fraction, Fraction] = {}
-    for j in range(n):
-        grouped[spec.b[j]] = grouped.get(spec.b[j], Fraction(0)) + spec.a[j][j]
+    diag = [spec.a[j][j] for j in range(n)]
     sums = tuple(
-        sum((c * v ** m for v, c in grouped.items()), start=Fraction(0))
+        sum((v ** m * c for v, c in zip(spec.b, diag)), start=Fraction(0))
         for m in range(1, n + 1)
     )
-    power_ok = all(s != 0 for s in sums)
+    vanishing = _first_vanishing_power_sum(spec.b, diag)
     coupling = any(spec.b[j] * spec.a[j][j] != 0 for j in range(n))
 
     failures = []
@@ -144,14 +195,16 @@ def validate_spec(spec: QuadraticFormSpec) -> ValidityReport:
         failures.append("coefficient matrix is not symmetric")
     if not annihilates:
         failures.append("mean-annihilation condition A b = 0 fails")
-    if not power_ok:
-        failures.append("diagonal power-sum condition sum b_j^m a_jj != 0 fails")
+    if vanishing is not None:
+        failures.append(
+            f"diagonal power-sum condition sum b_j^m a_jj != 0 fails at m = {vanishing}"
+        )
     if not coupling:
         failures.append("diagonal coupling condition b_j a_jj != 0 for some j fails")
     return ValidityReport(
         symmetric=symmetric,
         annihilates_b=annihilates,
-        power_sums_nonzero=power_ok,
+        power_sums_nonzero=vanishing is None,
         power_sums=sums,
         has_diagonal_coupling=coupling,
         failures=tuple(failures),
@@ -198,119 +251,96 @@ def pattern_degree(pattern: Sequence[tuple[str, int]]) -> int:
     return sum((1 if name == "L" else 2) * exp for name, exp in pattern)
 
 
-def _nc_blocks(
-    elements: tuple[int, ...], kappa: Optional[Sequence[Fraction]] = None
-) -> Iterator[list[tuple[int, ...]]]:
-    """Yield every non-crossing partition of ``elements`` once, as a list
-    of blocks in increasing order of their first element.
+def _prefix_traces(
+    spec: QuadraticFormSpec,
+    kappa: Sequence[Fraction],
+    letters: Sequence[str],
+    lone_q: bool,
+) -> list[Fraction]:
+    """The non-crossing sum of every prefix ``letters[:m]``, m = 1, 2, ...,
+    read off one set of interval tables (see the module docstring).  With
+    ``lone_q``, every partition in which a Q's two positions form a block
+    of their own is dropped."""
+    n = spec.n
+    den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
+    b = [int(v * den) for v in spec.b]
+    a = [[int(v * den) for v in row] for row in spec.a]
+    a_cols = [list(col) for col in zip(*a)]
+    ones, zeros = [1] * n, [0] * n
+    all_ones = [ones] * n
+    # w_p, and C_p (with its columns) joining positions p and p + 1
+    weight: list[list[int]] = []
+    coupling: list[tuple[list, list]] = []
+    q_starts, ends = set(), []
+    for name in letters:
+        if name == "Q":
+            q_starts.add(len(weight))
+            weight.append(ones)
+            coupling.append((a, a_cols))
+        weight.append(b if name == "L" else ones)
+        coupling.append((all_ones, all_ones))
+        ends.append(len(weight) - 1)
+    d = len(weight)
+    c, kap = dilate(kappa[:d])
+    # chains longer than the last nonzero cumulant never close
+    longest = max((k for k, v in enumerate(kap, 1) if v), default=1)
 
-    The block of elements[0] splits the rest into independent gaps.  With
-    kappa, partitions with a block of size s where kappa[s - 1] == 0 are
-    skipped: they add nothing to a cumulant sum.
-    """
+    f: list[list] = [[None] * d for _ in range(d)]  # F[s][t]
+    g: list[list] = [[None] * d for _ in range(d)]  # C_s F[s + 1][t]
+    gap: list[list] = [[None] * d for _ in range(d)]  # gap[e][e'] for e < e'
+    for s in reversed(range(d)):
+        if s + 1 < d:
+            cs = coupling[s][0]
+            gap[s][s + 1] = [cs[i][i] for i in range(n)]
+            for t in range(s + 1, d):
+                f_cols = list(zip(*f[s + 1][t]))
+                g[s][t] = gst = [[sum(map(mul, row, col)) for col in f_cols] for row in cs]
+                if t + 1 < d:
+                    ct_cols = coupling[t][1]
+                    gap[s][t + 1] = [sum(map(mul, gst[i], ct_cols[i])) for i in range(n)]
 
-    def partitions(elements: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
-        if not elements:
-            yield []
-            return
-        first, rest = elements[0], elements[1:]
-        for k in range(len(rest) + 1):
-            if kappa is not None and kappa[k] == 0:
-                continue
-            for chosen in combinations(range(len(rest)), k):
-                block = (first,) + tuple(rest[i] for i in chosen)
-                bounds = [*chosen, len(rest)]
-                gaps = []
-                prev = -1
-                for b in bounds:
-                    gaps.append(rest[prev + 1 : b])
-                    prev = b
-                for combo in product_of_gap_partitions(gaps):
-                    yield [block, *combo]
+        # chains[e - s][k - 1]: the block of s as a chain of k elements
+        # s = e_0 < ... < e_(k-1) = e, its gaps summed, kappa_k not applied
+        chains = [[weight[s]]]
+        for e2 in range(s + 1, d):
+            acc = [zeros] * min(e2 - s + 1, longest)
+            for e in range(s, e2):
+                between = gap[e][e2]
+                for k, vec in enumerate(chains[e - s][: len(acc) - 1], 1):
+                    acc[k] = list(map(add, acc[k], map(mul, vec, between)))
+            chains.append([list(map(mul, vec, weight[e2])) for vec in acc])
+        closed = [
+            [sum(kap[k] * vec[i] for k, vec in enumerate(ch)) for i in range(n)] for ch in chains
+        ]
+        if lone_q and s in q_starts:
+            closed[1] = zeros  # {s, s + 1} is the one chain of s that ends at s + 1
 
-    def product_of_gap_partitions(
-        gaps: Sequence[tuple[int, ...]],
-    ) -> Iterator[list[tuple[int, ...]]]:
-        if not gaps:
-            yield []
-            return
-        head, tail = gaps[0], gaps[1:]
-        for head_blocks in partitions(head):
-            for tail_blocks in product_of_gap_partitions(tail):
-                yield [*head_blocks, *tail_blocks]
+        for t in range(s, d):
+            rows = []
+            for i in range(n):
+                row = [0] * n
+                row[i] = closed[t - s][i]
+                for e in range(s, t):
+                    if w := closed[e - s][i]:
+                        row = [x + w * y for x, y in zip(row, g[e][t][i])]
+                rows.append(row)
+            f[s][t] = rows
 
-    return partitions(elements)
-
-
-def _contract(
-    blocks: Sequence[Sequence[int]],
-    factors: Sequence[tuple[str, int]],
-    b: Sequence[int],
-    a: Sequence[Sequence[int]],
-) -> int:
-    """Sum over one index per block of the product of the pattern's
-    coefficients, by eliminating the blocks of the block graph (see the
-    module docstring).
-
-    ``blocks`` come in increasing order of their first position, as
-    ``_nc_blocks`` yields them, and are eliminated in reverse.
-    ``factors`` lists each letter with its first position: b at an L,
-    a at the two positions of a Q.  A unary weight of None stands for
-    all ones.
-    """
-    owner = {p: v for v, block in enumerate(blocks) for p in block}
-    unary: list = [None] * len(blocks)
-    # edges[v][u][i][k]: weight of j_v = i and j_u = k
-    edges: list[dict[int, list]] = [{} for _ in blocks]
-    for name, start in factors:
-        v = owner[start]
-        if name == "L":
-            vec = b
-        elif (u := owner[start + 1]) == v:
-            vec = [row[i] for i, row in enumerate(a)]
-        else:
-            _join(edges, v, u, a)
-            continue
-        unary[v] = vec if unary[v] is None else list(map(mul, unary[v], vec))
-
-    total = 1
-    for v in reversed(range(len(blocks))):
-        weights, nbrs = unary[v], list(edges[v])
-        if not nbrs:
-            total *= len(b) if weights is None else sum(weights)
-            if total == 0:
-                return 0
-            continue
-        if len(nbrs) > 2:
-            raise RuntimeError(
-                f"internal error: a block of degree {len(nbrs)} > 2 in the block graph"
-            )
-        left = edges[nbrs[0]].pop(v)
-        if weights is not None:
-            left = [list(map(mul, row, weights)) for row in left]
-        if len(nbrs) == 1:
-            folded = [sum(row) for row in left]
-            u = nbrs[0]
-            unary[u] = folded if unary[u] is None else list(map(mul, unary[u], folded))
-        else:
-            right = edges[nbrs[1]].pop(v)
-            _join(edges, *nbrs, [[sum(map(mul, l, r)) for r in right] for l in left])
-    return total
+    return [
+        Fraction(sum(map(sum, f[0][t])), den ** m * c ** (t + 1))
+        for m, t in enumerate(ends, 1)
+    ]
 
 
-def _join(edges: list[dict], v: int, u: int, matrix: Sequence[Sequence[int]]) -> None:
-    """Add an edge from v to u (rows index j_v), entrywise onto any present."""
-    present = edges[v].get(u)
-    if present is not None:
-        matrix = [list(map(mul, p, m)) for p, m in zip(present, matrix)]
-    edges[v][u] = matrix
-    edges[u][v] = [list(col) for col in zip(*matrix)]
-
-
-def _letters(pattern: Pattern) -> list[tuple[str, int]]:
-    """Each letter of a pattern with its first position."""
-    names = [name for name, exp in pattern for _ in range(exp)]
-    return list(zip(names, accumulate((1 if name == "L" else 2 for name in names), initial=0)))
+def _letters(pattern: Sequence[tuple[str, int]], marginal: MomentSequence) -> list[str]:
+    """The letters of a pattern, once the marginal is known to reach its degree."""
+    pattern = _normalize_pattern(pattern)
+    degree = pattern_degree(pattern)
+    if marginal.order < degree:
+        raise DomainError(
+            f"pattern has degree {degree} but marginal order is {marginal.order}"
+        )
+    return [name for name, exp in pattern for _ in range(exp)]
 
 
 def joint_moment(
@@ -325,48 +355,10 @@ def joint_moment(
     non-crossing partitions pi of the pattern's d positions: the product
     of kappa_|V| over the blocks V, times the coefficients contracted with
     one index per block, b at an L position and A at the two positions of
-    a Q.  The contraction eliminates blocks one at a time (see the module
-    docstring).
+    a Q.  The interval tables of the module docstring compute it.
     """
-    pattern = _normalize_pattern(pattern)
-    degree = pattern_degree(pattern)
-    if marginal.order < degree:
-        raise DomainError(
-            f"pattern has degree {degree} but marginal order is {marginal.order}"
-        )
-    return _nc_sum(spec, free_from_moments(marginal), pattern, frozenset())
-
-
-def _nc_sum(
-    spec: QuadraticFormSpec,
-    kappa: Sequence[Fraction],
-    pattern: Pattern,
-    banned: frozenset[tuple[int, int]],
-) -> Fraction:
-    """``joint_moment``'s sum over the non-crossing partitions of the
-    pattern's positions, with the marginal's free cumulants ``kappa``,
-    skipping every partition with a block in ``banned``."""
-    # Integer coefficients keep the contraction in int arithmetic.
-    den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
-    b = [int(v * den) for v in spec.b]
-    a = [[int(v * den) for v in row] for row in spec.a]
-    factors = _letters(pattern)
-
-    # Partitions with the same block sizes share their cumulant weight, so
-    # their integer contractions are summed before it multiplies them.
-    by_sizes: dict[tuple[int, ...], int] = {}
-    for blocks in _nc_blocks(tuple(range(pattern_degree(pattern))), kappa):
-        if not banned.isdisjoint(blocks):
-            continue
-        sizes = tuple(sorted(map(len, blocks)))
-        by_sizes[sizes] = by_sizes.get(sizes, 0) + _contract(blocks, factors, b, a)
-    total = Fraction(0)
-    for sizes, value in by_sizes.items():
-        weight = Fraction(value)
-        for size in sizes:
-            weight *= kappa[size - 1]
-        total += weight
-    return total / den ** len(factors)
+    letters = _letters(pattern, marginal)
+    return _prefix_traces(spec, free_from_moments(marginal), letters, False)[-1]
 
 
 def form_moments(
@@ -375,12 +367,12 @@ def form_moments(
     which: str,
     order: int,
 ) -> MomentSequence:
-    """Moment sequence of L or Q itself: the joint moments of L^k or Q^k."""
+    """Moment sequence of L or Q itself: the joint moments of L^k or Q^k,
+    the prefixes of L^order or Q^order."""
     if which not in ("L", "Q"):
         raise DomainError("which must be 'L' or 'Q'")
-    return MomentSequence(
-        joint_moment(spec, marginal, ((which, k),)) for k in range(1, order + 1)
-    )
+    letters = _letters(((which, order),), marginal)
+    return MomentSequence(_prefix_traces(spec, free_from_moments(marginal), letters, False))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,9 @@ def freeness_dichotomy(
     kappa_1 = 0.  So tau(pattern) = sum_S tau(Q)^|S| F(pattern without
     S), with F the filtered sum, and inclusion-exclusion over S turns the
     trace with every Q centered into F.  The L's need no centering, as
-    tau(L) = m_1 sum_j b_j = 0.  Scanning runs in increasing degree; the
+    tau(L) = m_1 sum_j b_j = 0.  Every pattern is a prefix of the longest
+    one with the same first letter, so two sets of interval tables give
+    every deviation.  The report lists them in increasing degree; the
     verdict names the first degree at which a deviation appears, if any.
     """
     report = validate_spec(spec)
@@ -470,10 +464,11 @@ def freeness_dichotomy(
 
     patterns = alternating_form_patterns(max_word_length)
     kappa = free_from_moments(marginal)
-    deviations = []
-    for pattern in patterns:
-        lone_q = frozenset((s, s + 1) for name, s in _letters(pattern) if name == "Q")
-        deviations.append((pattern, _nc_sum(spec, kappa, pattern, lone_q)))
+    traces = {}
+    for start in {pattern[0][0] for pattern in patterns}:
+        longest = max((p for p in patterns if p[0][0] == start), key=len)
+        traces[start] = _prefix_traces(spec, kappa, [name for name, _ in longest], True)
+    deviations = [(p, traces[p[0][0]][len(p) - 1]) for p in patterns]
     note = (
         "scan depth is an empirical default; freeness violations are only "
         "guaranteed to surface at some finite degree"

@@ -39,7 +39,10 @@ left; the exact K is the reference for the float K(-x) loop.  The (L, Q) dichoto
 that expanded each centered pattern into its 2^#Q uncentered
 sub-patterns, and subtracted the prediction for a free pair with the
 forms' own moment sequences, is the reference for the filtered
-non-crossing sum.
+non-crossing sum.  The (L, Q) engine that enumerated every non-crossing
+partition of a pattern's positions and contracted the coefficients on
+each partition's block graph is the reference for the interval tables
+that replaced it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
+from operator import mul
 from string import ascii_letters
 
 import numpy as np
@@ -458,7 +462,7 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
     """Trace of an L/Q pattern as a sum over the NC partitions of its
     positions, each contracted over all n^|pi| index assignments by one
     object-array ``np.einsum`` in integer arithmetic."""
-    from freeconv.characterize import _nc_blocks, _normalize_pattern, pattern_degree
+    from freeconv.characterize import _normalize_pattern, pattern_degree
     from freeconv.transforms import free_from_moments
 
     pattern = _normalize_pattern(pattern)
@@ -473,7 +477,7 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
 
     total = Fraction(0)
     index = [""] * degree
-    for blocks in _nc_blocks(tuple(range(degree)), kappa):
+    for blocks in nc_blocks(tuple(range(degree)), kappa):
         weight = Fraction(1)
         for letter, block in zip(ascii_letters, blocks):
             weight *= kappa[len(block) - 1]
@@ -481,6 +485,164 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
                 index[position] = letter
         subscripts = ",".join("".join(index[s:e]) for s, e in zip(starts, starts[1:]))
         total += weight * np.einsum(subscripts + "->", *operands)
+    return total / den ** len(factors)
+
+
+def nc_blocks(elements: tuple[int, ...], kappa=None):
+    """Yield every non-crossing partition of ``elements`` once, as a list
+    of blocks in increasing order of their first element.
+
+    The block of elements[0] splits the rest into independent gaps.  With
+    kappa, partitions with a block of size s where kappa[s - 1] == 0 are
+    skipped: they add nothing to a cumulant sum.
+    """
+
+    def partitions(elements):
+        if not elements:
+            yield []
+            return
+        first, rest = elements[0], elements[1:]
+        for k in range(len(rest) + 1):
+            if kappa is not None and kappa[k] == 0:
+                continue
+            for chosen in combinations(range(len(rest)), k):
+                block = (first,) + tuple(rest[i] for i in chosen)
+                bounds = [*chosen, len(rest)]
+                gaps = []
+                prev = -1
+                for b in bounds:
+                    gaps.append(rest[prev + 1 : b])
+                    prev = b
+                for combo in product_of_gap_partitions(gaps):
+                    yield [block, *combo]
+
+    def product_of_gap_partitions(gaps):
+        if not gaps:
+            yield []
+            return
+        head, tail = gaps[0], gaps[1:]
+        for head_blocks in partitions(head):
+            for tail_blocks in product_of_gap_partitions(tail):
+                yield [*head_blocks, *tail_blocks]
+
+    return partitions(elements)
+
+
+def contract_blocks(blocks, factors, b, a) -> int:
+    """Sum over one index per block of the product of an L/Q pattern's
+    integer coefficients, by eliminating the blocks of the block graph.
+
+    ``blocks`` come in increasing order of their first position, as
+    ``nc_blocks`` yields them.  ``factors`` lists each letter with its
+    first position: b at an L, a at the two positions of a Q.  Block V
+    carries the unary weight b^(number of L in V) times a_jj for every Q
+    with both positions in V (None stands for all ones), and every Q
+    whose positions lie in blocks U != V is an n x n edge between them,
+    parallel edges multiplying entrywise.  Blocks are eliminated in
+    decreasing order of their first position.  A block of degree 0
+    multiplies the result by the sum of its weights, one of degree 1
+    folds into its neighbour's weight, and one of degree 2 becomes the
+    n x n matrix product edge between its two neighbours, O(n^3).  Each
+    partition so costs O(|pi| n^3), not the n^|pi| of summing over every
+    index assignment.
+
+    No block of a non-crossing partition ever has degree above 2.  Put
+    the positions on a circle and join consecutive elements of each block
+    by a chord: the chords of a non-crossing partition do not cross, so
+    with the circle's arcs they form an outerplanar graph.  Every Q joins
+    adjacent positions, an arc, so the block graph is a minor of it
+    (contract the chords, drop the other arcs).  Outerplanar graphs are
+    closed under minors and have a vertex of degree at most 2;
+    eliminating it deletes it (degree 0 or 1) or contracts one of its
+    edges (degree 2), so one always remains.  The order above always
+    picks such a vertex: every block still present when V's turn comes
+    lies left of V or encloses it, so V's positions are consecutive among
+    the positions present.  Edges only ever join consecutive present
+    positions (a Q joins adjacent ones, and eliminating a block joins the
+    two positions around it), so V has at most the two neighbours just
+    outside its run.  Meeting a higher degree, as a crossing partition
+    can, raises RuntimeError.
+    """
+    owner = {p: v for v, block in enumerate(blocks) for p in block}
+    unary: list = [None] * len(blocks)
+    # edges[v][u][i][k]: weight of j_v = i and j_u = k
+    edges: list[dict[int, list]] = [{} for _ in blocks]
+    for name, start in factors:
+        v = owner[start]
+        if name == "L":
+            vec = b
+        elif (u := owner[start + 1]) == v:
+            vec = [row[i] for i, row in enumerate(a)]
+        else:
+            _join(edges, v, u, a)
+            continue
+        unary[v] = vec if unary[v] is None else list(map(mul, unary[v], vec))
+
+    total = 1
+    for v in reversed(range(len(blocks))):
+        weights, nbrs = unary[v], list(edges[v])
+        if not nbrs:
+            total *= len(b) if weights is None else sum(weights)
+            if total == 0:
+                return 0
+            continue
+        if len(nbrs) > 2:
+            raise RuntimeError(
+                f"internal error: a block of degree {len(nbrs)} > 2 in the block graph"
+            )
+        left = edges[nbrs[0]].pop(v)
+        if weights is not None:
+            left = [list(map(mul, row, weights)) for row in left]
+        if len(nbrs) == 1:
+            folded = [sum(row) for row in left]
+            u = nbrs[0]
+            unary[u] = folded if unary[u] is None else list(map(mul, unary[u], folded))
+        else:
+            right = edges[nbrs[1]].pop(v)
+            _join(edges, *nbrs, [[sum(map(mul, l, r)) for r in right] for l in left])
+    return total
+
+
+def _join(edges: list[dict], v: int, u: int, matrix) -> None:
+    """Add an edge from v to u (rows index j_v), entrywise onto any present."""
+    present = edges[v].get(u)
+    if present is not None:
+        matrix = [list(map(mul, p, m)) for p, m in zip(present, matrix)]
+    edges[v][u] = matrix
+    edges[u][v] = [list(col) for col in zip(*matrix)]
+
+
+def letter_starts(letters) -> list[tuple[str, int]]:
+    """Each letter of an L/Q word with its first position."""
+    letters = list(letters)
+    return list(zip(letters, accumulate((1 if x == "L" else 2 for x in letters), initial=0)))
+
+
+def nc_sum_by_enumeration(spec, kappa, letters, lone_q: bool) -> Fraction:
+    """The non-crossing sum of an L/Q word with free cumulants ``kappa``,
+    one partition at a time: every partition from ``nc_blocks``,
+    contracted by ``contract_blocks`` in integers.  With ``lone_q``, every
+    partition in which a Q's two positions form a block is skipped."""
+    den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
+    b = [int(v * den) for v in spec.b]
+    a = [[int(v * den) for v in row] for row in spec.a]
+    factors = letter_starts(letters)
+    banned = {(s, s + 1) for name, s in factors if name == "Q"} if lone_q else set()
+    degree = sum(1 if name == "L" else 2 for name, _ in factors)
+
+    # Partitions with the same block sizes share their cumulant weight, so
+    # their integer contractions are summed before it multiplies them.
+    by_sizes: dict[tuple[int, ...], int] = {}
+    for blocks in nc_blocks(tuple(range(degree)), kappa):
+        if banned.isdisjoint(blocks):
+            sizes = tuple(sorted(map(len, blocks)))
+            by_sizes[sizes] = by_sizes.get(sizes, 0) + contract_blocks(blocks, factors, b, a)
+    total = Fraction(0)
+    for sizes, value in by_sizes.items():
+        weight = Fraction(value)
+        for size in sizes:
+            weight *= kappa[size - 1]
+        total += weight
     return total / den ** len(factors)
 
 

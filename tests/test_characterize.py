@@ -1,17 +1,17 @@
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv import characterize
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, Semicircle, moments
-from freeconv.transforms import moments_from_free
+from freeconv.transforms import free_from_moments, moments_from_free
 from freeconv.word_engine import Word, mixed_moment, clear_cache
 from freeconv.characterize import (
     QuadraticFormSpec,
-    _contract,
-    _nc_blocks,
+    _prefix_traces,
     alternating_form_patterns,
     form_moments,
     freeness_dichotomy,
@@ -23,9 +23,13 @@ from freeconv.characterize import (
 from oracles import (
     WordPoly,
     consistent_with_free,
+    contract_blocks,
     dichotomy_deviations_by_expansion,
     joint_moment_by_einsum,
     joint_moment_by_words,
+    letter_starts,
+    nc_blocks,
+    nc_sum_by_enumeration,
 )
 
 F = Fraction
@@ -48,10 +52,34 @@ EXTRA_PATTERNS = [
     (("L", 2), ("Q", 1), ("L", 1), ("Q", 2)),
 ]
 
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
-def factors_of(word):
-    """(letter, first position) for each letter of an L/Q word."""
-    return list(zip(word, accumulate((1 if x == "L" else 2 for x in word), initial=0)))
+
+def within_degree(word, limit=9):
+    """The longest prefix of an L/Q word with degree at most ``limit``."""
+    degree = 0
+    for m, x in enumerate(word):
+        degree += 1 if x == "L" else 2
+        if degree > limit:
+            return word[:m]
+    return word
+
+
+@st.composite
+def forms_marginals_words(draw):
+    """A random rational form (A, b) on 2-4 variables, a marginal (atomic
+    on up to 3 atoms, or a semicircle, whose cumulants vanish past
+    kappa_2) and a nonempty L/Q word of degree at most 9."""
+    n = draw(st.integers(2, 4))
+    a = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(coefficients, min_size=n, max_size=n))
+    word = draw(st.lists(st.sampled_from("LQ"), min_size=1, max_size=9).map(within_degree))
+    if draw(st.integers(0, 3)) == 0:
+        return QuadraticFormSpec(a, b), Semicircle(draw(coefficients), draw(st.integers(1, 3))), word
+    locations = draw(st.lists(coefficients, min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(locations), max_size=len(locations)))
+    marginal = Atomic([(x, F(w, sum(weights))) for x, w in zip(locations, weights)])
+    return QuadraticFormSpec(a, b), marginal, word
 
 
 @pytest.fixture
@@ -109,6 +137,40 @@ class TestValidation:
         report = validate_spec(spec)
         assert not report.power_sums_nonzero
         assert report.power_sums[0] == 0
+
+    def test_power_sum_vanishing_past_n_detected(self):
+        # A b = 0 for b = (1, -1, 2); s_m = -16, -12, -10, 0, 14, ... so the
+        # first n power sums are nonzero but the fourth vanishes
+        spec = QuadraticFormSpec(
+            [[-17, -10, F(7, 2)], [-10, 1, F(11, 2)], [F(7, 2), F(11, 2), 1]], [1, -1, 2]
+        )
+        report = validate_spec(spec)
+        assert report.symmetric and report.annihilates_b and report.has_diagonal_coupling
+        assert report.power_sums == (-16, -12, -10)
+        assert not report.power_sums_nonzero
+        assert report.failures == (
+            "diagonal power-sum condition sum b_j^m a_jj != 0 fails at m = 4",
+        )
+
+    @given(st.lists(st.tuples(coefficients, coefficients), min_size=2, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_power_sum_condition_matches_direct_evaluation(self, pairs):
+        b = [v for v, _ in pairs]
+        a = [[c if j == k else 0 for k, (_, c) in enumerate(pairs)] for j in range(len(pairs))]
+        first_zero = next(
+            (m for m in range(1, 81) if sum(v ** m * c for v, c in pairs) == 0), None
+        )
+        report = validate_spec(QuadraticFormSpec(a, b))
+        assert report.power_sums_nonzero == (first_zero is None)
+        if first_zero is not None:
+            assert any(f.endswith(f"fails at m = {first_zero}") for f in report.failures)
+
+    def test_undecidable_power_sum_condition_is_a_domain_error(self):
+        # s_m = 10^6 - (1 + 10^-6)^m at odd m: the larger base overtakes
+        # only near m = 1.4 * 10^7
+        spec = QuadraticFormSpec([[10 ** 6, 0], [0, -1]], [1, F(1000001, 1000000)])
+        with pytest.raises(DomainError, match="cannot decide the diagonal power-sum condition"):
+            validate_spec(spec)
 
     def test_needs_two_variables(self):
         with pytest.raises(DomainError):
@@ -203,7 +265,7 @@ class TestJointMoments:
 
     def test_elimination_never_meets_degree_above_two(self):
         # every L/Q word to degree 8 and every NC partition of its positions;
-        # _contract raises on a block of degree > 2
+        # the oracle's contract_blocks raises on a block of degree > 2
         b, a = [2, -3], [[1, 5], [-2, 7]]
         words = [
             word
@@ -213,10 +275,10 @@ class TestJointMoments:
         ]
         visited = 0
         for word in words:
-            factors = factors_of(word)
+            factors = letter_starts(word)
             degree = sum(1 if x == "L" else 2 for x in word)
-            for blocks in _nc_blocks(tuple(range(degree))):
-                _contract(blocks, factors, b, a)
+            for blocks in nc_blocks(tuple(range(degree))):
+                contract_blocks(blocks, factors, b, a)
                 visited += 1
         # sum over degrees d <= 8 of Fib(d + 1) words times Catalan(d) partitions
         assert len(words) == 87 and visited == 59771
@@ -226,7 +288,7 @@ class TestJointMoments:
         # graph is K4, every vertex of degree 3
         blocks = [(0, 2, 4), (1, 6, 8), (3, 7, 10), (5, 9, 11)]
         with pytest.raises(RuntimeError, match="degree 3"):
-            _contract(blocks, factors_of("QQQQQQ"), [1, 1], [[1, 2], [3, 4]])
+            contract_blocks(blocks, letter_starts("QQQQQQ"), [1, 1], [[1, 2], [3, 4]])
 
     def test_twelve_variables_match_einsum_contraction(self, rademacher):
         # the oracle sums 12^|pi| index assignments per partition, so the
@@ -246,6 +308,19 @@ class TestJointMoments:
         lm = form_moments(spec, semicircle_marginal, "L", 3)
         assert lm.order == 3
         assert lm.m(1) == 0
+
+
+class TestIntervalTables:
+    @given(forms_marginals_words(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_enumeration(self, case, lone_q):
+        # every prefix of the word, from one set of tables, against the
+        # partition-by-partition sum
+        spec, marginal, word = case
+        kappa = free_from_moments(moments(marginal, 9))
+        assert _prefix_traces(spec, kappa, word, lone_q) == [
+            nc_sum_by_enumeration(spec, kappa, word[:m], lone_q) for m in range(1, len(word) + 1)
+        ]
 
 
 class TestPatternEnumeration:
@@ -343,20 +418,30 @@ class TestDichotomy:
         assert report.deviations == dichotomy_deviations_by_expansion(SKEW_SPEC, m, 10)
         assert report.verdict == "not-free-at-order-3"
 
-    def test_one_enumeration_per_pattern(self, rademacher, monkeypatch):
-        # the subset expansion made 63 joint_moment calls here
+    def test_skew_marginal_matches_enumeration_at_degree_twelve(self):
+        m = moments(SKEW_MARGINAL, 12)
+        kappa = free_from_moments(m)
+        report = freeness_dichotomy(SKEW_SPEC, m, 12)
+        assert report.deviations == tuple(
+            (p, nc_sum_by_enumeration(SKEW_SPEC, kappa, [name for name, _ in p], True))
+            for p in alternating_form_patterns(12)
+        )
+
+    def test_two_table_builds_per_dichotomy(self, rademacher, monkeypatch):
+        # one per first letter: every pattern is a prefix of the longest
+        # one with its first letter
         calls = 0
-        nc_blocks = characterize._nc_blocks
+        prefix_traces = characterize._prefix_traces
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return nc_blocks(*args)
+            return prefix_traces(*args)
 
-        monkeypatch.setattr(characterize, "_nc_blocks", counted)
+        monkeypatch.setattr(characterize, "_prefix_traces", counted)
         report = freeness_dichotomy(preset_sample_mean_variance(3), moments(rademacher, 10), 10)
         assert len(report.deviations) == 11
-        assert calls == 11
+        assert calls == 2
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [4, 6, 8])

@@ -496,6 +496,20 @@ class TestCharacterize:
         assert code == 3
         assert "mean-annihilation" in err
 
+    def test_power_sum_vanishing_past_n_exits_three(self, files, tmp_path, capsys):
+        # admissible but for s_4 = sum_j b_j^4 a_jj = 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"A": [["-17","-10","7/2"],["-10","1","11/2"],["7/2","11/2","1"]],'
+            ' "b": ["1","-1","2"]}'
+        )
+        code, _, err = run(
+            ["characterize", str(spec), files["rademacher"], "--max-len", "4"], capsys
+        )
+        assert code == 3
+        assert "power-sum condition sum b_j^m a_jj != 0 fails at m = 4" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "text",
         [

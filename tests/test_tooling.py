@@ -7,7 +7,8 @@ ones on atomic measures load numpy or inspect, characterize and the
 convolution subcommands other than the boxtimes word oracle never load
 the word engine, the exact series kernels see only Python ints, every
 exported name is reachable from the CLI's source or kept for a stated
-reason, and neither the package source nor the tests import anything
+reason, every reference engine in the oracles is reachable from some
+test, and neither the package source nor the tests import anything
 they do not use."""
 
 import ast
@@ -135,6 +136,23 @@ def test_every_export_is_read_or_kept():
         module = "freeconv" if stem == "__init__" else f"freeconv.{stem}"
         exported.update(getattr(importlib.import_module(module), "__all__", ()))
     assert sorted(exported - reachable(sources, "cli")) == sorted(KEEP)
+
+
+def test_every_oracle_is_reachable_from_a_test():
+    # a reference engine no test reaches checks nothing
+    tests = ROOT / "tests"
+    oracles = (tests / "oracles.py").read_text()
+    defined = set()
+    for stmt in ast.parse(oracles).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    used: set[str] = set()
+    for path in sorted(tests.glob("test_*.py")):
+        used |= reachable({"oracles": oracles, path.stem: path.read_text()}, path.stem)
+    assert sorted(defined - used) == []
 
 
 def run_probe(probe: str, *args: str) -> str:

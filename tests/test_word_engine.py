@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from freeconv import word_engine
 from freeconv.errors import DomainError, ParseError
 from freeconv.measures import Atomic, MomentSequence, catalan, moments
-from freeconv.characterize import _nc_blocks
 from freeconv.word_engine import (
     Word,
     centered_product_moment,
@@ -16,7 +15,7 @@ from freeconv.word_engine import (
     mixed_moment,
 )
 from freeconv.transforms import free_from_moments
-from oracles import mixed_moment_bruteforce, nc_moment_by_block_subsets, nc_partitions
+from oracles import mixed_moment_bruteforce, nc_blocks, nc_moment_by_block_subsets, nc_partitions
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
@@ -41,15 +40,15 @@ def alternating_products(n_vars, max_len, exponents):
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 14), (6, 132)])
     def test_counts_match_catalan(self, n, count):
-        parts = list(_nc_blocks(tuple(range(1, n + 1))))
+        parts = list(nc_blocks(tuple(range(1, n + 1))))
         assert len(parts) == count == catalan(n)
 
     def test_each_produced_once(self):
-        parts = [canonical(p) for p in _nc_blocks(tuple(range(1, 6)))]
+        parts = [canonical(p) for p in nc_blocks(tuple(range(1, 6)))]
         assert len(parts) == len(set(parts)) == catalan(5)
 
     def test_agrees_with_bruteforce_filter(self):
-        ours = {canonical(p) for p in _nc_blocks(tuple(range(1, 7)))}
+        ours = {canonical(p) for p in nc_blocks(tuple(range(1, 7)))}
         brute = {canonical(p) for p in nc_partitions(6)}
         assert ours == brute
 
@@ -57,7 +56,7 @@ class TestEnumeration:
     def test_zero_cumulant_drops_exactly_its_block_size(self, zero_size):
         kappa = [Fraction(1)] * 6
         kappa[zero_size - 1] = Fraction(0)
-        ours = [canonical(p) for p in _nc_blocks(tuple(range(1, 7)), kappa)]
+        ours = [canonical(p) for p in nc_blocks(tuple(range(1, 7)), kappa)]
         brute = {
             canonical(p) for p in nc_partitions(6) if all(len(b) != zero_size for b in p)
         }
