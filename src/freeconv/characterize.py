@@ -32,37 +32,18 @@ carries the weight w_p = b at an L and all ones otherwise, and positions
 p and p + 1 are coupled by C_p = A inside a Q and by the all-ones matrix
 J between letters, so a term is kappa_pi times the sum of
 prod_p w_p[i_p] C_p[i_p, i_(p+1)] over the indices constant on each
-block.  This module sums it by one interval recursion.  F[s][t] is the
-n x n matrix of the sum over the non-crossing partitions of positions
-s..t, with i_s and i_t fixed.  The block of s is a chain
-s = e_0 < e_1 < ... < e_(k-1), tracked by its length k.  What lies
-between consecutive elements e < e' is a non-crossing partition of the
-gap, which contributes diag(C_e F[e+1][e'-1] C_(e'-1)), or diag(C_e)
-when the gap is empty.  Closed[s][e] sums the chains that end at e,
-each of length k times kappa_k; a chain longer than the last nonzero
-kappa_k never closes, so it is not kept.  Every other block lies inside
-a gap or right of the chain's last element e, so
+block.  Every index carries the one marginal's cumulants, and
+``noncrossing.prefix_sums`` sums this by its interval recursion.  The
+coefficients are scaled to a common denominator first, so its tables
+hold ints, and each prefix is divided once more, by that denominator to
+the number of letters.
 
-    F[s][t] = diag(Closed[s][t]) + sum_(e<t) diag(Closed[s][e]) C_e F[e+1][t],
-
-and the trace is the sum of the entries of F[0][d-1].  The tables hold
-ints: the coefficients are scaled to a common denominator and kappa_k is
-dilated to c^k kappa_k (``measures.dilate``), so the result is divided
-once.  They cost O(d^4 n + d^3 n^2 + d^2 n^3).  This is the M_n-valued
-moment-cumulant recursion of D = diag(T_1, ..., T_n), with the
-coefficient matrices between its factors.  D's entries are free, so D is
-R-cyclic: a cumulant of its entries vanishes unless every index agrees
-(Nica, Shlyakhtenko & Speicher, J. Funct. Anal. 188 (2002);
-Nica & Speicher, Lectures on the Combinatorics of Free Probability,
-Lecture 11).
-
-F[s][t] never looks past position t, so the trace of every prefix that
-ends on a letter reads off the same tables.  Every alternating pattern
-is a prefix of the longest one with the same first letter, so the
-dichotomy builds two sets of tables.  Its filter drops every partition
-in which a Q's two positions form a block of their own.  That block is
-the chain {s, s + 1} that starts at the Q's first position s, the only
-chain of s ending at s + 1, so the filter zeroes Closed[s][s+1] there.
+The sum of every prefix that ends on a letter reads off the same tables.
+Every alternating pattern is a prefix of the longest one with the same
+first letter, so the dichotomy builds two sets of tables.  Its filter
+drops every partition in which a Q's two positions form a block of their
+own: the block {s, s + 1} at the Q's first position s, which is the
+kernel's dropped position.
 """
 
 from __future__ import annotations
@@ -71,11 +52,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .measures import MomentSequence, RationalLike, Value, as_fraction, dilate
+from .measures import MomentSequence, RationalLike, Value, as_fraction
+from .noncrossing import prefix_sums
 from .transforms import free_from_moments
 
 __all__ = [
@@ -258,78 +240,29 @@ def _prefix_traces(
     lone_q: bool,
 ) -> list[Fraction]:
     """The non-crossing sum of every prefix ``letters[:m]``, m = 1, 2, ...,
-    read off one set of interval tables (see the module docstring).  With
-    ``lone_q``, every partition in which a Q's two positions form a block
-    of their own is dropped."""
+    from one ``noncrossing.prefix_sums`` build (see the module docstring).
+    With ``lone_q``, every partition in which a Q's two positions form a
+    block of their own is dropped."""
     n = spec.n
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
     b = [int(v * den) for v in spec.b]
     a = [[int(v * den) for v in row] for row in spec.a]
-    a_cols = [list(col) for col in zip(*a)]
-    ones, zeros = [1] * n, [0] * n
+    ones = [1] * n
     all_ones = [ones] * n
-    # w_p, and C_p (with its columns) joining positions p and p + 1
+    # w_p, and C_p joining positions p and p + 1
     weight: list[list[int]] = []
-    coupling: list[tuple[list, list]] = []
+    coupling: list[list[list[int]]] = []
     q_starts, ends = set(), []
     for name in letters:
         if name == "Q":
             q_starts.add(len(weight))
             weight.append(ones)
-            coupling.append((a, a_cols))
+            coupling.append(a)
         weight.append(b if name == "L" else ones)
-        coupling.append((all_ones, all_ones))
+        coupling.append(all_ones)
         ends.append(len(weight) - 1)
-    d = len(weight)
-    c, kap = dilate(kappa[:d])
-    # chains longer than the last nonzero cumulant never close
-    longest = max((k for k, v in enumerate(kap, 1) if v), default=1)
-
-    f: list[list] = [[None] * d for _ in range(d)]  # F[s][t]
-    g: list[list] = [[None] * d for _ in range(d)]  # C_s F[s + 1][t]
-    gap: list[list] = [[None] * d for _ in range(d)]  # gap[e][e'] for e < e'
-    for s in reversed(range(d)):
-        if s + 1 < d:
-            cs = coupling[s][0]
-            gap[s][s + 1] = [cs[i][i] for i in range(n)]
-            for t in range(s + 1, d):
-                f_cols = list(zip(*f[s + 1][t]))
-                g[s][t] = gst = [[sum(map(mul, row, col)) for col in f_cols] for row in cs]
-                if t + 1 < d:
-                    ct_cols = coupling[t][1]
-                    gap[s][t + 1] = [sum(map(mul, gst[i], ct_cols[i])) for i in range(n)]
-
-        # chains[e - s][k - 1]: the block of s as a chain of k elements
-        # s = e_0 < ... < e_(k-1) = e, its gaps summed, kappa_k not applied
-        chains = [[weight[s]]]
-        for e2 in range(s + 1, d):
-            acc = [zeros] * min(e2 - s + 1, longest)
-            for e in range(s, e2):
-                between = gap[e][e2]
-                for k, vec in enumerate(chains[e - s][: len(acc) - 1], 1):
-                    acc[k] = list(map(add, acc[k], map(mul, vec, between)))
-            chains.append([list(map(mul, vec, weight[e2])) for vec in acc])
-        closed = [
-            [sum(kap[k] * vec[i] for k, vec in enumerate(ch)) for i in range(n)] for ch in chains
-        ]
-        if lone_q and s in q_starts:
-            closed[1] = zeros  # {s, s + 1} is the one chain of s that ends at s + 1
-
-        for t in range(s, d):
-            rows = []
-            for i in range(n):
-                row = [0] * n
-                row[i] = closed[t - s][i]
-                for e in range(s, t):
-                    if w := closed[e - s][i]:
-                        row = [x + w * y for x, y in zip(row, g[e][t][i])]
-                rows.append(row)
-            f[s][t] = rows
-
-    return [
-        Fraction(sum(map(sum, f[0][t])), den ** m * c ** (t + 1))
-        for m, t in enumerate(ends, 1)
-    ]
+    sums = prefix_sums(weight, coupling[:-1], [kappa] * n, q_starts if lone_q else ())
+    return [sums[t] / den ** m for m, t in enumerate(ends, 1)]
 
 
 def _letters(pattern: Sequence[tuple[str, int]], marginal: MomentSequence) -> list[str]:
@@ -355,7 +288,7 @@ def joint_moment(
     non-crossing partitions pi of the pattern's d positions: the product
     of kappa_|V| over the blocks V, times the coefficients contracted with
     one index per block, b at an L position and A at the two positions of
-    a Q.  The interval tables of the module docstring compute it.
+    a Q, and ``noncrossing.prefix_sums`` computes it.
     """
     letters = _letters(pattern, marginal)
     return _prefix_traces(spec, free_from_moments(marginal), letters, False)[-1]

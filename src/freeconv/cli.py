@@ -1,7 +1,7 @@
 """Command-line front end for batch runs with JSON/CSV output.
 
-Exit codes: 0 ok, 2 parse error, 3 domain/precondition error,
-4 numerical non-convergence.  Every output carries a header echoing the
+Exit codes: 0 ok, 2 parse error, 3 domain/precondition error (an input
+too large to hold in memory included), 4 numerical non-convergence.  Every output carries a header echoing the
 package version, the command line, and the seed, and every run is fully
 determined by its flags.  Exact rationals print as "p/q"; floats print
 with 12 significant digits so zero-vs-nonzero verdicts stay lossless in
@@ -13,10 +13,10 @@ Each subcommand imports its engine when it runs.  Every run loads
 nothing more.  ``cumulants`` adds ``transforms``; ``boxplus``,
 ``boxtimes``, ``subordinate`` and ``diagnose`` add ``convolution`` with
 ``transforms``, and ``boxtimes --method oracle|all`` also
-``word_engine``; ``characterize`` adds
-``characterize`` and ``transforms``; ``matrixlab`` adds ``matrix_lab``,
-``word_engine``, ``transforms`` and numpy, and ``concurrent.futures``
-with more than one thread.  The float subcommands on atomic measures run
+``word_engine`` and ``noncrossing``; ``characterize`` adds
+``characterize``, ``noncrossing`` and ``transforms``; ``matrixlab`` adds
+``matrix_lab``, ``word_engine``, ``noncrossing``, ``transforms`` and
+numpy, and ``concurrent.futures`` with more than one thread.  The float subcommands on atomic measures run
 in plain Python, so numpy loads only for a grid measure and for
 ``matrixlab``.  ``csv`` loads only for ``--format csv``.  No subcommand
 loads ``dataclasses`` (which brings ``inspect`` and ``ast``).
@@ -487,6 +487,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except DomainError as exc:
         print(f"freeconv: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        print("freeconv: domain error: the input is too large to hold in memory", file=sys.stderr)
         return EXIT_DOMAIN
     except ConvergenceError as exc:
         print(f"freeconv: numerical error: {exc}", file=sys.stderr)

@@ -21,6 +21,8 @@ convolution of measures on [0, inf) is computed two independent ways:
 * a word bridge: the k-th moment of the product measure is the trace
   of the alternating word (T S)^k, evaluated by the non-crossing
   partition engine, which shares no code with the Taylor recursion.
+  Every (T S)^k is a prefix of (T S)^p, so the p moments read off the
+  prefixes of one table build.
 
 The two routes must agree as exact rationals, which is the module's main
 internal consistency check.  A damped fixed-point solver provides the
@@ -147,18 +149,15 @@ def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSe
 def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
     """Product moments as word traces: m_k = trace of the word (T S)^k.
 
-    Independent of the Taylor route; the two must agree exactly.
+    (T S)^k is the prefix of length 2k of (T S)^p, so one build of the
+    word engine's tables gives every m_k.  Independent of the Taylor
+    route; the two must agree exactly.
     """
     # no other route of this module needs the word engine
-    from .word_engine import Word, mixed_moment
+    from .word_engine import Word, prefix_moments
 
     _check_boxtimes_inputs(m1, m2, p)
-    marginals = (m1, m2)
-    vals = [
-        mixed_moment(marginals, Word((1, 2) * k))
-        for k in range(1, p + 1)
-    ]
-    return MomentSequence(vals)
+    return MomentSequence(prefix_moments((m1, m2), Word((1, 2) * p))[1::2])
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,15 @@
 For free variables T_1..T_m with known marginal moments, the trace of a
 word T_{j_1}...T_{j_n} equals the sum over non-crossing partitions of
 {1..n} whose blocks are monochromatic in the variable index, of the
-product of free cumulants kappa_{|V|} of the block's variable.  The sum
-is evaluated by recursing on the block containing the leftmost letter;
-partitions are never materialized and per-variable cumulants are reused.
+product of free cumulants kappa_{|V|} of the block's variable.
 
-That block is a chain of positions carrying the leftmost letter's
-variable, and the letters strictly between two consecutive chain
-elements (or after the last one) form an independent gap word.  With m
-such positions, a dynamic program over the chain sums, for each
-position and chain length s, the gap products of every chain ending
-there; closing a chain of length s multiplies by kappa_s and the tail
-gap.  A word thus costs O(m^2) gap moments and O(m^3) multiplications
-instead of one term per subset of its 2^(m-1) candidate blocks.  A gap
-is itself a word, so gap moments share the one word memo, keyed by the
-word with its variables relabeled by first occurrence plus their
-cumulant ids.  The key names a word's value, not the order in which
-its sum is taken, so it needs nothing from the dynamic program.
+That is the sum ``noncrossing.prefix_sums`` computes, with one index per
+variable of the word.  Position p carries the one-hot weight e_(j_p) of
+its variable, every coupling is the all-ones matrix, and index j carries
+T_j's free cumulants.  A block then weighs 1 when its positions share a
+variable and 0 otherwise, so each partition counts its cumulants exactly
+when it is monochromatic.  One build gives the trace of every prefix of
+the word, and nothing is kept between calls.
 
 Results are exact rationals, so a trace that should vanish, such as an
 alternating product of centered free variables, comes out exactly 0.
@@ -33,13 +26,14 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
 from .measures import MomentSequence, Value
+from .noncrossing import prefix_sums
 from .transforms import free_from_moments
 
 __all__ = [
     "Word",
+    "prefix_moments",
     "mixed_moment",
     "centered_product_moment",
-    "clear_cache",
 ]
 
 
@@ -120,86 +114,35 @@ def _run_lengths(letters: Sequence[int]) -> list[tuple[int, int]]:
 # the moment engine
 # ---------------------------------------------------------------------------
 
-_CUMULANT_CACHE: dict[MomentSequence, int] = {}
-_KAPPA_VALUES: list[tuple[Fraction, ...]] = []
-_MOMENT_CACHE: dict[tuple, Fraction] = {}
+
+def _check_orders(marginals: Sequence[MomentSequence], need: dict[int, int]) -> None:
+    """Every variable in ``need`` has a marginal covering its multiplicity."""
+    nvars = max(need)
+    if len(marginals) < nvars:
+        raise DomainError(f"word uses T{nvars} but only {len(marginals)} marginals given")
+    for v, total in need.items():
+        if marginals[v - 1].order < total:
+            raise DomainError(
+                f"marginal of T{v} has order {marginals[v - 1].order}, need {total}"
+            )
 
 
-def clear_cache() -> None:
-    """Drop all memoized cumulants and word moments."""
-    _CUMULANT_CACHE.clear()
-    _KAPPA_VALUES.clear()
-    _MOMENT_CACHE.clear()
+def prefix_moments(marginals: Sequence[MomentSequence], word: Word) -> list[Fraction]:
+    """Traces of the prefixes of a word in free variables, shortest first.
 
-
-def _cumulants_of(marginal: MomentSequence) -> int:
-    """Free-cumulant id of a marginal; memo keys stay small integers.
-
-    Moments and free cumulants of one order determine each other, so
-    keying by the marginal already gives equal cumulants one id.
+    ``marginals[j-1]`` supplies the moments of variable T_j.  Each
+    marginal must cover the multiplicity of its variable in the word.
     """
-    kid = _CUMULANT_CACHE.get(marginal)
-    if kid is None:
-        kid = len(_KAPPA_VALUES)
-        _KAPPA_VALUES.append(free_from_moments(marginal))
-        _CUMULANT_CACHE[marginal] = kid
-    return kid
-
-
-def _canonical(kappa_ids: Sequence[int], letters: Sequence[int]):
-    """Relabel variables by first occurrence so equivalent words share cache."""
-    mapping: dict[int, int] = {}
-    order: list[int] = []
-    relabeled = []
-    for l in letters:
-        if l not in mapping:
-            mapping[l] = len(order)
-            order.append(l)
-        relabeled.append(mapping[l])
-    return tuple(kappa_ids[v] for v in order), tuple(relabeled)
-
-
-def _nc_moment(kappa_ids: tuple[int, ...], letters: tuple[int, ...]) -> Fraction:
-    # letters are canonical: variable of letters[0] is 0.  The block of
-    # position 0 is a chain same[0] < same[i] < ...; chains[i][s] sums the
-    # gap products of every chain ending at same[i] with s elements.  A
-    # zero gap is never extended, so the gaps after it are not evaluated.
-    if not letters:
-        return Fraction(1)
-    key = (kappa_ids, letters)
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    kv = _KAPPA_VALUES[kappa_ids[0]]
-    same = [i for i, l in enumerate(letters) if l == 0]
-    n = len(letters)
-    # no chain grows past the largest block size, at most len(kv), whose
-    # cumulant is nonzero
-    top = max((s for s in range(1, min(len(same), len(kv)) + 1) if kv[s - 1]), default=0)
-
-    def gap(a: int, b: int) -> Fraction:
-        return _nc_moment(*_canonical(kappa_ids, letters[a + 1 : b])) if b > a + 1 else Fraction(1)
-
-    chains: list[dict[int, Fraction]] = [{} for _ in same]
-    chains[0][1] = Fraction(1)
-    total = Fraction(0)
-    for i, start in enumerate(same):
-        sums = chains[i]
-        closed = sum(kv[s - 1] * w for s, w in sums.items() if kv[s - 1])
-        if closed:
-            total += closed * gap(start, n)
-        growing = [(s + 1, w) for s, w in sums.items() if s < top]
-        if not growing:
-            continue
-        for j in range(i + 1, len(same)):
-            between = gap(start, same[j])
-            if not between:
-                continue
-            ahead = chains[j]
-            for s, w in growing:
-                ahead[s] = ahead[s] + between * w if s in ahead else between * w
-    _MOMENT_CACHE[key] = total
-    return total
+    need = {v: word.multiplicity(v) for v in word.variables}
+    _check_orders(marginals, need)
+    n = len(need)
+    one_hot = {v: [int(i == j) for i in range(n)] for j, v in enumerate(need)}
+    kappas = [
+        free_from_moments(MomentSequence(marginals[v - 1].moments[:k])) for v, k in need.items()
+    ]
+    return prefix_sums(
+        [one_hot[l] for l in word.letters], [[[1] * n] * n] * (len(word) - 1), kappas
+    )
 
 
 def mixed_moment(marginals: Sequence[MomentSequence], word: Word) -> Fraction:
@@ -208,18 +151,7 @@ def mixed_moment(marginals: Sequence[MomentSequence], word: Word) -> Fraction:
     ``marginals[j-1]`` supplies the moments of variable T_j.  Each
     marginal must cover the multiplicity of its variable in the word.
     """
-    nvars = max(word.letters)
-    if len(marginals) < nvars:
-        raise DomainError(f"word uses T{nvars} but only {len(marginals)} marginals given")
-    for v in word.variables:
-        need = word.multiplicity(v)
-        if marginals[v - 1].order < need:
-            raise DomainError(
-                f"marginal of T{v} has order {marginals[v - 1].order}, need {need}"
-            )
-    kappa_ids = tuple(_cumulants_of(m) for m in marginals)
-    zero_based = tuple(l - 1 for l in word.letters)
-    return _nc_moment(*_canonical(kappa_ids, zero_based))
+    return prefix_moments(marginals, word)[-1]
 
 
 def centered_product_moment(
@@ -234,21 +166,13 @@ def centered_product_moment(
     letters = [(int(v), int(p)) for v, p in letters]
     if not letters:
         raise DomainError("empty centered product")
-    nvars = max(v for v, _ in letters)
-    if len(marginals) < nvars:
-        raise DomainError(f"need marginals for T1..T{nvars}")
     need: dict[int, int] = {}
     for v, p in letters:
         if p < 1:
             raise DomainError("exponents must be >= 1")
         need[v] = need.get(v, 0) + p
-    for v, total in need.items():
-        if marginals[v - 1].order < total:
-            raise DomainError(
-                f"marginal of T{v} has order {marginals[v - 1].order}, need {total}"
-            )
+    _check_orders(marginals, need)
     centers = [marginals[v - 1].m(p) for v, p in letters]
-    kappa_ids = tuple(_cumulants_of(m) for m in marginals)
     # Expand over the subsets of dropped factors; a factor whose center
     # vanishes is never dropped.
     droppable = [i for i, c in enumerate(centers) if c != 0]
@@ -258,8 +182,6 @@ def centered_product_moment(
             coeff = Fraction(1)
             for i in dropped:
                 coeff *= -centers[i]
-            flat = tuple(
-                v - 1 for i, (v, p) in enumerate(letters) if i not in dropped for _ in range(p)
-            )
-            total += coeff * _nc_moment(*_canonical(kappa_ids, flat))
+            kept = [v for i, (v, p) in enumerate(letters) if i not in dropped for _ in range(p)]
+            total += coeff * (mixed_moment(marginals, Word(kept)) if kept else 1)
     return total

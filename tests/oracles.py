@@ -15,7 +15,10 @@ must match exactly, the Fraction LDL^T elimination that checked exact
 Hankel matrices before the integer (Bareiss) check, the float
 boolean-to-moment loop of the subordination route, the
 (L, Q) joint moment that expands a pattern into every index word, the
-word engine that enumerates every candidate block of the first letter, the
+word engine that enumerates every candidate block of the first letter and
+the one after it that ran a dynamic program over that block as a chain,
+with a memo of gap words (the reference for word traces read off the
+interval tables), the
 (L, Q) joint moment that contracts each partition's coefficients with one
 object-array ``np.einsum``, a batched cyclic Jacobi eigensolver and
 scipy's adaptive quadrature, which float results must match within a
@@ -166,6 +169,53 @@ def nc_moment_by_block_subsets(kappas, letters, memo=None) -> Fraction:
                 if term == 0:
                     break
             total += term
+    memo[letters] = total
+    return total
+
+
+def nc_moment_by_chains(kappas, letters, memo=None) -> Fraction:
+    """Monochromatic non-crossing sum by a dynamic program over the chain
+    that forms the block of position 0.
+
+    ``kappas`` and ``letters`` are as in ``nc_moment_by_block_subsets``.
+    The letters strictly between two consecutive chain elements, or after
+    the last one, form a gap word.  ``chains[i][s]`` sums the gap products
+    of every chain of s elements that ends at the i-th position of the
+    leading variable; closing it multiplies by kappa_s and the tail gap.
+    Gap words recurse, memoized per call.  This was the library's word
+    engine before the interval recursion: O(m^2) gaps and O(m^3) products
+    for m letters of the leading variable.
+    """
+    letters = tuple(letters)
+    if not letters:
+        return Fraction(1)
+    memo = {} if memo is None else memo
+    if letters in memo:
+        return memo[letters]
+    kv = kappas[letters[0]]
+    same = [i for i, l in enumerate(letters) if l == letters[0]]
+    # no chain grows past the largest block size with a nonzero cumulant
+    top = max((s for s in range(1, min(len(same), len(kv)) + 1) if kv[s - 1]), default=0)
+
+    def gap(a: int, b: int) -> Fraction:
+        return nc_moment_by_chains(kappas, letters[a + 1 : b], memo)
+
+    chains: list[dict[int, Fraction]] = [{} for _ in same]
+    chains[0][1] = Fraction(1)
+    total = Fraction(0)
+    for i, start in enumerate(same):
+        sums = chains[i]
+        closed = sum(kv[s - 1] * w for s, w in sums.items() if kv[s - 1])
+        if closed:
+            total += closed * gap(start, len(letters))
+        growing = [(s + 1, w) for s, w in sums.items() if s < top]
+        if not growing:
+            continue
+        for j in range(i + 1, len(same)):
+            between = gap(start, same[j])
+            if between:
+                for s, w in growing:
+                    chains[j][s] = chains[j].get(s, 0) + between * w
     memo[letters] = total
     return total
 
@@ -432,10 +482,11 @@ def joint_moment_by_words(spec, marginal, pattern) -> Fraction:
     Every L becomes its weighted letters and every Q its weighted letter
     pairs, in order.  Words equal up to relabeling the variables have the
     same trace, so each relabeling class is traced once through
-    ``mixed_moment``.
+    ``nc_moment_by_chains``, with one memo for the call.
     """
-    from freeconv.word_engine import Word, mixed_moment
+    from freeconv.transforms import free_from_moments
 
+    kappa, memo = free_from_moments(marginal), {}
     n = spec.n
     l_options = [(spec.b[j], (j,)) for j in range(n) if spec.b[j] != 0]
     q_options = [
@@ -453,7 +504,11 @@ def joint_moment_by_words(spec, marginal, pattern) -> Fraction:
         key = tuple(letters)
         grouped[key] = grouped.get(key, Fraction(0)) + coeff
     return sum(
-        (c * mixed_moment([marginal] * max(w), Word(w)) for w, c in grouped.items() if c != 0),
+        (
+            c * nc_moment_by_chains([kappa] * max(w), [l - 1 for l in w], memo)
+            for w, c in grouped.items()
+            if c != 0
+        ),
         start=Fraction(0),
     )
 

@@ -8,7 +8,6 @@ from freeconv import characterize
 from freeconv.errors import DomainError
 from freeconv.measures import Atomic, Semicircle, moments
 from freeconv.transforms import free_from_moments, moments_from_free
-from freeconv.word_engine import Word, mixed_moment, clear_cache
 from freeconv.characterize import (
     QuadraticFormSpec,
     _prefix_traces,
@@ -29,6 +28,7 @@ from oracles import (
     joint_moment_by_words,
     letter_starts,
     nc_blocks,
+    nc_moment_by_chains,
     nc_sum_by_enumeration,
 )
 
@@ -210,8 +210,10 @@ class TestJointMoments:
             for k in range(n):
                 Q = Q + (WordPoly.letter(j + 1, spec.a[j][k]) * WordPoly.letter(k + 1))
 
+        kappa, memo = free_from_moments(marginal), {}
+
         def tau(word):
-            return mixed_moment([marginal] * n, Word(word))
+            return nc_moment_by_chains([kappa] * n, [l - 1 for l in word], memo)
 
         for pattern, poly in [
             ((("Q", 1), ("L", 1)), Q * L),
@@ -388,13 +390,6 @@ class TestDichotomy:
     def test_refuses_uncentered_marginal(self, bernoulli):
         with pytest.raises(DomainError):
             freeness_dichotomy(preset_sample_mean_variance(2), moments(bernoulli, 6), 6)
-
-    def test_deterministic_across_cache_clears(self, rademacher_marginal):
-        spec = preset_sample_mean_variance(2)
-        first = freeness_dichotomy(spec, rademacher_marginal, 6)
-        clear_cache()
-        second = freeness_dichotomy(spec, rademacher_marginal, 6)
-        assert first.deviations == second.deviations
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("marginal", ["rademacher", "semicircle", "three-atom"])

@@ -608,6 +608,16 @@ class TestMatrixlab:
         assert "# command=" in out
 
 
+    def test_word_too_large_for_memory_exits_three(self, capsys):
+        # 10^15 letters cannot be allocated on any host
+        code, out, err = run(
+            ["matrixlab", "--word", "T1^1000000000000000", "--N", "4", "--trials", "2"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "memory" in err
+
+
 class TestOutputFile:
     def test_writes_file(self, files, capsys):
         code, out, _ = run(

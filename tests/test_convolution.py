@@ -19,7 +19,7 @@ from freeconv.transforms import (
     boolean_from_moments,
     moments_from_boolean,
 )
-from freeconv import convolution, word_engine
+from freeconv import convolution, noncrossing, word_engine
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
     boxplus_moments,
@@ -142,24 +142,32 @@ class TestBoxtimesExact:
             assert boxtimes_moments(m1, m2, p) == boxtimes_word_oracle(m1, m2, p)
 
     def test_word_oracle_work_is_polynomial(self, bernoulli, two_point, monkeypatch):
-        # one _canonical call per gap looked up, O(p^3) at order p; choosing
-        # every subset of first-block positions takes 680,011 calls here
-        p = 16
-        calls = 0
-        canonical = word_engine._canonical
+        # one table build of 2p positions gives all p moments, and its
+        # elementwise products grow like p^4: doubling p multiplies them by
+        # under 2^5, where choosing every subset of first-block positions
+        # takes 680,011 gap lookups at p = 16 alone
+        builds, products = [], 0
+        build = word_engine.prefix_sums
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return canonical(*args)
+        def counted_build(weight, *args):
+            builds.append(len(weight))
+            return build(weight, *args)
 
-        monkeypatch.setattr(word_engine, "_canonical", counted)
-        word_engine.clear_cache()
-        m1, m2 = moments(bernoulli, p), moments(two_point, p)
-        assert boxtimes_word_oracle(m1, m2, p) == boxtimes_moments(m1, m2, p)
-        assert calls < 4 * p ** 3
-        # one entry per distinct canonical word met: each (T S)^k and its gaps
-        assert len(word_engine._MOMENT_CACHE) == 61
+        def counted_mul(x, y):
+            nonlocal products
+            products += 1
+            return x * y
+
+        monkeypatch.setattr(word_engine, "prefix_sums", counted_build)
+        monkeypatch.setattr(noncrossing, "mul", counted_mul)
+        work = []
+        for p in (8, 16):
+            products = 0
+            m1, m2 = moments(bernoulli, p), moments(two_point, p)
+            assert boxtimes_word_oracle(m1, m2, p) == boxtimes_moments(m1, m2, p)
+            work.append(products)
+        assert builds == [16, 32]
+        assert 0 < work[1] < 2 ** 5 * work[0]
 
     def test_matches_pass_recursion_to_order_sixteen(self):
         # the replaced O(p^4) recursion is the reference

@@ -5,7 +5,9 @@ dataclasses, and none writing JSON loads csv, importing the package
 loads only its exceptions, neither the exact subcommands nor the float
 ones on atomic measures load numpy or inspect, characterize and the
 convolution subcommands other than the boxtimes word oracle never load
-the word engine, the exact series kernels see only Python ints, every
+the word engine, the convolution subcommands without the word oracle and
+the moment and cumulant subcommands never load the non-crossing kernel,
+the exact series kernels see only Python ints, every
 exported name is reachable from the CLI's source or kept for a stated
 reason, every reference engine in the oracles is reachable from some
 test, and neither the package source nor the tests import anything
@@ -61,7 +63,6 @@ KEEP = {
     "InequalityReport": "what verify_inequalities returns to the benchmark's library job",
     "ncLp_norm": "the benchmark's library job calls it",
     "measure_to_json": "the inverse of measure_from_json, for the serialization round-trip",
-    "clear_cache": "resets the word engine's memo, for tests",
 }
 
 
@@ -233,6 +234,11 @@ def test_exact_subcommands_leave_numpy_unloaded():
     codes, loaded = run_in_one_process(runs, "numpy", "inspect")
     assert codes == [0] * len(runs)
     assert loaded == {"numpy": [], "inspect": []}
+    # the moment and cumulant conversions need no non-crossing kernel
+    codes, loaded = run_in_one_process(runs[:3], "freeconv")
+    assert codes == [0] * 3
+    assert "freeconv.transforms" in loaded["freeconv"]
+    assert "freeconv.noncrossing" not in loaded["freeconv"]
 
 
 def test_atomic_float_subcommands_leave_numpy_unloaded():
@@ -274,6 +280,7 @@ def test_convolution_jobs_leave_word_engine_unloaded():
     assert codes == [0] * len(runs)
     assert "freeconv.convolution" in loaded["freeconv"]
     assert "freeconv.word_engine" not in loaded["freeconv"]
+    assert "freeconv.noncrossing" not in loaded["freeconv"]
 
 
 def test_series_kernels_see_only_ints(monkeypatch):

@@ -5,21 +5,53 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv import word_engine
+from freeconv import characterize, noncrossing, word_engine
+from freeconv.characterize import freeness_dichotomy, joint_moment, preset_sample_mean_variance
 from freeconv.errors import DomainError, ParseError
-from freeconv.measures import Atomic, MomentSequence, catalan, moments
+from freeconv.measures import Atomic, MomentSequence, Semicircle, catalan, moments
 from freeconv.word_engine import (
     Word,
     centered_product_moment,
-    clear_cache,
     mixed_moment,
+    prefix_moments,
 )
 from freeconv.transforms import free_from_moments
-from oracles import mixed_moment_bruteforce, nc_blocks, nc_moment_by_block_subsets, nc_partitions
+from oracles import (
+    mixed_moment_bruteforce,
+    nc_blocks,
+    nc_moment_by_block_subsets,
+    nc_moment_by_chains,
+    nc_partitions,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
 )
+
+# moments to order 12 of laws whose cumulants vanish in different ways:
+# odd ones (Rademacher), all past the second (semicircle), none (a skew
+# three-atom law)
+LAWS = [
+    moments(law, 12).moments
+    for law in (
+        Atomic([(-1, Fraction(1, 2)), (1, Fraction(1, 2))]),
+        Semicircle(0, 2),
+        Atomic([(Fraction(1, 2), Fraction(1, 4)), (1, Fraction(1, 4)), (3, Fraction(1, 2))]),
+    )
+]
+
+
+@st.composite
+def words_and_marginals(draw):
+    """A word over 1-3 variables of up to 12 letters, and one marginal per
+    variable cut to the variable's multiplicity in the word."""
+    nvars = draw(st.integers(1, 3))
+    word = draw(st.lists(st.integers(1, nvars), min_size=1, max_size=12))
+    laws = st.one_of(st.sampled_from(LAWS), st.lists(rationals, min_size=12, max_size=12))
+    marginals = [
+        MomentSequence(draw(laws)[: max(1, word.count(v))]) for v in range(1, nvars + 1)
+    ]
+    return word, marginals
 
 
 def canonical(blocks):
@@ -158,23 +190,39 @@ class TestMixedMoment:
         with pytest.raises(DomainError):
             mixed_moment((moments(bernoulli, 2),), Word((1, 2)))
 
-    def test_cache_can_be_cleared(self, bernoulli):
-        m = moments(bernoulli, 4)
-        v1 = mixed_moment((m, m), Word((1, 2, 1, 2)))
-        clear_cache()
-        assert mixed_moment((m, m), Word((1, 2, 1, 2))) == v1
+    def test_no_module_level_memo_grows(self, bernoulli, rademacher):
+        # every call starts from its own tables: no module-level dict, list
+        # or set of the engines changes size across calls
+        modules = (word_engine, noncrossing, characterize)
 
-    def test_clear_cache_empties_every_memo(self, bernoulli):
-        m = moments(bernoulli, 4)
+        def sizes():
+            return {
+                (module.__name__, name): len(value)
+                for module in modules
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = sizes()
+        m = moments(bernoulli, 6)
         mixed_moment((m, m), Word((1, 2, 1, 2)))
-        memos = (
-            word_engine._CUMULANT_CACHE,
-            word_engine._KAPPA_VALUES,
-            word_engine._MOMENT_CACHE,
-        )
-        assert all(memos)
-        clear_cache()
-        assert not any(memos)
+        prefix_moments((m, m), Word((1, 2, 2, 1, 1, 2)))
+        spec, r = preset_sample_mean_variance(3), moments(rademacher, 8)
+        joint_moment(spec, r, (("L", 1), ("Q", 2), ("L", 1)))
+        freeness_dichotomy(spec, r, 8)
+        assert before and sizes() == before
+
+
+class TestPrefixMoments:
+    @given(words_and_marginals())
+    @settings(max_examples=60, deadline=None)
+    def test_every_prefix_matches_both_oracles(self, case):
+        word, marginals = case
+        kappas = [free_from_moments(m) for m in marginals]
+        letters = [l - 1 for l in word]
+        chains = [nc_moment_by_chains(kappas, letters[:k]) for k in range(1, len(word) + 1)]
+        subsets = [nc_moment_by_block_subsets(kappas, letters[:k]) for k in range(1, len(word) + 1)]
+        assert prefix_moments(marginals, Word(word)) == chains == subsets
 
 
 class TestCenteredProducts:
