@@ -20,6 +20,21 @@ numpy, and ``concurrent.futures`` with more than one thread.  The float subcomma
 in plain Python, so numpy loads only for a grid measure and for
 ``matrixlab``.  ``csv`` loads only for ``--format csv``.  No subcommand
 loads ``dataclasses`` (which brings ``inspect`` and ``ast``).
+
+The ``freeconv`` command and ``python -m freeconv.cli`` run ``run()``:
+``main()``, then a flush of stdout (argparse's help; ``_emit`` flushes
+the output it writes) and of stderr, then ``os._exit`` with main's exit
+code.  That skips the interpreter's teardown of its modules and its last
+garbage collections, which take 9.5-15 ms after an exact job and
+29-36 ms after a numpy ``matrixlab`` job, against 1.3-3.4 ms for
+``os._exit`` (medians of 9 runs on a 2-vCPU VM, from main's return
+until the parent sees the exit).  Nothing is lost by skipping it: every
+file a run writes is closed by a ``with`` block before main returns,
+``matrixlab`` joins its thread pool in one, and no other thread is left
+running.  A write to stdout or to ``--output`` that fails, at the write
+or at the flush, is a parse error.  ``main()`` itself returns its exit
+code normally, so library callers and tests keep the interpreter's
+usual exit.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ import os
 import shlex
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, ParseError
@@ -93,14 +108,19 @@ def _emit(args, payload: dict, columns: Sequence[str], rows: list) -> None:
         for row in rows:
             writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
         text = buf.getvalue()
-    if args.output:
-        try:
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.output and sys.stdout is None:  # started with stdout closed
+        raise ParseError("cannot write stdout: it is closed")
+    # a broken pipe or a full disk fails the write or the flush, on either target
+    try:
+        if args.output:
             with open(args.output, "w") as handle:
-                handle.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output or 'stdout'}: {exc}") from exc
 
 
 def _load_measure(path: str) -> Measure:
@@ -231,8 +251,9 @@ def cmd_subordinate(args) -> None:
             raise ParseError(f"bad evaluation point {args.z!r}") from exc
         points = [z]
     else:
-        if args.grid < 1:
-            raise DomainError(f"--grid must be >= 1, got {args.grid}")
+        # past k = 3076 the last point -10^(-k/10) is no normal float
+        if not 1 <= args.grid <= 3076:
+            raise DomainError(f"--grid must be in 1..3076, got {args.grid}")
         points = [complex(-(10.0 ** (-k / 10.0)), 0.0) for k in range(1, args.grid + 1)]
     means = (_mean(mu1), _mean(mu2))  # once for every point
     rows = []
@@ -497,5 +518,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_OK
 
 
+def run() -> NoReturn:
+    """The ``freeconv`` command: ``main``, then flush stdout and stderr and
+    end the process at once with ``os._exit``, skipping the interpreter's
+    teardown (see the module docstring).  An exception that escapes
+    ``main`` still ends with Python's traceback and exit 1."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()  # what argparse printed; _emit flushes its own
+    except OSError as exc:
+        if code == EXIT_OK:  # otherwise main has reported the failed write
+            print(f"freeconv: parse error: cannot write stdout: {exc}", file=sys.stderr)
+            code = EXIT_PARSE
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

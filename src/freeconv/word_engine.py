@@ -127,6 +127,26 @@ def _check_orders(marginals: Sequence[MomentSequence], need: dict[int, int]) -> 
             )
 
 
+def _cumulants(marginals: Sequence[MomentSequence], need: dict[int, int]) -> dict[int, list]:
+    """Free cumulants of each variable in ``need``, from its marginal cut
+    to the multiplicity ``need`` gives it."""
+    _check_orders(marginals, need)
+    return {
+        v: free_from_moments(MomentSequence(marginals[v - 1].moments[:k])) for v, k in need.items()
+    }
+
+
+def _traces(kappas: dict[int, list], letters: Sequence[int]) -> list[Fraction]:
+    """Traces of the prefixes of ``letters``, each variable's free
+    cumulants read from ``kappas``, which may hold variables absent from
+    ``letters``."""
+    n = len(kappas)
+    one_hot = {v: [int(i == j) for i in range(n)] for j, v in enumerate(kappas)}
+    return prefix_sums(
+        [one_hot[l] for l in letters], [[[1] * n] * n] * (len(letters) - 1), list(kappas.values())
+    )
+
+
 def prefix_moments(marginals: Sequence[MomentSequence], word: Word) -> list[Fraction]:
     """Traces of the prefixes of a word in free variables, shortest first.
 
@@ -134,15 +154,7 @@ def prefix_moments(marginals: Sequence[MomentSequence], word: Word) -> list[Frac
     marginal must cover the multiplicity of its variable in the word.
     """
     need = {v: word.multiplicity(v) for v in word.variables}
-    _check_orders(marginals, need)
-    n = len(need)
-    one_hot = {v: [int(i == j) for i in range(n)] for j, v in enumerate(need)}
-    kappas = [
-        free_from_moments(MomentSequence(marginals[v - 1].moments[:k])) for v, k in need.items()
-    ]
-    return prefix_sums(
-        [one_hot[l] for l in word.letters], [[[1] * n] * n] * (len(word) - 1), kappas
-    )
+    return _traces(_cumulants(marginals, need), word.letters)
 
 
 def mixed_moment(marginals: Sequence[MomentSequence], word: Word) -> Fraction:
@@ -171,17 +183,23 @@ def centered_product_moment(
         if p < 1:
             raise DomainError("exponents must be >= 1")
         need[v] = need.get(v, 0) + p
-    _check_orders(marginals, need)
+    kappas = _cumulants(marginals, need)  # once for every subword
     centers = [marginals[v - 1].m(p) for v, p in letters]
     # Expand over the subsets of dropped factors; a factor whose center
-    # vanishes is never dropped.
+    # vanishes is never dropped.  Fewer dropped factors come first, and one
+    # build traces every prefix of its subword, so a subword that is a
+    # prefix of one traced before is read off it.
     droppable = [i for i, c in enumerate(centers) if c != 0]
+    traced: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
     total = Fraction(0)
     for k in range(len(droppable) + 1):
         for dropped in combinations(droppable, k):
             coeff = Fraction(1)
             for i in dropped:
                 coeff *= -centers[i]
-            kept = [v for i, (v, p) in enumerate(letters) if i not in dropped for _ in range(p)]
-            total += coeff * (mixed_moment(marginals, Word(kept)) if kept else 1)
+            kept = tuple(v for i, (v, p) in enumerate(letters) if i not in dropped for _ in range(p))
+            if kept not in traced:
+                for t, value in enumerate(_traces(kappas, kept), 1):
+                    traced[kept[:t]] = value
+            total += coeff * traced[kept]
     return total

@@ -1,13 +1,20 @@
+import functools
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
 import pytest
 
+import freeconv
 from freeconv import convolution
 from freeconv.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(freeconv.__file__)))
 
 BERNOULLI = '{"kind": "atomic", "atoms": [["0", "1/2"], ["1", "1/2"]]}'
 DELTA2 = '{"kind": "atomic", "atoms": [["2", "1"]]}'
@@ -41,6 +48,24 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ENTRY = [sys.executable, "-m", "freeconv.cli"]
+
+
+def entry_env() -> dict:
+    """The environment of a child Python, with stdout block-buffered
+    (PYTHONUNBUFFERED removed), so the flushes before it exits are what
+    deliver its output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    return env
+
+
+def run_entry(args, **kwargs):
+    """The CLI run as users run it, ``python -m freeconv.cli``, in a child."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(ENTRY + args, env=entry_env(), stderr=subprocess.PIPE, timeout=120, **kwargs)
 
 
 class TestExitCodes:
@@ -387,6 +412,7 @@ class TestSubordinate:
             (["--max-iter", "0"], 3),
             (["--grid", "0"], 3),
             (["--grid", "-4"], 3),
+            (["--grid", "3077"], 3),  # its last point -10^(-307.7) is subnormal
         ],
     )
     def test_unusable_values_are_rejected(self, files, capsys, flags, code):
@@ -395,6 +421,19 @@ class TestSubordinate:
         )
         assert (got, out) == (code, "")
         assert err.startswith("freeconv: ") and err.count("\n") == 1
+
+    def test_huge_grid_is_rejected_before_any_point_is_built(self, files):
+        # under a 1 GiB address-space cap, a grid built before the check
+        # fails fast as a MemoryError line that does not name --grid
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = run_entry(
+            ["subordinate", files["bernoulli"], files["bernoulli"], "--grid", str(10**12)],
+            preexec_fn=cap_memory,
+        )
+        assert (result.returncode, result.stdout) == (3, b"")
+        assert result.stderr.decode().count("\n") == 1 and "--grid" in result.stderr.decode()
 
 
 class TestThreads:
@@ -639,3 +678,108 @@ class TestOutputFile:
         assert code == 2
         assert out == ""
         assert "cannot write" in err
+
+
+class TestEntryPoint:
+    """``python -m freeconv.cli`` ends with ``os._exit`` after flushing;
+    what it prints and its exit code are those of an in-process ``main``."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["moments", "{bernoulli}", "--order", "3"], 0),
+            (["--help"], 0),
+            (["moments", "/nonexistent.json", "--order", "2"], 2),
+            (["moments", "{bernoulli}", "--bogus"], 2),
+            (["boxtimes", "{delta0}", "{bernoulli}", "--order", "2"], 3),
+            (["subordinate", "{bernoulli}", "{bernoulli}", "--z", "-0.5", "--max-iter", "1"], 4),
+        ],
+    )
+    def test_same_result_as_main(self, files, capsys, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+        argv = [a.format(**files) for a in argv]
+        want = run(argv, capsys)
+        result = run_entry(argv)
+        assert want[0] == code
+        assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == want
+
+    def test_long_output_arrives_whole_through_a_pipe_and_a_file(self, files, capsys, tmp_path):
+        argv = ["subordinate", files["bernoulli"], files["delta2"], "--grid", "600"]
+        _, want, _ = run(argv, capsys)
+        assert len(want) > 1 << 16
+        assert run_entry(argv).stdout.decode() == want
+        with open(tmp_path / "out.json", "wb") as handle:
+            assert run_entry(argv, stdout=handle).returncode == 0
+        assert (tmp_path / "out.json").read_text() == want
+
+    def test_threads_give_the_same_rows(self, files):
+        rows = []
+        for threads in ("1", "2"):
+            result = run_entry(
+                ["--threads", threads, "matrixlab", "--word", "T1 T2 T1 T2", "--N", "16",
+                 "--trials", "8", "--ensemble", "diagonal", "--measure", files["bernoulli"]]
+            )
+            assert result.returncode == 0
+            rows.append(json.loads(result.stdout)["rows"])
+        assert rows[0] == rows[1]
+
+    def test_exception_escaping_main_is_a_traceback_and_one(self):
+        probe = (
+            "from freeconv import cli\n"
+            "def main():\n    raise RuntimeError('escaped')\n"
+            "cli.main = main\n"
+            "cli.run()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=entry_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("Traceback")
+        assert result.stderr.endswith("RuntimeError: escaped\n")
+
+
+class TestFailedStdout:
+    """A write to stdout that fails is one parse-error line and exit 2,
+    as a failed write to ``--output`` is."""
+
+    @staticmethod
+    def check(code, err):
+        assert code == 2
+        assert err.startswith(b"freeconv: parse error: cannot write stdout: ")
+        assert err.count(b"\n") == 1
+
+    def test_reader_gone_mid_output(self, files):
+        # over 64 KiB, so the write blocks on the full pipe until the reader leaves
+        with subprocess.Popen(
+            ENTRY + ["subordinate", files["bernoulli"], files["delta2"], "--grid", "600"],
+            env=entry_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        self.check(proc.returncode, err)
+
+    def test_reader_gone_before_a_short_output(self, files):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = run_entry(["moments", files["bernoulli"], "--order", "3"], stdout=write)
+        finally:
+            os.close(write)
+        self.check(result.returncode, result.stderr)
+
+    def test_stdout_closed(self, files):
+        result = run_entry(
+            ["moments", files["bernoulli"], "--order", "3"],
+            stdout=None,
+            preexec_fn=functools.partial(os.close, 1),
+        )
+        self.check(result.returncode, result.stderr)
+
+    def test_full_device(self, files):
+        with open("/dev/full", "wb") as full:
+            result = run_entry(["moments", files["bernoulli"], "--order", "3"], stdout=full)
+        self.check(result.returncode, result.stderr)

@@ -10,8 +10,9 @@ the moment and cumulant subcommands never load the non-crossing kernel,
 the exact series kernels see only Python ints, every
 exported name is reachable from the CLI's source or kept for a stated
 reason, every reference engine in the oracles is reachable from some
-test, and neither the package source nor the tests import anything
-they do not use."""
+test, neither the package source nor the tests import anything
+they do not use, the command's script and ``python -m freeconv.cli``
+call the same function, and no subcommand leaves a thread running."""
 
 import ast
 import importlib
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,15 +175,22 @@ def run_in_one_process(
     runs: list[list[str]], *packages: str
 ) -> tuple[list[int], dict[str, list[str]]]:
     """Exit codes of the CLI runs, made one after another in one fresh
-    process, and for each of ``packages`` its modules loaded at the end."""
+    process, and for each of ``packages`` its modules loaded at the end.
+
+    No run may leave a thread other than the main thread alive: ``cli.run``
+    ends the process with ``os._exit``, which would cut such a thread off.
+    """
     probe = (
-        "import json, os, sys\n"
+        "import json, os, sys, threading\n"
         "from freeconv.cli import main\n"
         "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
         "loaded = {p: sorted(m for m in sys.modules if m.split('.')[0] == p) for p in sys.argv[2:]}\n"
-        "print(json.dumps([codes, loaded]))"
+        "threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]\n"
+        "print(json.dumps([codes, loaded, threads]))"
     )
-    return json.loads(run_probe(probe, json.dumps(runs), *packages))
+    codes, loaded, threads = json.loads(run_probe(probe, json.dumps(runs), *packages))
+    assert threads == []
+    return codes, loaded
 
 
 def test_import_leaves_scipy_unloaded():
@@ -189,10 +198,10 @@ def test_import_leaves_scipy_unloaded():
     assert run_probe(probe).strip() == "[]"
 
 
-def test_subcommands_leave_scipy_unloaded():
+def every_subcommand() -> list[list[str]]:
     demo = {name: str(ROOT / "demos" / "data" / f"{name}.json")
             for name in ("bernoulli", "two_point", "rademacher")}
-    runs = [
+    return [
         ["moments", demo["two_point"], "--order", "4"],
         ["cumulants", demo["two_point"], "--order", "4", "--kind", "free"],
         ["boxplus", demo["bernoulli"], demo["two_point"], "--order", "4"],
@@ -204,10 +213,40 @@ def test_subcommands_leave_scipy_unloaded():
          "--ensemble", "diagonal", "--measure", demo["bernoulli"]],
         ["matrixlab", "--word", "T1^2", "--N", "16", "--trials", "4"],
     ]
+
+
+def test_subcommands_leave_scipy_unloaded():
+    runs = every_subcommand()
     # every run writes JSON, so csv is never needed
     codes, loaded = run_in_one_process(runs, "scipy", "dataclasses", "csv")
     assert codes == [0] * len(runs)
     assert loaded == {"scipy": [], "dataclasses": [], "csv": []}
+
+
+def test_no_subcommand_leaves_a_thread_running():
+    # run_in_one_process fails on a live thread; with two threads matrixlab
+    # runs its trials in a pool, which it must join before returning
+    runs = [["--threads", "2", *argv] for argv in every_subcommand()]
+    assert run_in_one_process(runs)[0] == [0] * len(runs)
+
+
+def test_entry_points_name_the_same_function():
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["freeconv"]
+    module, function = script.split(":")
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main_block = [
+        stmt for stmt in tree.body
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
+    ]
+    called = [
+        node.func.id
+        for stmt in main_block
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert module == "freeconv.cli"
+    assert called == [function] == ["run"]
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

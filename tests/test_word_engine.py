@@ -245,6 +245,22 @@ class TestCenteredProducts:
         # single centered square: tau(T^2 - m_2) = 0
         assert centered_product_moment((m,), [(1, 2)]) == 0
 
+    def test_cumulants_taken_once_per_variable(self, bernoulli, two_point, monkeypatch):
+        # tau(a b b a) = tau(a^2) tau(b^2) for centered free a and b; its 16
+        # subwords share the two variables' cumulants
+        m1, m2 = moments(bernoulli, 4), moments(two_point, 4)
+        variances = (m1.m(2) - m1.m(1) ** 2) * (m2.m(2) - m2.m(1) ** 2)
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return free_from_moments(seq)
+
+        monkeypatch.setattr(word_engine, "free_from_moments", counted)
+        got = centered_product_moment((m1, m2), [(1, 1), (2, 1), (2, 1), (1, 1)])
+        assert got == variances != 0
+        assert len(calls) == 2
+
     def test_rejects_empty(self, bernoulli):
         with pytest.raises(DomainError):
             centered_product_moment((moments(bernoulli, 2),), [])
