@@ -32,9 +32,10 @@ until the parent sees the exit).  Nothing is lost by skipping it: every
 file a run writes is closed by a ``with`` block before main returns,
 ``matrixlab`` joins its thread pool in one, and no other thread is left
 running.  A write to stdout or to ``--output`` that fails, at the write
-or at the flush, is a parse error.  ``main()`` itself returns its exit
-code normally, so library callers and tests keep the interpreter's
-usual exit.
+or at the flush, is a parse error.  An error line that stderr cannot
+take, closed or failing, is lost, and the exit code stands.  ``main()``
+itself returns its exit code normally, so library callers and tests
+keep the interpreter's usual exit.
 """
 
 from __future__ import annotations
@@ -492,6 +493,18 @@ def _resolve_threads(args) -> int:
     return threads
 
 
+def _report(line: str) -> None:
+    """Print ``freeconv: <line>`` to stderr.  A stderr that is closed or
+    cannot be written loses the line, and the exit code alone tells the
+    error."""
+    if sys.stderr is None:  # started with stderr closed
+        return
+    try:
+        print(f"freeconv: {line}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -504,16 +517,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.argv, args.threads = argv, _resolve_threads(args)
         args.func(args)
     except ParseError as exc:
-        print(f"freeconv: parse error: {exc}", file=sys.stderr)
+        _report(f"parse error: {exc}")
         return EXIT_PARSE
     except DomainError as exc:
-        print(f"freeconv: domain error: {exc}", file=sys.stderr)
+        _report(f"domain error: {exc}")
         return EXIT_DOMAIN
     except MemoryError:
-        print("freeconv: domain error: the input is too large to hold in memory", file=sys.stderr)
+        _report("domain error: the input is too large to hold in memory")
         return EXIT_DOMAIN
     except ConvergenceError as exc:
-        print(f"freeconv: numerical error: {exc}", file=sys.stderr)
+        _report(f"numerical error: {exc}")
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -529,7 +542,7 @@ def run() -> NoReturn:
             sys.stdout.flush()  # what argparse printed; _emit flushes its own
     except OSError as exc:
         if code == EXIT_OK:  # otherwise main has reported the failed write
-            print(f"freeconv: parse error: cannot write stdout: {exc}", file=sys.stderr)
+            _report(f"parse error: cannot write stdout: {exc}")
             code = EXIT_PARSE
     try:
         if sys.stderr is not None:

@@ -22,7 +22,19 @@ integrates a scalar function in plain Python.
 Atomic and semicircle measures need numpy neither for exact work nor for
 floats, so numpy is imported only where a grid or a matrix is at hand:
 ``DensityGrid``, the grid branches of ``moments``, ``psi`` and
-``fractional_moment``, and ``hankel_psd``, which checks grid moments.
+``fractional_moment``, and ``hankel_psd``.
+
+Positivity is the constructors' to guarantee, and no moment path checks
+it again.  Atomic weights are nonnegative and sum to 1, a semicircle's
+radius is positive, and a grid density is nonnegative with trapezoid
+mass within 1e-12 of 1.  So the Hankel matrices (m_(i+j)) of every
+sequence ``moments`` returns are PSD, and so are the shifted ones
+(m_(i+j+1)) for support in [0, inf): an atomic measure's are Gram
+matrices, sum of w v v^T over its atoms with v = (1, x, x^2, ...), a
+semicircle's moments are a measure's, and a grid's trapezoid moments are
+those of its nodal measure, sum of w_i delta(x_i) with
+w_i = f_i (x_(i+1) - x_(i-1))/2 >= 0, where the end nodes take half an
+interval.
 """
 
 from __future__ import annotations
@@ -325,11 +337,10 @@ def moments(mu: Measure, order: int) -> MomentSequence:
 
     Atomic and semicircle measures are exact; grid measures are integrated
     by the composite trapezoid rule and the binary64 results promoted to
-    rationals by their exact float ratio.  The Hankel matrices (m_(i+j)),
-    and (m_(i+j+1)) with support in [0, inf), must be PSD: in binary64 for
-    grids, else exactly, in integers, on the dilation D_c mu (x scaled by
-    c) with moments c^k m_k (:func:`dilate`), whose Hankel matrix D H D,
-    D = diag(c^i), is PSD exactly when H is.
+    rationals by their exact float ratio.  The sequence is returned
+    unchecked: every measure kind's constructor makes it a measure's
+    moment sequence (see the module docstring), so its Hankel matrices
+    are PSD, for a grid up to binary64 rounding.
     """
     if order < 1:
         raise DomainError("moment order must be >= 1")
@@ -352,15 +363,7 @@ def moments(mu: Measure, order: int) -> MomentSequence:
         ]
     else:
         raise TypeError(f"not a measure: {mu!r}")
-    seq = MomentSequence(vals)
-    shifted = is_positive_supported(mu)
-    if isinstance(mu, DensityGrid):
-        passed = hankel_psd(seq, shifted=shifted)
-    else:
-        passed = _exact_hankel_psd(seq.moments, shifted)
-    if not passed:
-        raise DomainError("moment sequence from measure failed the Hankel check")
-    return seq
+    return MomentSequence(vals)
 
 
 #: Cutoff |t| of the tanh-sinh nodes: there the weight has fallen to
@@ -467,43 +470,15 @@ def _hankel_matrices(ms: Sequence, shifted: bool) -> list[list[list]]:
     return [[[ms[i + j + s] for j in range(n)] for i in range(n)] for s, n in sizes]
 
 
-def _integer_psd(mat: list[list[int]]) -> bool:
-    """Exact positive semidefiniteness of a symmetric integer matrix.
-
-    Fraction-free (Bareiss) elimination: after pivots I, each entry left
-    is det(A_I) > 0 times its Schur complement entry, an integer minor, so
-    every division is exact and signs are the Schur complement's.  A zero
-    pivot passes only with a zero row, and is skipped, keeping the divisor.
-    """
-    a = [list(row) for row in mat]
-    prev = 1
-    for k, row in enumerate(a):
-        pivot = row[k]
-        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
-            return False
-        if pivot:
-            for lower in a[k + 1 :]:
-                factor = lower[k]
-                for j in range(k + 1, len(a)):
-                    lower[j] = (pivot * lower[j] - factor * row[j]) // prev
-            prev = pivot
-    return True
-
-
-def _exact_hankel_psd(values: Sequence[Fraction], shifted: bool) -> bool:
-    """The Hankel check of m_1..m_D = ``values`` on their dilation to integers."""
-    _, ints = dilate(values)
-    return all(_integer_psd(h) for h in _hankel_matrices([1, *ints], shifted))
-
-
 def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) -> bool:
     """Check positive semidefiniteness of the Hankel matrices of a sequence.
 
     ``shifted`` additionally checks the once-shifted Hankel matrix, the
     extra condition satisfied by measures on [0, inf).  The check runs in
-    binary64 with tolerance ``tol`` relative to the matrix scale; it
-    serves grid quadratures, and :func:`moments` checks exact measures
-    exactly.
+    binary64 with tolerance ``tol`` relative to the matrix scale, which
+    covers the rounding of a grid's trapezoid moments.  No moment path
+    calls it: the sequences of :func:`moments` pass by construction (see
+    the module docstring).
     """
     import numpy as np
 

@@ -11,8 +11,8 @@ Several references are former library engines kept for comparison: the
 O(p^4) multiplicative-convolution recursion that reruns full fixed-point
 passes, the free-cumulant conversions that multiply raw powers of
 1 + M(z), all three in Fractions, which the library's integer series
-must match exactly, the Fraction LDL^T elimination that checked exact
-Hankel matrices before the integer (Bareiss) check, the float
+must match exactly, the Fraction LDL^T elimination and the integer
+(Bareiss) elimination of exact Hankel matrices, the float
 boolean-to-moment loop of the subordination route, the
 (L, Q) joint moment that expands a pattern into every index word, the
 word engine that enumerates every candidate block of the first letter and
@@ -46,6 +46,14 @@ non-crossing sum.  The (L, Q) engine that enumerated every non-crossing
 partition of a pattern's positions and contracted the coefficients on
 each partition's block graph is the reference for the interval tables
 that replaced it.
+
+The exact Hankel check (``_exact_hankel_psd``) is the reference for the
+positivity that ``measures.moments`` does not check: every measure
+constructor guarantees it (nonnegative weights summing to 1, a positive
+semicircle radius, a nonnegative grid density of mass 1 within 1e-12),
+so the moments of each kind are a positive measure's and their Hankel
+matrices are PSD by construction, which the tests assert on drawn
+measures.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from string import ascii_letters
 import numpy as np
 
 from freeconv.errors import ConvergenceError, DomainError
+from freeconv.measures import _hankel_matrices, dilate
 
 
 def set_partitions(elems: list) -> list[list[list]]:
@@ -330,6 +339,37 @@ def exact_psd_ldl(mat: list[list[Fraction]]) -> bool:
                 for j in range(k + 1, len(a)):
                     lower[j] -= factor * row[j]
     return True
+
+
+def _integer_psd(mat: list[list[int]]) -> bool:
+    """Exact positive semidefiniteness of a symmetric integer matrix.
+
+    Fraction-free (Bareiss) elimination: after pivots I, each entry left
+    is det(A_I) > 0 times its Schur complement entry, an integer minor, so
+    every division is exact and signs are the Schur complement's.  A zero
+    pivot passes only with a zero row, and is skipped, keeping the divisor.
+    """
+    a = [list(row) for row in mat]
+    prev = 1
+    for k, row in enumerate(a):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
+            return False
+        if pivot:
+            for lower in a[k + 1 :]:
+                factor = lower[k]
+                for j in range(k + 1, len(a)):
+                    lower[j] = (pivot * lower[j] - factor * row[j]) // prev
+            prev = pivot
+    return True
+
+
+def _exact_hankel_psd(values: list[Fraction], shifted: bool) -> bool:
+    """The Hankel check of m_1..m_D = ``values`` on their dilation to
+    integers: the moments c^k m_k of x scaled by c, whose Hankel matrix
+    D H D, D = diag(c^i), is PSD exactly when H is."""
+    _, ints = dilate(values)
+    return all(_integer_psd(h) for h in _hankel_matrices([1, *ints], shifted))
 
 
 def boolean_cumulants_closed_form(m: list[Fraction]) -> list[Fraction]:

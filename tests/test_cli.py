@@ -65,7 +65,8 @@ def entry_env() -> dict:
 def run_entry(args, **kwargs):
     """The CLI run as users run it, ``python -m freeconv.cli``, in a child."""
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run(ENTRY + args, env=entry_env(), stderr=subprocess.PIPE, timeout=120, **kwargs)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(ENTRY + args, env=entry_env(), timeout=120, **kwargs)
 
 
 class TestExitCodes:
@@ -737,6 +738,31 @@ class TestEntryPoint:
         assert result.returncode == 1
         assert result.stderr.startswith("Traceback")
         assert result.stderr.endswith("RuntimeError: escaped\n")
+
+
+class TestFailedStderr:
+    """An error line that stderr cannot take is lost; the exit code is the
+    error's own, and nothing reaches stdout."""
+
+    CASES = [
+        (["moments", "/nonexistent.json", "--order", "2"], 2),
+        (["boxtimes", "{delta0}", "{bernoulli}", "--order", "2"], 3),
+    ]
+
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_full_device(self, files, argv, code):
+        with open("/dev/full", "wb") as full:
+            result = run_entry([a.format(**files) for a in argv], stderr=full)
+        assert (result.returncode, result.stdout) == (code, b"")
+
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_stderr_closed(self, files, argv, code):
+        result = run_entry(
+            [a.format(**files) for a in argv],
+            stderr=None,
+            preexec_fn=functools.partial(os.close, 2),
+        )
+        assert (result.returncode, result.stdout) == (code, b"")
 
 
 class TestFailedStdout:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from freeconv.characterize import DichotomyReport, QuadraticFormSpec, ValidityReport
@@ -11,9 +11,7 @@ from freeconv.convolution import DiagnosticsReport, SubordinationSolution
 from freeconv.errors import DomainError, ParseError
 from freeconv.matrix_lab import InequalityReport, MatrixEnsembleSpec, TraceEstimate
 from freeconv.measures import (
-    _exact_hankel_psd,
     _hankel_matrices,
-    _integer_psd,
     Atomic,
     DensityGrid,
     MomentSequence,
@@ -31,7 +29,14 @@ from freeconv.measures import (
     psi,
 )
 from freeconv.word_engine import Word
-from oracles import absolute_moment, exact_psd_ldl, krein_k_exact, psi_exact
+from oracles import (
+    _exact_hankel_psd,
+    _integer_psd,
+    absolute_moment,
+    exact_psd_ldl,
+    krein_k_exact,
+    psi_exact,
+)
 
 
 def semicircle_density_moment(center, radius, k):
@@ -185,6 +190,58 @@ class TestMoments:
         assert abs(float(seq.m(1)) - 2.0) < 1e-3
         assert abs(float(seq.m(2)) - 13.0 / 3.0) < 1e-2
         assert abs(float(seq.m(3)) - 10.0) < 3e-2
+
+    @given(
+        st.one_of(
+            st.lists(
+                st.tuples(
+                    st.fractions(min_value=-1, max_value=3, max_denominator=6),
+                    st.integers(1, 9),
+                ),
+                min_size=1,
+                max_size=4,
+                unique_by=lambda atom: atom[0],
+            ).map(lambda atoms: Atomic(
+                [(x, Fraction(w, sum(v for _, v in atoms))) for x, w in atoms]
+            )),
+            st.builds(
+                Semicircle,
+                st.fractions(min_value=-1, max_value=4, max_denominator=9),
+                st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9),
+            ),
+        ),
+        st.integers(1, 24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exact_moments_have_psd_hankel_matrices(self, mu, order):
+        # moments checks nothing: the constructors make mu a positive measure,
+        # and the shifted matrices are PSD too when its support is in [0, inf)
+        seq = moments(mu, order)
+        assert _exact_hankel_psd(seq.moments, is_positive_supported(mu))
+
+    @given(
+        st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=12, max_size=12),
+        st.floats(-2.0, 3.0),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_grid_moments_are_the_nodal_measures(self, gaps, heights, start, order):
+        # the trapezoid moments of f x^k are those of sum w_i delta(x_i), with
+        # w_i = f_i (x_(i+1) - x_(i-1))/2 >= 0 and half intervals at the ends,
+        # so they pass the Hankel check that moments does not run
+        x = start + np.cumsum(gaps)
+        assume(any(heights[: len(x)]))
+        grid = DensityGrid.normalized(x, heights[: len(x)])
+        xs = [Fraction(v) for v in grid.x]
+        ends = [xs[0], *xs, xs[-1]]
+        weights = [Fraction(f) * (ends[i + 2] - ends[i]) / 2 for i, f in enumerate(grid.f)]
+        seq = moments(grid, order)
+        for k in range(1, order + 1):
+            nodal = sum(w * v ** k for v, w in zip(xs, weights))
+            scale = sum(w * abs(v) ** k for v, w in zip(xs, weights))
+            assert abs(float(seq.m(k) - nodal)) <= 1e-12 * float(scale)
+        assert hankel_psd(seq, shifted=is_positive_supported(grid))
 
     def test_fractional_moment_rejects_semicircles(self):
         # semicircles are moments-only: m_alpha has no evaluation path

@@ -56,6 +56,7 @@ def test_exported_names_resolve():
 
 # Exported names that the CLI cannot reach, each kept on purpose.
 KEEP = {
+    "hankel_psd": "the benchmark's traced run wraps it by name",
     "form_moments": "the benchmark's traced run wraps it by name",
     "joint_moment": "the benchmark's traced run wraps it by name",
     "centered_product_moment": "the benchmark's traced run wraps it by name",
