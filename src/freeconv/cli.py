@@ -16,10 +16,11 @@ nothing more.  ``cumulants`` adds ``transforms``; ``boxplus``,
 ``word_engine`` and ``noncrossing``; ``characterize`` adds
 ``characterize``, ``noncrossing`` and ``transforms``; ``matrixlab`` adds
 ``matrix_lab``, ``word_engine``, ``noncrossing``, ``transforms`` and
-numpy, and ``concurrent.futures`` with more than one thread.  The float subcommands on atomic measures run
-in plain Python, so numpy loads only for a grid measure and for
-``matrixlab``.  ``csv`` loads only for ``--format csv``.  No subcommand
-loads ``dataclasses`` (which brings ``inspect`` and ``ast``).
+numpy, and ``concurrent.futures`` with more than one thread.  The float
+subcommands run in plain Python on atomic and grid measures alike, so
+numpy loads only for ``matrixlab``.  ``csv`` loads only for ``--format
+csv``.  No subcommand loads ``dataclasses`` (which brings ``inspect``
+and ``ast``).
 
 The ``freeconv`` command and ``python -m freeconv.cli`` run ``run()``:
 ``main()``, then a flush of stdout (argparse's help; ``_emit`` flushes

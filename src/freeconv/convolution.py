@@ -33,17 +33,16 @@ the integral of K on (0, 1].
 
 Every integral here uses the tanh-sinh rule ``quad`` of the measures
 module (Takahasi and Mori, 1974), whose integrand maps one node to one
-float; for atomic measures K(-x) is a loop over the float atoms.  Each
-call site checks the rule's error estimate, the difference of its last
-two levels, against the absolute bound 1e-8 and raises ConvergenceError
-above it: the diagnostic's remainder integral and its three refinement
-probes.
+float; K(-x) is a loop over the float atoms of an atomic or grid
+measure.  Each call site checks the rule's error estimate, the
+difference of its last two levels, against the absolute bound 1e-8 and
+raises ConvergenceError above it: the diagnostic's remainder integral
+and its three refinement probes.
 
 The exact routes (``boxplus_moments``, ``boxtimes_moments`` and the word
-oracle) need no floats, and on atomic measures the float routes run in
-plain Python: the subordination solve, the contour fit (``cmath`` and
-``math.fsum``) and the diagnostics.  numpy is imported only for a grid
-measure: in its psi, its c_mu and the diagnostics' grid branch.
+oracle) need no floats, and the float routes run in plain Python: the
+subordination solve, the contour fit (``cmath`` and ``math.fsum``) and
+the diagnostics.
 """
 
 from __future__ import annotations
@@ -255,11 +254,9 @@ def solve_subordination(
 
 
 def _support_bound(mu: Measure) -> float:
-    if isinstance(mu, Atomic):
-        return as_float(max(loc for loc, _ in mu.atoms))
     if isinstance(mu, Semicircle):
         return as_float(mu.center + mu.radius)
-    return float(mu.x.max())
+    return mu.float_atoms[-1][0]  # in ascending order
 
 
 # trapezoidal nodes on the fit's contour (even, so the upper half mirrors
@@ -369,14 +366,10 @@ class DiagnosticsReport(namedtuple("DiagnosticsReport", "alpha integral_value lo
 
 
 def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:
-    """x -> K(-x) for x > 0.
-
-    For atomic measures this is one loop over the float atoms,
+    """x -> K(-x) for x > 0, one loop over the float atoms:
     K(-x) = -x sum w u/(1+xu) / sum w/(1+xu), whose denominator (= 1 + psi)
     is a sum of positive terms.
     """
-    if not isinstance(mu, Atomic):
-        return lambda x: krein_k(mu, complex(-x)).real
     atoms = mu.float_atoms
 
     def evaluate(x: float) -> float:
@@ -402,14 +395,17 @@ def _integral(func: Callable[[float], float], a: float, b: float, tol: float) ->
 
 
 def _c_mu(mu: Measure) -> float:
+    """1 / integral of 1/(1+u) d mu: exact over an atomic measure's atoms,
+    else over the float atoms."""
     if isinstance(mu, Atomic):
         denom = sum((w / (1 + u) for u, w in mu.atoms), start=Fraction(0))
         return as_float(1 / denom)
-    import numpy as np
+    return 1.0 / math.fsum(w / (1.0 + u) for u, w in mu.float_atoms)
 
-    # a node with f = 0 may sit at x = -1
-    integrand = np.divide(mu.f, 1.0 + mu.x, out=np.zeros_like(mu.f), where=mu.f > 0)
-    return float(1.0 / np.trapezoid(integrand, mu.x))
+
+def _moment_below_one(mu: Measure, alpha: float) -> float:
+    """The integral of u^alpha d mu over (0, 1), over the float atoms."""
+    return sum(w * u ** alpha for u, w in mu.float_atoms if 0 < u < 1)
 
 
 def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
@@ -440,17 +436,7 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
     integral_value = mean + (1.0 - alpha) * _integral(remainder, 0.0, 1.0, 1e-10)
 
     m_alpha = fractional_moment(mu, alpha)
-    if isinstance(mu, Atomic):
-        inner = sum(
-            float(w) * float(u) ** alpha for u, w in mu.atoms if 0 < u < 1
-        )
-    else:
-        import numpy as np
-
-        mask = (mu.x > 0) & (mu.x < 1)
-        xs = np.where(mask, mu.x, 0.0)
-        inner = float(np.trapezoid(mu.f * np.where(mask, xs ** alpha, 0.0), mu.x))
-    lower = 0.5 * (m_alpha - inner)
+    lower = 0.5 * (m_alpha - _moment_below_one(mu, alpha))
     c_mu = _c_mu(mu)
     upper = c_mu * m_alpha / alpha
 

@@ -185,11 +185,12 @@ def _draw(spec: MatrixEnsembleSpec, rng: np.random.Generator, upper: Optional[np
     return [_sample_one(spec, rng, member > 0, upper) for member in range(spec.count)]
 
 
-def _check_budget(spec: MatrixEnsembleSpec) -> None:
-    needed = spec.dimension ** 2 * spec.count * 8
+def _check_budget(spec: MatrixEnsembleSpec, traces: int = 0) -> None:
+    """The family's dense matrices and ``traces`` more floats must fit the budget."""
+    needed = (spec.dimension ** 2 * spec.count + traces) * 8
     if needed > MEMORY_BUDGET_BYTES:
         raise DomainError(
-            f"family needs {needed} bytes, over the {MEMORY_BUDGET_BYTES} budget"
+            f"family and trace table need {needed} bytes, over the {MEMORY_BUDGET_BYTES} budget"
         )
 
 
@@ -274,12 +275,14 @@ def estimate_word_traces(
     (seed, trial), so results are independent of scheduling) and
     evaluates every word on it; estimates for different words are
     therefore correlated but individually unbiased.  At most
-    min(max_workers, trials, os.cpu_count()) threads run the trials.  A
-    trace beyond the binary64 range raises DomainError.
+    min(max_workers, trials, os.cpu_count()) threads run contiguous blocks
+    of trials into one (trials, words) table, within the memory budget.
+    A trace beyond the binary64 range raises DomainError, for the first
+    trial that has one.
     """
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
-    _check_budget(spec)
+    _check_budget(spec, trials * len(words))
     for word in words:
         if max(word.letters) > spec.count:
             raise DomainError(
@@ -288,28 +291,32 @@ def estimate_word_traces(
             )
 
     upper = _upper_triangle(spec)
+    table = np.empty((trials, len(words)))
 
-    def run_trial(trial: int) -> list[float]:
-        family = _draw(spec, _trial_rng(spec, trial), upper)
-        with np.errstate(over="ignore", invalid="ignore"):
-            traces = [_word_trace(family, w.letters, spec.dimension) for w in words]
-        for word, trace in zip(words, traces):
-            if not math.isfinite(trace):
-                raise DomainError(
-                    f"the trace of {word.as_text()!r} in trial {trial} is outside the binary64 range"
-                )
-        return traces
+    def run_trials(block: range) -> None:
+        for trial in block:
+            family = _draw(spec, _trial_rng(spec, trial), upper)
+            with np.errstate(over="ignore", invalid="ignore"):
+                traces = [_word_trace(family, w.letters, spec.dimension) for w in words]
+            for word, trace in zip(words, traces):
+                if not math.isfinite(trace):
+                    raise DomainError(
+                        f"the trace of {word.as_text()!r} in trial {trial} "
+                        "is outside the binary64 range"
+                    )
+            table[trial] = traces
 
     workers = min(max_workers, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        # map raises the first failing block's error: its first failing trial
+        blocks = [range(trials * k // workers, trials * (k + 1) // workers) for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_trial, range(trials)))
+            list(pool.map(run_trials, blocks))
     else:
-        rows = [run_trial(t) for t in range(trials)]
+        run_trials(range(trials))
 
-    table = np.array(rows)
     means = table.mean(axis=0)
     ses = table.std(axis=0, ddof=1) / math.sqrt(trials)
     return [

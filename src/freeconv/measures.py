@@ -19,10 +19,12 @@ overflow into a DomainError.  ``quad`` is the package's one quadrature
 rule (tanh-sinh), used by the diagnostics of the convolution module; it
 integrates a scalar function in plain Python.
 
-Atomic and semicircle measures need numpy neither for exact work nor for
-floats, so numpy is imported only where a grid or a matrix is at hand:
-``DensityGrid``, the grid branches of ``moments``, ``psi`` and
-``fractional_moment``, and ``hankel_psd``.
+A grid is read as its nodal measure, sum of w_i delta(x_i) with
+w_i = f_i (x_(i+1) - x_(i-1))/2 >= 0 (half an interval at either end),
+against which its trapezoid integrals are sums.  Its nodes of positive
+weight are its ``float_atoms``, and ``psi``, ``fractional_moment`` and
+the diagnostics of the convolution module sum over the float atoms of an
+atomic or grid measure alike.  numpy stays only in ``hankel_psd``.
 
 Positivity is the constructors' to guarantee, and no moment path checks
 it again.  Atomic weights are nonnegative and sum to 1, a semicircle's
@@ -31,10 +33,8 @@ mass within 1e-12 of 1.  So the Hankel matrices (m_(i+j)) of every
 sequence ``moments`` returns are PSD, and so are the shifted ones
 (m_(i+j+1)) for support in [0, inf): an atomic measure's are Gram
 matrices, sum of w v v^T over its atoms with v = (1, x, x^2, ...), a
-semicircle's moments are a measure's, and a grid's trapezoid moments are
-those of its nodal measure, sum of w_i delta(x_i) with
-w_i = f_i (x_(i+1) - x_(i-1))/2 >= 0, where the end nodes take half an
-interval.
+semicircle's moments are a measure's, and a grid's moments are those of
+its nodal measure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, ParseError
 
@@ -76,9 +76,6 @@ AXIS_TOLERANCE = 1e-14
 POLE_TOLERANCE = 1e-14
 
 RationalLike = Union[Fraction, int, str, float]
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _clip(value: object, width: int = 40) -> str:
@@ -218,54 +215,77 @@ class Semicircle(Value):
         object.__setattr__(self, "radius", r)
 
 
+def _grid_fields(x: Sequence[float], f: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """A grid's abscissae and density as floats.  Anything but two flat
+    sequences of one length, a string or a mapping included, raises
+    DomainError."""
+    if not all(isinstance(v, Iterable) and not isinstance(v, (str, dict)) for v in (x, f)) or any(
+        hasattr(v, "__len__") and not isinstance(v, str) for v in (*x, *f)
+    ) or len(x) != len(f):
+        raise DomainError("grid abscissae and density must be 1-d and equal length")
+    try:
+        return tuple(map(float, x)), tuple(map(float, f))
+    except OverflowError:  # an integer past the binary64 range
+        raise ParseError("grid abscissae and density values must be finite") from None
+
+
+def _nodal_weights(x: Sequence[float], f: Sequence[float]) -> list[float]:
+    """w_i = f_i (x_(i+1) - x_(i-1))/2, with half an interval at either
+    end: the trapezoid rule over ``x`` as a sum of weighted nodes."""
+    ends = (x[0], *x, x[-1])
+    return [v * (ends[i + 2] - ends[i]) * 0.5 for i, v in enumerate(f)]
+
+
 class DensityGrid(Value):
     """Density tabulated on an ascending grid, trapezoid-normalized.
 
-    The trapezoid integral of ``f`` over ``x`` must equal 1 within 1e-12;
-    use :meth:`normalized` to rescale raw samples.  Grids compare by
-    identity: arrays have no single truth value to compare by.
+    ``x`` and ``f`` are tuples of floats.  The trapezoid integral of ``f``
+    over ``x`` must equal 1 within 1e-12; use :meth:`normalized` to
+    rescale raw samples.  The float routines read the grid as its nodal
+    measure, ``float_atoms``.
     """
 
-    x: np.ndarray
-    f: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    x: tuple[float, ...]
+    f: tuple[float, ...]
 
     def __init__(self, x: Sequence[float], f: Sequence[float]):
-        import numpy as np
-
-        xa = np.asarray(x, dtype=float)
-        fa = np.asarray(f, dtype=float)
-        if xa.ndim != 1 or fa.shape != xa.shape:
-            raise DomainError("grid abscissae and density must be 1-d and equal length")
+        xs, fs = _grid_fields(x, f)
         # JSON true and false are not numbers here, though bool is an int subclass
         if any(type(v) is bool for seq in (x, f) if isinstance(seq, (list, tuple)) for v in seq):
             raise ParseError("grid abscissae and density values must be numbers, not booleans")
-        if xa.size < 2:
+        if len(xs) < 2:
             raise DomainError("density grid needs at least 2 nodes")
-        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(fa))):
+        if not all(map(math.isfinite, xs + fs)):
             raise ParseError("grid abscissae and density values must be finite")
-        if not np.all(np.diff(xa) > 0):
+        if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("grid abscissae must be strictly ascending")
-        if np.any(fa < 0):
+        if any(v < 0 for v in fs):
             raise DomainError("density values must be nonnegative")
-        mass = float(np.trapezoid(fa, xa))
-        if abs(mass - 1.0) > 1e-12:
+        mass = sum(_nodal_weights(xs, fs))
+        if not abs(mass - 1.0) <= 1e-12:  # nan, too, for 0 * inf
             raise DomainError(f"density must integrate to 1 within 1e-12, got {mass!r}")
-        xa.setflags(write=False)
-        fa.setflags(write=False)
-        object.__setattr__(self, "x", xa)
-        object.__setattr__(self, "f", fa)
+        object.__setattr__(self, "x", xs)
+        object.__setattr__(self, "f", fs)
 
     @classmethod
     def normalized(cls, x: Sequence[float], f: Sequence[float]) -> "DensityGrid":
-        import numpy as np
-
-        xa = np.asarray(x, dtype=float)
-        fa = np.asarray(f, dtype=float)
-        mass = float(np.trapezoid(fa, xa))
+        xs, fs = _grid_fields(x, f)
+        mass = sum(_nodal_weights(xs, fs))
         if mass <= 0:
             raise DomainError("cannot normalize a density with nonpositive mass")
-        return cls(xa, fa / mass)
+        return cls(xs, [v / mass for v in fs])
+
+    @cached_property
+    def float_atoms(self) -> tuple[tuple[float, float], ...]:
+        """The nodal measure as (location, weight) pairs, leaving out each
+        node of zero weight: one may sit at the pole 1/z of psi."""
+        return tuple((u, w) for u, w in zip(self.x, _nodal_weights(self.x, self.f)) if w > 0)
+
+    @cached_property
+    def positive_supported(self) -> bool:
+        """True when the trapezoid density vanishes below 0, decided once: it
+        is positive inside each interval with a positive end."""
+        return not any(a < 0 and (fa > 0 or fb > 0) for a, fa, fb in zip(self.x, self.f, self.f[1:]))
 
 
 Measure = Union[Atomic, Semicircle, DensityGrid]
@@ -273,14 +293,10 @@ Measure = Union[Atomic, Semicircle, DensityGrid]
 
 def is_positive_supported(mu: Measure) -> bool:
     """True when the support of ``mu`` lies in [0, inf)."""
-    if isinstance(mu, Atomic):
+    if isinstance(mu, (Atomic, DensityGrid)):
         return mu.positive_supported
     if isinstance(mu, Semicircle):
         return mu.center - mu.radius >= 0
-    if isinstance(mu, DensityGrid):
-        # the trapezoid density is positive inside an interval with a positive end
-        starts_below = mu.x[:-1] < 0
-        return not (starts_below & ((mu.f[:-1] > 0) | (mu.f[1:] > 0))).any()
     raise TypeError(f"not a measure: {mu!r}")
 
 
@@ -335,32 +351,35 @@ def catalan(n: int) -> int:
 def moments(mu: Measure, order: int) -> MomentSequence:
     """Exact moments m_k = integral of x^k d mu for k = 1..order.
 
-    Atomic and semicircle measures are exact; grid measures are integrated
-    by the composite trapezoid rule and the binary64 results promoted to
-    rationals by their exact float ratio.  The sequence is returned
-    unchecked: every measure kind's constructor makes it a measure's
-    moment sequence (see the module docstring), so its Hankel matrices
-    are PSD, for a grid up to binary64 rounding.
+    Atomic and semicircle measures are exact.  A grid's moments are those
+    of its nodal measure, each summed by ``math.fsum`` and promoted to a
+    rational by its exact float ratio; one past the binary64 range raises
+    DomainError.  The sequence is returned unchecked: every measure kind's
+    constructor makes it a measure's moment sequence (see the module
+    docstring), so its Hankel matrices are PSD, for a grid up to binary64
+    rounding.
     """
     if order < 1:
         raise DomainError("moment order must be >= 1")
     if isinstance(mu, Atomic):
         vals = [sum(w * loc ** k for loc, w in mu.atoms) for k in range(1, order + 1)]
     elif isinstance(mu, Semicircle):
-        # binomial expansion about the center; odd centered moments vanish
+        # odd centered moments vanish; off center, a binomial expansion
         half = mu.radius / 2
         centered = [0 if j % 2 else catalan(j // 2) * half ** j for j in range(order + 1)]
-        vals = [
+        vals = centered[1:] if mu.center == 0 else [
             sum(math.comb(k, j) * mu.center ** (k - j) * centered[j] for j in range(k + 1))
             for k in range(1, order + 1)
         ]
     elif isinstance(mu, DensityGrid):
-        import numpy as np
-
-        vals = [
-            as_fraction(float(np.trapezoid(mu.f * mu.x ** k, mu.x)))
-            for k in range(1, order + 1)
-        ]
+        vals = []
+        for k in range(1, order + 1):
+            try:  # u^k or the sum past binary64 raises, w u^k may round to inf
+                vals.append(math.fsum(w * u ** k for u, w in mu.float_atoms))
+            except OverflowError:
+                vals.append(math.inf)
+            if not math.isfinite(vals[-1]):
+                raise DomainError(f"the grid moment m_{k} is outside the binary64 range")
     else:
         raise TypeError(f"not a measure: {mu!r}")
     return MomentSequence(vals)
@@ -427,7 +446,7 @@ def quad(
 
 def fractional_moment(mu: Measure, alpha: float) -> float:
     """m_alpha = integral of x^alpha d mu for a positively supported atomic
-    or grid measure."""
+    or grid measure, over its float atoms (0^0 = 1)."""
     if alpha < 0:
         raise DomainError("fractional moment order must be >= 0")
     if isinstance(mu, Semicircle):
@@ -435,16 +454,7 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
                           "semicircles are moments-only")
     if not is_positive_supported(mu):
         raise DomainError("fractional moments require support in [0, inf)")
-    if isinstance(mu, Atomic):
-        return sum(as_float(w) * as_float(loc) ** alpha for loc, w in mu.atoms if loc > 0) + (
-            float(mu.weight_at(0)) if alpha == 0 else 0.0
-        )
-    if isinstance(mu, DensityGrid):
-        import numpy as np
-
-        xs = np.where(mu.x > 0, mu.x, 0.0)
-        return float(np.trapezoid(mu.f * xs ** alpha, mu.x))
-    raise TypeError(f"not a measure: {mu!r}")
+    return sum(w * u ** alpha for u, w in mu.float_atoms)
 
 
 def dilate(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -476,7 +486,7 @@ def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) ->
     ``shifted`` additionally checks the once-shifted Hankel matrix, the
     extra condition satisfied by measures on [0, inf).  The check runs in
     binary64 with tolerance ``tol`` relative to the matrix scale, which
-    covers the rounding of a grid's trapezoid moments.  No moment path
+    covers the rounding of a grid's moments.  No moment path
     calls it: the sequences of :func:`moments` pass by construction (see
     the module docstring).
     """
@@ -511,15 +521,10 @@ def _require_transform_domain(mu: Measure, z: complex) -> complex:
 
 
 def psi(mu: Measure, z: complex) -> complex:
-    """Moment generating transform: integral of z*x/(1 - z*x) d mu(x)."""
+    """Moment generating transform: integral of z*x/(1 - z*x) d mu(x), a sum
+    over the float atoms."""
     z = _require_transform_domain(mu, z)
-    if isinstance(mu, Atomic):
-        return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
-    import numpy as np
-
-    # a node with f = 0 may sit at the pole x = 1/z
-    vals = np.divide(z * mu.x, 1.0 - z * mu.x, out=np.zeros(mu.x.shape, complex), where=mu.f > 0)
-    return complex(np.trapezoid(mu.f * vals, mu.x))
+    return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
 
 
 def krein_k(mu: Measure, z: complex) -> complex:
@@ -554,7 +559,7 @@ def measure_to_json(mu: Measure) -> str:
             "radius": str(mu.radius),
         }
     elif isinstance(mu, DensityGrid):
-        payload = {"kind": "grid", "x": mu.x.tolist(), "f": mu.f.tolist()}
+        payload = {"kind": "grid", "x": mu.x, "f": mu.f}
     else:
         raise TypeError(f"not a measure: {mu!r}")
     return json.dumps(payload)

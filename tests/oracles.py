@@ -25,11 +25,15 @@ scipy's adaptive quadrature, which float results must match within a
 tolerance.  The numpy forms of the float layer are the references for
 its plain-Python routes: the tanh-sinh rule over arrays of nodes, K(-x)
 of an atomic measure as one expression over all nodes, and the contour
-fit's mean over all its nodes.  Singular values from the eigenvalues of
-x^T x are the reference for the SVD.  The dense GOE draw that family
-member 1 used before it took its tridiagonal form is the reference law
-for the sampler, and the dense product chain that evaluated each word
-before member 1 was kept compact is the reference for the word traces.
+fit's mean over all its nodes.  numpy's trapezoid rule over a grid's
+arrays is the reference for the grid's nodal measure, which the library
+sums over in plain Python: the grid's moments, psi, fractional moment,
+the diagnostics' c_mu and their inner sum over (0, 1).  Singular values
+from the eigenvalues of x^T x are the reference for the SVD.  The dense
+GOE draw that family member 1 used before it took its tridiagonal form
+is the reference law for the sampler, and the dense product chain that
+evaluated each word before member 1 was kept compact is the reference
+for the word traces.
 The L^p
 inequality sweep that stacked every matrix of every tuple on one list
 and read the norms back tuple by tuple is the reference for the sweep
@@ -1134,6 +1138,44 @@ def fit_boolean_cumulants_numpy(mu1, mu2, n_coeffs: int) -> list[float]:
     k_values = np.array(upper + [v.conjugate() for v in reversed(upper)])
     zs = radius * np.exp(2j * math.pi * (np.arange(FIT_POINTS) + 0.5) / FIT_POINTS)
     return [float(np.mean(k_values * zs ** (-k)).real) for k in range(1, n_coeffs + 1)]
+
+
+def _grid_arrays(grid) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(grid.x), np.array(grid.f)
+
+
+def grid_moments_trapezoid(grid, order: int) -> list[float]:
+    """Grid moments m_1..m_order by numpy's composite trapezoid rule."""
+    x, f = _grid_arrays(grid)
+    return [float(np.trapezoid(f * x ** k, x)) for k in range(1, order + 1)]
+
+
+def grid_psi_trapezoid(grid, z: complex) -> complex:
+    """psi of a grid by the trapezoid rule over all its nodes."""
+    x, f = _grid_arrays(grid)
+    # a node with f = 0 may sit at the pole x = 1/z
+    vals = np.divide(z * x, 1.0 - z * x, out=np.zeros(x.shape, complex), where=f > 0)
+    return complex(np.trapezoid(f * vals, x))
+
+
+def grid_fractional_moment_trapezoid(grid, alpha: float) -> float:
+    x, f = _grid_arrays(grid)
+    return float(np.trapezoid(f * np.where(x > 0, x, 0.0) ** alpha, x))
+
+
+def grid_c_mu_trapezoid(grid) -> float:
+    """1 / integral of 1/(1+u) over a grid in M+, by the trapezoid rule."""
+    x, f = _grid_arrays(grid)
+    # a node with f = 0 may sit at x = -1
+    integrand = np.divide(f, 1.0 + x, out=np.zeros_like(f), where=f > 0)
+    return float(1.0 / np.trapezoid(integrand, x))
+
+
+def grid_moment_below_one_trapezoid(grid, alpha: float) -> float:
+    """The diagnostics' inner sum: integral of u^alpha over (0, 1)."""
+    x, f = _grid_arrays(grid)
+    mask = (x > 0) & (x < 1)
+    return float(np.trapezoid(f * np.where(mask, np.where(mask, x, 0.0) ** alpha, 0.0), x))
 
 
 def singular_values_by_gram(matrix: np.ndarray) -> np.ndarray:

@@ -137,6 +137,8 @@ class TestExitCodes:
             '{"kind": "semicircle", "center": 0, "radius": 1e999}',
             '{"kind": "grid", "x": [0, 1, 2], "f": [NaN, 1, 0]}',
             '{"kind": "grid", "x": [0, 1, Infinity], "f": [0, 1, 0]}',
+            pytest.param('{"kind": "grid", "x": [0, 1, 1%s], "f": [0, 1, 0]}' % ("0" * 400),
+                         id="grid-int-past-binary64"),
         ],
     )
     def test_non_finite_measure_is_two(self, tmp_path, capsys, text):
@@ -167,6 +169,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("freeconv: parse error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param('"x": "01", "f": [0, 1]', id="string"),
+            pytest.param('"x": 5, "f": [0, 1]', id="number"),
+            pytest.param('"x": [0, 1], "f": {"f": [0, 1]}', id="object"),
+            pytest.param('"x": [[0, 1], [2]], "f": [0, 1, 0]', id="ragged"),
+            pytest.param('"x": [[0], [1], [2]], "f": [0, 1, 0]', id="nested"),
+            pytest.param('"x": [0, 1, 2], "f": [0, 1]', id="unequal"),
+        ],
+    )
+    def test_grid_of_wrong_shape_is_three(self, tmp_path, capsys, fields):
+        # a ragged list used to exit 2 with numpy's message about
+        # inhomogeneous shapes
+        path = tmp_path / "shape.json"
+        path.write_text('{"kind": "grid", %s}' % fields)
+        code, out, err = run(["moments", str(path), "--order", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "freeconv: domain error: grid abscissae and density must be 1-d and equal length\n"
 
 
 class TestHugeAtoms:
@@ -242,6 +264,17 @@ class TestHugeAtoms:
         assert err == (
             "freeconv: domain error: the trace of 'T1^2' in trial 0 is outside the binary64 range\n"
         )
+
+    def test_grid_moment_past_binary64_is_three_without_warnings(self, tmp_path, capsys):
+        # 40^193 overflows: this used to warn from numpy and exit 2, unable
+        # to read inf as a rational
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"kind": "grid", "x": list(range(41)), "f": [1 / 40] * 41}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["moments", str(path), "--order", "1000"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "freeconv: domain error: the grid moment m_193 is outside the binary64 range\n"
 
     def test_tiny_contour_fit_matches_taylor(self, tmp_path, capsys):
         # support bounds 10^7 put the fit's contour at radius 5e-15
@@ -656,6 +689,23 @@ class TestMatrixlab:
         assert code == 3
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "memory" in err
+
+    def test_trial_table_over_budget_exits_three_before_any_trial(self):
+        # 10^9 trials of one word fill an 8 GB table; under a 1 GiB
+        # address-space cap the budget check must fire before any trial runs
+        # (without it, memory grew with every trial until the cap)
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = run_entry(
+            ["matrixlab", "--word", "T1 T2", "--N", "4", "--trials", str(10**9)],
+            preexec_fn=cap_memory,
+        )
+        assert (result.returncode, result.stdout) == (3, b"")
+        assert result.stderr == (
+            b"freeconv: domain error: family and trace table need 8000000256 bytes, "
+            b"over the 1073741824 budget\n"
+        )
 
 
 class TestOutputFile:

@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ class TestWordTraces:
         serial = estimate_word_traces(spec, words, 16, max_workers=1)
         threaded = estimate_word_traces(spec, words, 16, max_workers=4)
         assert serial[0].mean == threaded[0].mean
+
+    def test_many_threads_fill_every_row_of_the_table(self, monkeypatch):
+        # eight blocks of trials on two or more cores, switching threads
+        # often: a row left unwritten would keep np.empty's garbage and
+        # move the means and standard errors off the serial ones
+        monkeypatch.setattr(matrix_lab.os, "cpu_count", lambda: 8)
+        spec, words = goe_spec(6, 2, seed=27), [Word((1, 1)), Word((1, 2, 1, 2)), Word((2,))]
+        serial = estimate_word_traces(spec, words, 61)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate_word_traces(spec, words, 61, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_thread_pool_is_bounded(self, monkeypatch):
         # records the pool sizes asked for and runs the trials serially, so

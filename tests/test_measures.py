@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from freeconv.characterize import DichotomyReport, QuadraticFormSpec, ValidityReport
-from freeconv.convolution import DiagnosticsReport, SubordinationSolution
+from freeconv.convolution import DiagnosticsReport, SubordinationSolution, _c_mu, _moment_below_one
 from freeconv.errors import DomainError, ParseError
 from freeconv.matrix_lab import InequalityReport, MatrixEnsembleSpec, TraceEstimate
 from freeconv.measures import (
@@ -34,6 +35,11 @@ from oracles import (
     _integer_psd,
     absolute_moment,
     exact_psd_ldl,
+    grid_c_mu_trapezoid,
+    grid_fractional_moment_trapezoid,
+    grid_moment_below_one_trapezoid,
+    grid_moments_trapezoid,
+    grid_psi_trapezoid,
     krein_k_exact,
     psi_exact,
 )
@@ -79,6 +85,8 @@ class TestConstruction:
     def test_grid_must_be_normalized(self):
         with pytest.raises(DomainError):
             DensityGrid([0.0, 1.0], [2.0, 2.0])
+        with pytest.raises(DomainError):  # mass nan: 0 * inf on an interval past binary64
+            DensityGrid([-1e308, 1e308], [0.0, 0.0])
         grid = DensityGrid.normalized([0.0, 1.0], [2.0, 2.0])
         assert abs(np.trapezoid(grid.f, grid.x) - 1.0) < 1e-14
 
@@ -108,6 +116,7 @@ class TestConstruction:
                 for cls in (ValidityReport, DichotomyReport, SubordinationSolution,
                             DiagnosticsReport, TraceEstimate, InequalityReport)
             ),
+            lambda: DensityGrid([0.0, 1.0], [1.0, 1.0]),
         ],
     )
     def test_values_compare_by_fields_and_are_frozen(self, make):
@@ -118,13 +127,6 @@ class TestConstruction:
         for name in (field, "extra"):
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
-
-    def test_grid_is_compared_by_identity(self):
-        grid = DensityGrid([0.0, 1.0], [1.0, 1.0])
-        assert grid == grid and grid != DensityGrid([0.0, 1.0], [1.0, 1.0])
-        assert hash(grid) == hash(grid)
-        with pytest.raises(AttributeError):
-            grid.x = grid.f
 
     def test_atomic_caches_float_atoms(self, bernoulli):
         assert bernoulli.float_atoms is bernoulli.float_atoms == ((0.0, 0.5), (1.0, 0.5))
@@ -175,11 +177,12 @@ class TestMoments:
             assert abs(float(seq.m(k)) - val) < 1e-9 * max(1.0, abs(val))
 
     def test_shifted_semicircle_binomial_expansion(self):
-        mu = Semicircle(Fraction(3), Fraction(1, 2))
-        seq = moments(mu, 6)
-        for k in range(1, 7):
-            val, err = semicircle_density_moment(3.0, 0.5, k)
-            assert abs(float(seq.m(k)) - val) < 1e-7 * max(1.0, abs(val))
+        # center 0 skips the expansion: the centered moments are the moments
+        for center in (3, 0):
+            seq = moments(Semicircle(center, Fraction(1, 2)), 6)
+            for k in range(1, 7):
+                val, err = semicircle_density_moment(center, 0.5, k)
+                assert abs(float(seq.m(k)) - val) < 1e-7 * max(1.0, abs(val))
 
     def test_grid_moments_match_atomic_limit(self):
         xs = np.linspace(0.0, 4.0, 4001)
@@ -352,6 +355,51 @@ class TestMoments:
         # 3/4 at k = 3 is already integral after c^3 = 64
         assert dilate([Fraction(1, 2), Fraction(1, 8), Fraction(3, 4)]) == (4, [2, 2, 48])
         assert dilate([Fraction(5), Fraction(-7)]) == (1, [5, -7])
+
+
+class TestGridNodalMeasure:
+    @given(
+        st.integers(2, 300),
+        st.randoms(use_true_random=True),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 299),
+        st.integers(1, 12),
+        st.floats(0.0, 2.0),
+        st.floats(0.01, 10.0),
+        st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0).filter(lambda z: z.imag > 0.05),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_routines_match_the_trapezoid_oracles(
+        self, n, rnd, first_zero, last_zero, zero, order, alpha, x, z
+    ):
+        # the sums over float_atoms against numpy's trapezoid rule over all
+        # nodes, to 1e-12 of the sum of absolute terms, the mass tolerance;
+        # n nodes drawn from rnd (so that shrinking stays cheap), the end
+        # nodes with zero or positive density, and one node at 0: the first
+        # node of the grid in M+, node `zero` of its shift
+        xs = [0.0, *itertools.accumulate(rnd.uniform(0.01, 1.0) for _ in range(n - 1))]
+        heights = [0.0 if rnd.random() < 0.25 else rnd.uniform(0.1, 10.0) for _ in range(n)]
+        heights[0] = 0.0 if first_zero else rnd.uniform(0.1, 10.0)
+        heights[-1] = 0.0 if last_zero else rnd.uniform(0.1, 10.0)
+        assume(any(heights))
+        zero %= n
+        grid = DensityGrid.normalized(xs, heights)
+        for mu in (grid, DensityGrid.normalized([v - xs[zero] for v in xs], heights)):
+            want = grid_moments_trapezoid(mu, order)
+            for k, m in enumerate(moments(mu, order), 1):
+                scale = sum(w * abs(u) ** k for u, w in mu.float_atoms)
+                assert abs(float(m) - want[k - 1]) <= 1e-12 * scale
+        for point in (complex(-x), z):
+            scale = sum(w * abs(point * u / (1 - point * u)) for u, w in grid.float_atoms)
+            assert abs(psi(grid, point) - grid_psi_trapezoid(grid, point)) <= 1e-12 * scale
+        pairs = [
+            (fractional_moment(grid, alpha), grid_fractional_moment_trapezoid(grid, alpha)),
+            (_moment_below_one(grid, alpha), grid_moment_below_one_trapezoid(grid, alpha)),
+            (_c_mu(grid), grid_c_mu_trapezoid(grid)),
+        ]
+        for got, want in pairs:  # sums of positive terms
+            assert abs(got - want) <= 1e-12 * want
 
 
 class TestPsi:

@@ -3,8 +3,8 @@ function it wraps, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, no subcommand loads
 dataclasses, and none writing JSON loads csv, importing the package
 loads only its exceptions, neither the exact subcommands nor the float
-ones on atomic measures load numpy or inspect, characterize and the
-convolution subcommands other than the boxtimes word oracle never load
+ones on atomic or grid measures load numpy or inspect, characterize and
+the convolution subcommands other than the boxtimes word oracle never load
 the word engine, the convolution subcommands without the word oracle and
 the moment and cumulant subcommands never load the non-crossing kernel,
 the exact series kernels see only Python ints, every
@@ -289,6 +289,22 @@ def test_atomic_float_subcommands_leave_numpy_unloaded():
         ["subordinate", demo["bernoulli"], demo["two_point"], "--grid", "3"],
         ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "subordination"],
         ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "all"],
+    ]
+    codes, loaded = run_in_one_process(runs, "numpy", "inspect")
+    assert codes == [0] * len(runs)
+    assert loaded == {"numpy": [], "inspect": []}
+
+
+def test_grid_subcommands_leave_numpy_unloaded(tmp_path):
+    # a grid is read as its nodal measure, in plain Python
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "grid", "x": [0.5, 1, 1.5, 2, 2.5], "f": [0, 0.5, 1, 0.5, 0]}))
+    bernoulli = str(ROOT / "demos" / "data" / "bernoulli.json")
+    runs = [
+        ["moments", str(grid), "--order", "4"],
+        ["subordinate", str(grid), bernoulli, "--grid", "3"],
+        ["diagnose", str(grid), "--alpha", "0.5"],
+        ["boxtimes", str(grid), str(grid), "--order", "4", "--method", "all"],
     ]
     codes, loaded = run_in_one_process(runs, "numpy", "inspect")
     assert codes == [0] * len(runs)
