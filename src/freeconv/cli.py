@@ -8,11 +8,18 @@ with 12 significant digits so zero-vs-nonzero verdicts stay lossless in
 logs.  Exact values print every digit, also past Python's int-string
 conversion limit, which still guards the parsing of input.
 
+The command line is read against one table, ``COMMANDS`` (handler,
+help, positionals and typed options of each subcommand), by argparse's
+rules, independent of the environment; ``-h``/``--help`` prints help
+from the table.  An option's value may also be a token led by "-" and a
+number, as in ``--z -1e-3``.  A malformed command line exits 2 with the
+one stderr line ``freeconv: parse error: <what>``.
+
 Each subcommand imports its engine when it runs.  Every run loads
-``measures``, ``argparse``, ``json`` and ``shlex``; ``moments`` loads
-nothing more.  ``cumulants`` adds ``transforms``; ``boxplus``,
-``boxtimes``, ``subordinate`` and ``diagnose`` add ``convolution`` with
-``transforms``, and ``boxtimes --method oracle|all`` also
+``measures``, ``json``, ``re`` and ``shlex``, not ``argparse`` or
+``locale``; ``moments`` loads nothing more.  ``cumulants`` adds
+``transforms``; ``boxplus``, ``boxtimes``, ``subordinate`` and
+``diagnose`` add ``convolution`` with ``transforms``, and ``boxtimes --method oracle|all`` also
 ``word_engine`` and ``noncrossing``; ``characterize`` adds
 ``characterize``, ``noncrossing`` and ``transforms``; ``matrixlab`` adds
 ``matrix_lab``, ``word_engine``, ``noncrossing``, ``transforms`` and
@@ -23,7 +30,7 @@ csv``.  No subcommand loads ``dataclasses`` (which brings ``inspect``
 and ``ast``).
 
 The ``freeconv`` command and ``python -m freeconv.cli`` run ``run()``:
-``main()``, then a flush of stdout (argparse's help; ``_emit`` flushes
+``main()``, then a flush of stdout (the help; ``_emit`` flushes
 the output it writes) and of stderr, then ``os._exit`` with main's exit
 code.  That skips the interpreter's teardown of its modules and its last
 garbage collections, which take 9.5-15 ms after an exact job and
@@ -41,12 +48,13 @@ keep the interpreter's usual exit.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import shlex
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from . import __version__
@@ -317,9 +325,7 @@ def cmd_characterize(args) -> None:
         preset_sample_mean_variance,
     )
 
-    if args.preset:
-        if args.preset != "mean-variance":
-            raise ParseError(f"unknown preset {args.preset!r}")
+    if args.preset:  # "mean-variance", the one choice the table admits
         spec = preset_sample_mean_variance(args.n)
     elif args.spec:
         spec = _load_form_spec(args.spec)
@@ -390,95 +396,135 @@ def cmd_matrixlab(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
 
+# An option is flag -> (type, default, help), where a tuple type lists the
+# choices and a default of ... marks a required option.  A command is
+# name -> (handler, help, positionals, options); "[spec]" may be left out.
+OUTPUT = {"--output": (str, None, "write to this path instead of stdout"),
+          "--format": (("json", "csv"), "json", None)}
+ORDER = {"--order": (int, ..., None)}
+GLOBAL_OPTIONS = {"--threads": (int, None, "worker cap (falls back to FREECONV_THREADS, then 1)")}
+COMMANDS = {
+    "moments": (cmd_moments, "moments of a measure", ("measure",), {**ORDER, **OUTPUT}),
+    "cumulants": (cmd_cumulants, "boolean or free cumulants of a measure", ("measure",),
+                  {**ORDER, "--kind": (("boolean", "free"), "boolean", None), **OUTPUT}),
+    "boxplus": (cmd_boxplus, "additive free convolution", ("mu1", "mu2"), {**ORDER, **OUTPUT}),
+    "boxtimes": (cmd_boxtimes, "multiplicative free convolution", ("mu1", "mu2"), {
+        **ORDER, "--method": (("taylor", "subordination", "oracle", "all"), "taylor", None),
+        **OUTPUT}),
+    "subordinate": (cmd_subordinate, "solve the subordination equations", ("mu1", "mu2"), {
+        "--z": (str, None, "evaluation point 're' or 're,im'"),
+        "--grid": (int, 31, "points z=-10^(-k/10)"),
+        "--tol": (float, 1e-12, None), "--max-iter": (int, 500, None), **OUTPUT}),
+    "diagnose": (cmd_diagnose, "fractional moment sandwich", ("measure",),
+                 {"--alpha": (float, ..., None), **OUTPUT}),
+    "characterize": (cmd_characterize, "freeness dichotomy for (L, Q)", ("[spec]", "marginal"), {
+        "--preset": (("mean-variance",), None, None),
+        "--n": (int, 2, "variable count for the preset"), "--max-len": (int, 8, None), **OUTPUT}),
+    "matrixlab": (cmd_matrixlab, "Monte Carlo word trace", (), {
+        "--word": (str, ..., 'word text, e.g. "T1 T2 T1 T2"'),
+        "--N": (int, 256, None), "--trials": (int, 200, None), "--seed": (int, 0, None),
+        "--ensemble": (("goe", "diagonal"), "goe", None),
+        "--measure": (str, None, "atomic measure JSON for diagonal ensembles"), **OUTPUT}),
+}
+HELP = ("-h", "--help")
+NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: "-3" and "-.5" are positionals
+NUMBER = re.compile(r"-\.?\d")  # leads any number an option's value may be
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freeconv",
-        description="moment-level free convolution toolkit",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap (falls back to FREECONV_THREADS, then 1)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+def _print_help(command: Optional[str]) -> None:
+    """Help for ``command``, or for the program without one, from the table."""
+    top = (None, "moment-level free convolution toolkit", ("COMMAND", "..."), GLOBAL_OPTIONS)
+    _, about, positionals, options = COMMANDS[command] if command else top
+    usage = " ".join(filter(None, ("usage: freeconv", command, "[options]", *positionals)))
+    lines = [usage, "", about]
+    if not command:
+        lines += ["", "commands:", *(f"  {name:<14}{entry[1]}" for name, entry in COMMANDS.items())]
+    lines += ["", "options:", "  -h, --help"]
+    for flag, (kind, default, text) in options.items():
+        metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else flag.lstrip("-").upper()
+        note = "required" if default is ... else None if default is None else f"default {default}"
+        notes = "; ".join(filter(None, (text, note)))
+        lines.append(f"{f'  {flag} {metavar}':<23} {notes}".rstrip())
+    print(*lines, sep="\n")
 
-    p = sub.add_parser("moments", help="moments of a measure")
-    p.add_argument("measure")
-    p.add_argument("--order", type=int, required=True)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("cumulants", help="boolean or free cumulants of a measure")
-    p.add_argument("measure")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--kind", choices=("boolean", "free"), default="boolean")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_cumulants)
+def _option(token: str, flags) -> tuple[Optional[str], Optional[str]]:
+    """The flag a token names, exactly or by a unique prefix, with its "="
+    value if any.  (None, None) for a positional: also "" and "-", and as
+    in argparse "-3", "-.5" or text with a space.  ("", None) for an
+    unknown option."""
+    name, eq, value = token.partition("=")
+    prefix = name[:2] == "--" and len(name) > 2  # "--" alone is no option's prefix
+    found = [name] if name in flags else [f for f in flags if prefix and f.startswith(name)]
+    if len(found) > 1:
+        raise ParseError(f"ambiguous option: {name} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    positional = len(token) < 2 or token[0] != "-" or NEGATIVE.match(token) or " " in token
+    return (None, None) if positional else ("", None)
 
-    p = sub.add_parser("boxplus", help="additive free convolution")
-    p.add_argument("mu1")
-    p.add_argument("mu2")
-    p.add_argument("--order", type=int, required=True)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_boxplus)
 
-    p = sub.add_parser("boxtimes", help="multiplicative free convolution")
-    p.add_argument("mu1")
-    p.add_argument("mu2")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("taylor", "subordination", "oracle", "all"),
-        default="taylor",
-    )
-    add_output_flags(p)
-    p.set_defaults(func=cmd_boxtimes)
+def _convert(flag: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(kind)
+            raise ParseError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
 
-    p = sub.add_parser("subordinate", help="solve the subordination equations")
-    p.add_argument("mu1")
-    p.add_argument("mu2")
-    p.add_argument("--z", help="evaluation point 're' or 're,im'")
-    p.add_argument("--grid", type=int, default=31, help="points z=-10^(-k/10)")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=500)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_subordinate)
 
-    p = sub.add_parser("diagnose", help="fractional moment sandwich")
-    p.add_argument("measure")
-    p.add_argument("--alpha", type=float, required=True)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("characterize", help="freeness dichotomy for (L, Q)")
-    p.add_argument("spec", nargs="?", help="form spec JSON file")
-    p.add_argument("marginal", help="marginal measure JSON file")
-    p.add_argument("--preset", choices=("mean-variance",))
-    p.add_argument("--n", type=int, default=2, help="variable count for the preset")
-    p.add_argument("--max-len", type=int, default=8)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_characterize)
-
-    p = sub.add_parser("matrixlab", help="Monte Carlo word trace")
-    p.add_argument("--word", required=True, help='word text, e.g. "T1 T2 T1 T2"')
-    p.add_argument("--N", type=int, default=256)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ensemble", choices=("goe", "diagonal"), default="goe")
-    p.add_argument("--measure", help="atomic measure JSON for diagonal ensembles")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_matrixlab)
-
-    return parser
+def parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The run ``argv`` asks for, read in order against ``COMMANDS``:
+    ``command``, its handler ``func``, ``threads``, and a field per
+    positional and option, named as the flag without dashes.  The first
+    positional is the command, and the options after it are its own; after
+    "--" every token is a positional.  None once help is printed; a
+    malformed ``argv`` raises ParseError."""
+    command, names, options = None, (), GLOBAL_OPTIONS
+    tokens, values, positional, unknown = list(argv), {}, [], []
+    while tokens:
+        token, flags = tokens.pop(0), (*options, *HELP)
+        if token == "--":
+            positional += tokens
+            break
+        flag, text = _option(token, flags)
+        if flag is None and command is None:
+            if token not in COMMANDS:
+                raise ParseError(f"unknown command {token!r}; choose from {', '.join(COMMANDS)}")
+            command, (func, _, names, options) = token, COMMANDS[token]
+        elif not flag:
+            (positional if flag is None else unknown).append(token)
+        elif flag in HELP:
+            _print_help(command)
+            return None
+        else:
+            if text is None:
+                if not tokens or (
+                    _option(tokens[0], flags)[0] is not None and not NUMBER.match(tokens[0])
+                ):
+                    raise ParseError(f"argument {flag}: expected one argument")
+                text = tokens.pop(0)
+            values[flag] = _convert(flag, options[flag][0], text)  # the last repeat wins
+    if command is None:
+        raise ParseError(f"no command given; choose from {', '.join(COMMANDS)}")
+    if len(positional) < len(names) and names[0].startswith("["):  # an optional one left out
+        positional.insert(0, None)
+    fields = dict(zip((name.strip("[]") for name in names), positional))
+    missing = [*names[len(positional):]]
+    missing += [f for f, (_, default, _) in options.items() if default is ... and f not in values]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    unknown += positional[len(names):]
+    if unknown:
+        raise ParseError(f"unrecognized argument {unknown[0]!r}")
+    fields.update((f.lstrip("-").replace("-", "_"), values.get(f, options[f][1])) for f in options)
+    return SimpleNamespace(command=command, func=func, threads=values.get("--threads"), **fields)
 
 
 def _resolve_threads(args) -> int:
@@ -508,13 +554,10 @@ def _report(line: str) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-
-    try:
+        args = parse(argv)
+        if args is None:  # help was asked for and printed
+            return EXIT_OK
         args.argv, args.threads = argv, _resolve_threads(args)
         args.func(args)
     except ParseError as exc:
@@ -540,7 +583,7 @@ def run() -> NoReturn:
     code = main()
     try:
         if sys.stdout is not None:
-            sys.stdout.flush()  # what argparse printed; _emit flushes its own
+            sys.stdout.flush()  # the help; _emit flushes its own
     except OSError as exc:
         if code == EXIT_OK:  # otherwise main has reported the failed write
             _report(f"parse error: cannot write stdout: {exc}")

@@ -224,9 +224,16 @@ def _grid_fields(x: Sequence[float], f: Sequence[float]) -> tuple[tuple[float, .
     ) or len(x) != len(f):
         raise DomainError("grid abscissae and density must be 1-d and equal length")
     try:
-        return tuple(map(float, x)), tuple(map(float, f))
-    except OverflowError:  # an integer past the binary64 range
+        return tuple(map(_grid_entry, x)), tuple(map(_grid_entry, f))
+    except OverflowError:  # a rational past the binary64 range
         raise ParseError("grid abscissae and density values must be finite") from None
+
+
+def _grid_entry(value) -> float:
+    """A grid entry as a float.  A "p/q" string is read as a rational field
+    is, then rounded; ``float()`` reads every other entry, and rounds a
+    decimal string as it rounds that rational."""
+    return float(as_fraction(value) if isinstance(value, str) and "/" in value else value)
 
 
 def _nodal_weights(x: Sequence[float], f: Sequence[float]) -> list[float]:

@@ -51,6 +51,9 @@ partition of a pattern's positions and contracted the coefficients on
 each partition's block graph is the reference for the interval tables
 that replaced it.
 
+The argparse parser that the command table replaced (``build_parser``)
+is the reference for the fields the table's parser sets.
+
 The exact Hankel check (``_exact_hankel_psd``) is the reference for the
 positivity that ``measures.moments`` does not check: every measure
 constructor guarantees it (nonnegative weights summing to 1, a positive
@@ -62,6 +65,7 @@ measures.
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +75,16 @@ from string import ascii_letters
 
 import numpy as np
 
+from freeconv.cli import (
+    cmd_boxplus,
+    cmd_boxtimes,
+    cmd_characterize,
+    cmd_cumulants,
+    cmd_diagnose,
+    cmd_matrixlab,
+    cmd_moments,
+    cmd_subordinate,
+)
 from freeconv.errors import ConvergenceError, DomainError
 from freeconv.measures import _hankel_matrices, dilate
 
@@ -1254,3 +1268,90 @@ def dichotomy_deviations_by_expansion(spec, marginal, max_word_length):
         predicted = centered_product_moment((l_moments, q_moments), letters)
         deviations.append((pattern, true_value - predicted))
     return tuple(deviations)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="freeconv",
+        description="moment-level free convolution toolkit",
+    )
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker cap (falls back to FREECONV_THREADS, then 1)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_output_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--output", help="write to this path instead of stdout")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    p = sub.add_parser("moments", help="moments of a measure")
+    p.add_argument("measure")
+    p.add_argument("--order", type=int, required=True)
+    add_output_flags(p)
+    p.set_defaults(func=cmd_moments)
+
+    p = sub.add_parser("cumulants", help="boolean or free cumulants of a measure")
+    p.add_argument("measure")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--kind", choices=("boolean", "free"), default="boolean")
+    add_output_flags(p)
+    p.set_defaults(func=cmd_cumulants)
+
+    p = sub.add_parser("boxplus", help="additive free convolution")
+    p.add_argument("mu1")
+    p.add_argument("mu2")
+    p.add_argument("--order", type=int, required=True)
+    add_output_flags(p)
+    p.set_defaults(func=cmd_boxplus)
+
+    p = sub.add_parser("boxtimes", help="multiplicative free convolution")
+    p.add_argument("mu1")
+    p.add_argument("mu2")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument(
+        "--method",
+        choices=("taylor", "subordination", "oracle", "all"),
+        default="taylor",
+    )
+    add_output_flags(p)
+    p.set_defaults(func=cmd_boxtimes)
+
+    p = sub.add_parser("subordinate", help="solve the subordination equations")
+    p.add_argument("mu1")
+    p.add_argument("mu2")
+    p.add_argument("--z", help="evaluation point 're' or 're,im'")
+    p.add_argument("--grid", type=int, default=31, help="points z=-10^(-k/10)")
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=500)
+    add_output_flags(p)
+    p.set_defaults(func=cmd_subordinate)
+
+    p = sub.add_parser("diagnose", help="fractional moment sandwich")
+    p.add_argument("measure")
+    p.add_argument("--alpha", type=float, required=True)
+    add_output_flags(p)
+    p.set_defaults(func=cmd_diagnose)
+
+    p = sub.add_parser("characterize", help="freeness dichotomy for (L, Q)")
+    p.add_argument("spec", nargs="?", help="form spec JSON file")
+    p.add_argument("marginal", help="marginal measure JSON file")
+    p.add_argument("--preset", choices=("mean-variance",))
+    p.add_argument("--n", type=int, default=2, help="variable count for the preset")
+    p.add_argument("--max-len", type=int, default=8)
+    add_output_flags(p)
+    p.set_defaults(func=cmd_characterize)
+
+    p = sub.add_parser("matrixlab", help="Monte Carlo word trace")
+    p.add_argument("--word", required=True, help='word text, e.g. "T1 T2 T1 T2"')
+    p.add_argument("--N", type=int, default=256)
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ensemble", choices=("goe", "diagonal"), default="goe")
+    p.add_argument("--measure", help="atomic measure JSON for diagonal ensembles")
+    add_output_flags(p)
+    p.set_defaults(func=cmd_matrixlab)
+
+    return parser

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -9,10 +11,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import build_parser
+from test_tooling import benchmark_argvs, every_subcommand
 
 import freeconv
-from freeconv import convolution
+from freeconv import cli, convolution
 from freeconv.cli import main
+from freeconv.errors import ParseError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freeconv.__file__)))
 
@@ -139,6 +145,16 @@ class TestExitCodes:
             '{"kind": "grid", "x": [0, 1, Infinity], "f": [0, 1, 0]}',
             pytest.param('{"kind": "grid", "x": [0, 1, 1%s], "f": [0, 1, 0]}' % ("0" * 400),
                          id="grid-int-past-binary64"),
+            # strings: "p/q" is read as a rational field is, the rest by float()
+            *(
+                pytest.param('{"kind": "grid", "x": ["0", "%s", "2"], "f": [0, 1, 0]}' % entry, id=name)
+                for name, entry in [
+                    ("grid-string-inf", "-Infinity"),
+                    ("grid-string-nan", "nan"),
+                    ("grid-string-huge-exponent", "1e100000000"),
+                    ("grid-string-past-binary64", "1%s/3" % ("0" * 400)),
+                ]
+            ),
         ],
     )
     def test_non_finite_measure_is_two(self, tmp_path, capsys, text):
@@ -148,6 +164,8 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("freeconv: parse error:")
         assert err.count("\n") == 1
+        if "grid" in text:  # the message of every grid entry past binary64
+            assert err.endswith("grid abscissae and density values must be finite\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -320,6 +338,103 @@ class TestHugeAtoms:
         )
 
 
+def parse_both(argv: list[str]):
+    """The fields the argparse oracle and the command table read off
+    ``argv``: a dict of them, 0 for help, 2 for a parse error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            want = exc.code
+        try:
+            got = cli.parse(argv)
+        except ParseError:
+            return want, 2
+    return want, 0 if got is None else vars(got)
+
+
+class TestParser:
+    """The command table parses every argv that argparse parsed to the
+    same fields, and each malformed argv is one parse-error line."""
+
+    VARIANTS = [
+        ["moments", "m.json", "--order=4", "--format=csv", "--output=o.txt"],
+        ["cumulants", "m.json", "--ord", "4", "--k", "free", "--f", "csv", "--out", "o.txt"],
+        ["subordinate", "a", "b", "--max", "3", "--to", "1e-9", "--g", "5", "--z", "-0.5"],
+        ["matrixlab", "--w", "T1 T2", "--tr", "3", "--s", "2", "--e", "diagonal", "--me", "m.json"],
+        ["boxtimes", "--order", "8", "a", "--method", "all", "b"],
+        ["diagnose", "--alpha", "0.5", "m.json"],
+        ["characterize", "spec.json", "m.json", "--max-len", "6"],
+        ["characterize", "m.json", "--n", "3", "--preset", "mean-variance"],
+        ["characterize", "--preset", "mean-variance", "--", "m.json"],
+        ["--threads", "2", "moments", "m.json", "--order", "3"],
+        ["--th=2", "--threads", "3", "boxplus", "a", "b", "--order", "2", "--order", "5"],
+        ["moments", "--order", "3", "--", "-m.json"],
+        ["moments", "-x y.json", "--order", "3"],
+        ["--help"],
+        ["--threads", "2", "-h", "moments"],
+        ["moments", "--he"],
+        ["moments", "m.json", "extra", "-h"],
+    ]
+
+    @pytest.mark.parametrize("argv", [*benchmark_argvs(), *every_subcommand(), *VARIANTS])
+    def test_fields_match_the_argparse_oracle(self, argv):
+        want, got = parse_both(argv)
+        assert isinstance(want, dict) or want == 0
+        assert got == want
+
+    @given(st.lists(st.sampled_from([
+        "moments", "cumulants", "boxtimes", "subordinate", "characterize", "matrixlab", "bogus",
+        "a.json", "3", "-3", "-.5", "-1e-3", "x y", "-x y", "", "-", "--", "-h", "--he", "-q",
+        "--threads", "--th=2", "--order", "--or=4", "--o", "--output", "--f", "csv", "--kind",
+        "--method", "all", "--z", "--max", "--preset", "mean-variance", "--n", "--max-len",
+        "--word", "--N", "--e", "diagonal", "--measure", "--bogus",
+    ]), max_size=8))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drawn_argv_parses_as_argparse_parsed_it(self, argv):
+        want, got = parse_both(argv)
+        # argparse sets a list for a positional it fills with "--" only,
+        # as in "characterize -- --": no run could read that
+        if want == 0 or isinstance(want, dict) and not any(isinstance(v, list) for v in want.values()):
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([], id="no-command"),
+            pytest.param(["bogus"], id="unknown-command"),
+            pytest.param(["moments", "{bernoulli}", "--order", "3", "--bogus"], id="unknown-option"),
+            pytest.param(["moments", "{bernoulli}"], id="missing-required-option"),
+            pytest.param(["boxplus", "{bernoulli}", "--order", "3"], id="missing-positional"),
+            pytest.param(["moments", "{bernoulli}", "--order"], id="missing-value"),
+            pytest.param(["moments", "{bernoulli}", "--order", "x"], id="bad-int"),
+            pytest.param(["diagnose", "{bernoulli}", "--alpha", "half"], id="bad-float"),
+            pytest.param(["--threads", "two", "moments", "{bernoulli}", "--order", "3"], id="bad-threads"),
+            pytest.param(["cumulants", "{bernoulli}", "--order", "3", "--kind", "classical"], id="bad-choice"),
+            pytest.param(["moments", "{bernoulli}", "--o", "3"], id="ambiguous-prefix"),
+            pytest.param(["moments", "{bernoulli}", "{bernoulli}", "--order", "3"], id="extra-positional"),
+            pytest.param(["moments", "{bernoulli}", "--order", "3", "--output", "a\nb", "c\nd"],
+                         id="newline-in-argument"),
+        ],
+    )
+    def test_malformed_argv_is_one_parse_error_line(self, files, capsys, argv):
+        code, out, err = run([a.format(**files) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("freeconv: parse error:") and err.count("\n") == 1
+
+    def test_help_comes_from_the_command_table(self, capsys):
+        code, out, err = run(["--help"], capsys)
+        assert (code, err) == (0, "")
+        assert all(name in out for name in [*cli.COMMANDS, *cli.GLOBAL_OPTIONS])
+        for name, (_, about, _, options) in cli.COMMANDS.items():
+            code, out, err = run([name, "-h"], capsys)
+            assert (code, err) == (0, "")
+            assert about in out and all(flag in out for flag in options)
+            # a choice list stands apart from the note after it
+            choices = ["{%s}" % ",".join(kind) for kind, _, _ in options.values() if isinstance(kind, tuple)]
+            assert set(choices) <= set(out.split())
+
+
 class TestMomentsAndCumulants:
     def test_boolean_cumulants_table(self, files, capsys):
         code, out, _ = run(
@@ -455,6 +570,15 @@ class TestSubordinate:
         )
         assert (got, out) == (code, "")
         assert err.startswith("freeconv: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("z", ["-1e-3", "-0.5,0.1"])
+    def test_negative_point_in_any_form_follows_its_flag(self, files, capsys, z):
+        # argparse took a value led by "-" for a flag unless it read as a
+        # plain negative decimal, so only the "--z=" spelling worked
+        argv = ["subordinate", files["bernoulli"], files["bernoulli"]]
+        code, out, err = run([*argv, "--z", z], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"] == json.loads(run([*argv, f"--z={z}"], capsys)[1])["rows"]
 
     def test_huge_grid_is_rejected_before_any_point_is_built(self, files):
         # under a 1 GiB address-space cap, a grid built before the check
@@ -746,8 +870,7 @@ class TestEntryPoint:
             (["subordinate", "{bernoulli}", "{bernoulli}", "--z", "-0.5", "--max-iter", "1"], 4),
         ],
     )
-    def test_same_result_as_main(self, files, capsys, monkeypatch, argv, code):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+    def test_same_result_as_main(self, files, capsys, argv, code):
         argv = [a.format(**files) for a in argv]
         want = run(argv, capsys)
         result = run_entry(argv)

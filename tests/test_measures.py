@@ -517,6 +517,11 @@ class TestJson:
         text = '{"kind": "semicircle", "center": 0.5, "radius": "1/3"}'
         assert measure_from_json(text) == Semicircle(Fraction(1, 2), Fraction(1, 3))
 
+    def test_grid_accepts_numbers_and_strings(self):
+        # a "p/q" entry is read as a rational field is, then rounded once
+        text = '{"kind": "grid", "x": ["0", "1/3", "2"], "f": [0, "1", 0]}'
+        assert measure_from_json(text) == DensityGrid([0, 1 / 3, 2], [0, 1, 0])
+
     @given(
         st.lists(
             st.fractions(min_value=-5, max_value=5, max_denominator=12),

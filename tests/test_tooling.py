@@ -1,9 +1,10 @@
 """Repository checks: the benchmark's traced run finds every library
 function it wraps, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, no subcommand loads
-dataclasses, and none writing JSON loads csv, importing the package
-loads only its exceptions, neither the exact subcommands nor the float
-ones on atomic or grid measures load numpy or inspect, characterize and
+dataclasses, argparse or locale, and none writing JSON loads csv,
+importing the package loads only its exceptions, neither the exact
+subcommands nor the float ones on atomic or grid measures load numpy or
+inspect, characterize and
 the convolution subcommands other than the boxtimes word oracle never load
 the word engine, the convolution subcommands without the word oracle and
 the moment and cumulant subcommands never load the non-crossing kernel,
@@ -216,12 +217,37 @@ def every_subcommand() -> list[list[str]]:
     ]
 
 
+def benchmark_argvs() -> list[list[str]]:
+    """The argv of every CLI job in the benchmark's workloads, with each
+    input file named after its key in the benchmark's inputs."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    # run.py imports traced_job from its directory, and dataclasses looks
+    # the module up by name
+    sys.path.insert(0, str(ROOT / "bench"))
+    sys.modules[spec.name] = bench
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+        del sys.modules[spec.name]
+    names = ("pos1", "pos2", "sym", "bernoulli", "two_point", "rademacher", "semicircle", "delta1", "delta2")
+    inputs = bench.Inputs(
+        {name: f"{name}.json" for name in names},
+        {name: [(1, 1)] for name in names},
+        dict.fromkeys(("goe1", "goe2", "diag", "lib"), 7),
+    )
+    return [job.argv for workload in bench.WORKLOADS.values() for job in workload(inputs) if not job.script]
+
+
 def test_subcommands_leave_scipy_unloaded():
     runs = every_subcommand()
-    # every run writes JSON, so csv is never needed
-    codes, loaded = run_in_one_process(runs, "scipy", "dataclasses", "csv")
+    # every run writes JSON, so csv is never needed; the command table
+    # parses the argv without argparse, and so without its locale
+    packages = ("scipy", "dataclasses", "csv", "argparse", "locale")
+    codes, loaded = run_in_one_process(runs, *packages)
     assert codes == [0] * len(runs)
-    assert loaded == {"scipy": [], "dataclasses": [], "csv": []}
+    assert loaded == dict.fromkeys(packages, [])
 
 
 def test_no_subcommand_leaves_a_thread_running():
