@@ -26,14 +26,11 @@ _EXPORTS = {
         "krein_k", "measure_from_json", "measure_to_json", "moments", "psi",
     ),
     "transforms": (
-        "boolean_from_moments", "free_from_moments", "moments_from_boolean",
-        "moments_from_free",
+        "boolean_from_moments", "boxplus_moments", "boxtimes_moments", "boxtimes_word_oracle",
+        "free_from_moments", "moments_from_boolean", "moments_from_free",
     ),
     "word_engine": ("Word", "mixed_moment"),
-    "convolution": (
-        "boxplus_moments", "boxtimes_moments", "boxtimes_word_oracle",
-        "fractional_diagnostics", "solve_subordination",
-    ),
+    "convolution": ("fractional_diagnostics", "solve_subordination"),
     "characterize": (
         "QuadraticFormSpec", "freeness_dichotomy", "joint_moment",
         "preset_sample_mean_variance", "validate_spec",

@@ -1,48 +1,27 @@
-"""Free additive and multiplicative convolution at moment level.
+"""Free convolution in binary64: the subordination solver and the
+fractional moment diagnostics.
 
-Additive convolution is free-cumulant addition.  Multiplicative
-convolution of measures on [0, inf) is computed two independent ways:
+The exact routes, ``boxplus_moments``, ``boxtimes_moments`` and the word
+oracle, live in the transforms module.  This module gives the
+multiplicative convolution of measures on [0, inf) as float data: a
+damped fixed-point solver for the subordination pair
 
-* an exact Taylor recursion on the subordination functions.  Writing
-  Z_j(-x) = t_1 x + t_2 x^2 + ... for the subordination pair and r_k for
-  boolean cumulants, the coupled system Z_1 Z_2 = z K_1(Z_1),
-  K_1(Z_1) = K_2(Z_2) turns into the series equations
+    Z_1 Z_2 = z K_1(Z_1),    K_1(Z_1) = K_2(Z_2)
 
-      Z_j = -x * ( r_1(mu_k) + r_2(mu_k) Z_k + ... + r_p(mu_k) Z_k^(p-1) )
+at arbitrary points, and a contour fit of the product's boolean
+cumulants from solver values, which become moments through the exact
+recursion of the transforms module.  Fractional moment diagnostics bound
+m_alpha through the integral of K on (0, 1].
 
-  The coefficient of x^d in Z_j needs only the powers of Z_k at degree
-  d-1, so the power tables of Z_1 and Z_2 are filled one degree at a
-  time by the transforms module's power-table kernel, O(p^3) operations
-  to order p; K of the product is then K_1 composed with Z_1.  It runs
-  in ints: D_a mu_1 boxtimes D_b mu_2 = D_ab (mu_1 boxtimes mu_2) for the
-  dilations to integer moments, and coefficient k is divided by (ab)^k
-  once, at the end.
+Every integral here uses the module's tanh-sinh rule ``quad`` (Takahasi
+and Mori, 1974), whose integrand maps one node to one float; K(-x) is a
+loop over the float atoms of an atomic or grid measure.  Each call site
+checks the rule's error estimate, the difference of its last two levels,
+against the absolute bound 1e-8 and raises ConvergenceError above it:
+the diagnostic's remainder integral and its three refinement probes.
 
-* a word bridge: the k-th moment of the product measure is the trace
-  of the alternating word (T S)^k, evaluated by the non-crossing
-  partition engine, which shares no code with the Taylor recursion.
-  Every (T S)^k is a prefix of (T S)^p, so the p moments read off the
-  prefixes of one table build.
-
-The two routes must agree as exact rationals, which is the module's main
-internal consistency check.  A damped fixed-point solver provides the
-same subordination data numerically at arbitrary points; its fitted
-boolean cumulants become moments through the same exact recursion as
-the Taylor route.  Fractional moment diagnostics bound m_alpha through
-the integral of K on (0, 1].
-
-Every integral here uses the tanh-sinh rule ``quad`` of the measures
-module (Takahasi and Mori, 1974), whose integrand maps one node to one
-float; K(-x) is a loop over the float atoms of an atomic or grid
-measure.  Each call site checks the rule's error estimate, the
-difference of its last two levels, against the absolute bound 1e-8 and
-raises ConvergenceError above it: the diagnostic's remainder integral
-and its three refinement probes.
-
-The exact routes (``boxplus_moments``, ``boxtimes_moments`` and the word
-oracle) need no floats, and the float routes run in plain Python: the
-subordination solve, the contour fit (``cmath`` and ``math.fsum``) and
-the diagnostics.
+Everything runs in plain Python: the subordination solve, the contour
+fit (``cmath`` and ``math.fsum``), the rule and the diagnostics.
 """
 
 from __future__ import annotations
@@ -59,104 +38,36 @@ from .measures import (
     AXIS_TOLERANCE,
     Atomic,
     Measure,
-    MomentSequence,
     Semicircle,
     as_float,
-    dilate,
-    fractional_moment,
     in_m_plus,
+    is_positive_supported,
     krein_k,
     moments,
-    quad,
-    undilate,
 )
-from .transforms import (
-    _divide_by_one_plus,
-    fill_power_degree,
-    free_from_moments,
-    moments_from_boolean,
-    moments_from_free,
-    power_table,
-)
+from .transforms import moments_from_boolean
 
 __all__ = [
-    "boxplus_moments",
-    "boxtimes_moments",
-    "boxtimes_word_oracle",
     "SubordinationSolution",
     "solve_subordination",
     "fit_boolean_cumulants_from_subordination",
     "boxtimes_via_subordination",
     "DiagnosticsReport",
     "fractional_diagnostics",
+    "quad",
+    "fractional_moment",
 ]
 
 
-def boxplus_moments(m1: MomentSequence, m2: MomentSequence) -> MomentSequence:
-    """Moments of the additive free convolution: free cumulants add."""
-    if m1.order != m2.order:
-        raise DomainError(f"order mismatch: {m1.order} vs {m2.order}")
-    k1 = free_from_moments(m1)
-    k2 = free_from_moments(m2)
-    return moments_from_free([a + b for a, b in zip(k1, k2)])
+def __getattr__(name):
+    # Only for the benchmark's traced run, whose list of boundaries still
+    # names the exact routes of the transforms module as convolution.*:
+    # the old names resolve there (PEP 562), and nothing else reads them.
+    if name in ("boxplus_moments", "boxtimes_moments", "boxtimes_word_oracle"):
+        from . import transforms
 
-
-# ---------------------------------------------------------------------------
-# multiplicative convolution, Taylor route
-# ---------------------------------------------------------------------------
-
-
-def _check_boxtimes_inputs(m1: MomentSequence, m2: MomentSequence, p: int) -> None:
-    if p < 1:
-        raise DomainError("output order must be >= 1")
-    if m1.order < p or m2.order < p:
-        raise DomainError(f"need input moments to order {p}")
-    if m1.m(1) == 0 or m2.m(1) == 0:
-        raise DomainError("multiplicative convolution requires m_1 != 0")
-
-
-def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
-    """Moments of the multiplicative free convolution to order p, exactly.
-
-    Runs the subordination Taylor recursion on the factors dilated to
-    integer moments, D_c1 mu_1 and D_c2 mu_2, whose product is
-    D_(c1 c2)(mu_1 boxtimes mu_2); the product's boolean cumulants are
-    read off K_1(Z_1(-x)) and coefficient k is divided by (c1 c2)^k once.
-    """
-    _check_boxtimes_inputs(m1, m2, p)
-    c1, s1 = dilate(m1.moments[:p])
-    c2, s2 = dilate(m2.moments[:p])
-    r1, r2 = _divide_by_one_plus(s1, s1), _divide_by_one_plus(s2, s2)  # K = M / (1 + M)
-
-    # pow1[j][d] = [x^d] Z_1(-x)^j, and pow2 likewise for Z_2.  Degree d
-    # of Z_1 needs Z_2's powers at degree d-1 only, so both tables fill
-    # one degree at a time.
-    pow1 = power_table(p)
-    pow2 = power_table(p)
-    for d in range(1, p + 1):
-        pow1[1][d] = -sum(r2[i] * pow2[i][d - 1] for i in range(d))
-        pow2[1][d] = -sum(r1[i] * pow1[i][d - 1] for i in range(d))
-        fill_power_degree(pow1, d)
-        fill_power_degree(pow2, d)
-
-    # K of the product as a series in x, K_1 composed with Z_1(-x), and
-    # its moments by M = K / (1 - K)
-    r = [(-1) ** k * sum(r1[i - 1] * pow1[i][k] for i in range(1, k + 1)) for k in range(1, p + 1)]
-    return MomentSequence(undilate(_divide_by_one_plus(r, [-v for v in r]), c1 * c2))
-
-
-def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
-    """Product moments as word traces: m_k = trace of the word (T S)^k.
-
-    (T S)^k is the prefix of length 2k of (T S)^p, so one build of the
-    word engine's tables gives every m_k.  Independent of the Taylor
-    route; the two must agree exactly.
-    """
-    # no other route of this module needs the word engine
-    from .word_engine import Word, prefix_moments
-
-    _check_boxtimes_inputs(m1, m2, p)
-    return MomentSequence(prefix_moments((m1, m2), Word((1, 2) * p))[1::2])
+        return getattr(transforms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +274,78 @@ class DiagnosticsReport(namedtuple("DiagnosticsReport", "alpha integral_value lo
     """
 
     __slots__ = ()
+
+
+#: Cutoff |t| of the tanh-sinh nodes: there the weight has fallen to
+#: 2.8e-21 of the half-length of the interval, and the nearest node sits
+#: 5.4e-23 of it from the end.
+TANH_SINH_T = 3.5
+
+#: Step halvings after the first level; the last has step 1/512 and
+#: 3,585 nodes.
+TANH_SINH_LEVELS = 8
+
+
+def quad(
+    func: Callable[[float], float], a: float, b: float, tol: float = 1e-10
+) -> tuple[float, float]:
+    """Integral of ``func`` over [a, b] by the tanh-sinh rule, with its error.
+
+    The double-exponential substitution of Takahasi and Mori (1974),
+    x = c + r tanh(pi/2 sinh t), sends the ends of [a, b] to t = -inf and
+    inf, where the weights decay doubly exponentially, so square-root or
+    power behavior at an end needs no splitting.  Node positions are
+    formed from their distance to the nearer end, which stays exact in
+    relative terms close to the ends.  The trapezoid rule in t starts at
+    step 1/2 and halves it, reusing every earlier node, until two levels
+    agree to within ``tol``; the difference of the last two levels is
+    returned as the error estimate.  ``func`` maps one node to one float,
+    and each level's weighted values are summed by ``math.fsum``.  A
+    non-finite sum returns at once with an infinite error.
+    """
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+
+    def weighted_sum(ts: range, h: float) -> float:
+        terms = []
+        for k in ts:
+            # e = exp(-2|u|) with u = pi/2 sinh t: 1 - tanh|u| = 2e/(1+e) and
+            # sech(u)^2 = 4e/(1+e)^2
+            t = k * h
+            e = math.exp(-math.pi * math.sinh(t))
+            dist = 2.0 * r * e / (1.0 + e)
+            weight = 2.0 * math.pi * r * math.cosh(t) * e / (1.0 + e) ** 2
+            terms += (weight * func(a + dist), weight * func(b - dist))
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError):  # inf - inf, or a finite overflow
+            return sum(terms)
+
+    h = 0.5
+    total = 0.5 * math.pi * r * func(c) + weighted_sum(range(1, int(TANH_SINH_T / h) + 1), h)
+    value = h * total
+    for _ in range(TANH_SINH_LEVELS):
+        h *= 0.5
+        total += weighted_sum(range(1, int(TANH_SINH_T / h) + 1, 2), h)
+        previous, value = value, h * total
+        error = abs(value - previous)
+        if not math.isfinite(value):
+            return value, math.inf
+        if error <= tol:
+            break
+    return value, error
+
+
+def fractional_moment(mu: Measure, alpha: float) -> float:
+    """m_alpha = integral of x^alpha d mu for a positively supported atomic
+    or grid measure, over its float atoms (0^0 = 1)."""
+    if alpha < 0:
+        raise DomainError("fractional moment order must be >= 0")
+    if isinstance(mu, Semicircle):
+        raise DomainError("fractional moments are not evaluated for semicircles; "
+                          "semicircles are moments-only")
+    if not is_positive_supported(mu):
+        raise DomainError("fractional moments require support in [0, inf)")
+    return sum(w * u ** alpha for u, w in mu.float_atoms)
 
 
 def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:

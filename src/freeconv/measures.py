@@ -15,16 +15,14 @@ analytic and nonpositive on the negative real axis and vanishes at 0-;
 multiplicative free convolution is subordinated at the level of K.
 
 User rationals become floats through ``as_float``, which turns binary64
-overflow into a DomainError.  ``quad`` is the package's one quadrature
-rule (tanh-sinh), used by the diagnostics of the convolution module; it
-integrates a scalar function in plain Python.
+overflow into a DomainError.
 
 A grid is read as its nodal measure, sum of w_i delta(x_i) with
 w_i = f_i (x_(i+1) - x_(i-1))/2 >= 0 (half an interval at either end),
 against which its trapezoid integrals are sums.  Its nodes of positive
-weight are its ``float_atoms``, and ``psi``, ``fractional_moment`` and
-the diagnostics of the convolution module sum over the float atoms of an
-atomic or grid measure alike.  numpy stays only in ``hankel_psd``.
+weight are its ``float_atoms``, and ``psi`` and the diagnostics of the
+convolution module sum over the float atoms of an atomic or grid
+measure alike.  numpy stays only in ``hankel_psd``.
 
 Positivity is the constructors' to guarantee, and no moment path checks
 it again.  Atomic weights are nonnegative and sum to 1, a semicircle's
@@ -41,9 +39,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, ParseError
 
@@ -57,8 +56,6 @@ __all__ = [
     "as_float",
     "catalan",
     "moments",
-    "quad",
-    "fractional_moment",
     "hankel_psd",
     "psi",
     "krein_k",
@@ -91,9 +88,23 @@ def as_fraction(value: RationalLike) -> Fraction:
     are promoted by their exact binary64 ratio, so the quantization is
     the one already present in the input.  Booleans are not numbers
     here, though bool is an int subclass: JSON ``true`` is a ParseError.
+    So is a decimal string whose exponent exceeds the int-string
+    conversion limit in magnitude, which Fraction would expand in full:
+    "1e100000000" is refused at once, not built as 10^(10^8).
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        # the limit is new in Python 3.10.7; 4300 is its default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        _, e, exponent = value.lower().partition("e")
+        try:
+            too_large = bool(limit and e) and abs(int(exponent)) > limit
+        except ValueError:  # no integer: Fraction rejects the string below
+            too_large = False
+        if too_large:
+            raise ParseError(f"cannot interpret {_clip(value)} as a rational: "
+                             f"its exponent exceeds {limit} in magnitude")
     if isinstance(value, (int, str, float)) and not isinstance(value, bool):
         try:
             return Fraction(value)
@@ -390,78 +401,6 @@ def moments(mu: Measure, order: int) -> MomentSequence:
     else:
         raise TypeError(f"not a measure: {mu!r}")
     return MomentSequence(vals)
-
-
-#: Cutoff |t| of the tanh-sinh nodes: there the weight has fallen to
-#: 2.8e-21 of the half-length of the interval, and the nearest node sits
-#: 5.4e-23 of it from the end.
-TANH_SINH_T = 3.5
-
-#: Step halvings after the first level; the last has step 1/512 and
-#: 3,585 nodes.
-TANH_SINH_LEVELS = 8
-
-
-def quad(
-    func: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Integral of ``func`` over [a, b] by the tanh-sinh rule, with its error.
-
-    The double-exponential substitution of Takahasi and Mori (1974),
-    x = c + r tanh(pi/2 sinh t), sends the ends of [a, b] to t = -inf and
-    inf, where the weights decay doubly exponentially, so square-root or
-    power behavior at an end needs no splitting.  Node positions are
-    formed from their distance to the nearer end, which stays exact in
-    relative terms close to the ends.  The trapezoid rule in t starts at
-    step 1/2 and halves it, reusing every earlier node, until two levels
-    agree to within ``tol``; the difference of the last two levels is
-    returned as the error estimate.  ``func`` maps one node to one float,
-    and each level's weighted values are summed by ``math.fsum``.  A
-    non-finite sum returns at once with an infinite error.
-    """
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-
-    def weighted_sum(ts: range, h: float) -> float:
-        terms = []
-        for k in ts:
-            # e = exp(-2|u|) with u = pi/2 sinh t: 1 - tanh|u| = 2e/(1+e) and
-            # sech(u)^2 = 4e/(1+e)^2
-            t = k * h
-            e = math.exp(-math.pi * math.sinh(t))
-            dist = 2.0 * r * e / (1.0 + e)
-            weight = 2.0 * math.pi * r * math.cosh(t) * e / (1.0 + e) ** 2
-            terms += (weight * func(a + dist), weight * func(b - dist))
-        try:
-            return math.fsum(terms)
-        except (OverflowError, ValueError):  # inf - inf, or a finite overflow
-            return sum(terms)
-
-    h = 0.5
-    total = 0.5 * math.pi * r * func(c) + weighted_sum(range(1, int(TANH_SINH_T / h) + 1), h)
-    value = h * total
-    for _ in range(TANH_SINH_LEVELS):
-        h *= 0.5
-        total += weighted_sum(range(1, int(TANH_SINH_T / h) + 1, 2), h)
-        previous, value = value, h * total
-        error = abs(value - previous)
-        if not math.isfinite(value):
-            return value, math.inf
-        if error <= tol:
-            break
-    return value, error
-
-
-def fractional_moment(mu: Measure, alpha: float) -> float:
-    """m_alpha = integral of x^alpha d mu for a positively supported atomic
-    or grid measure, over its float atoms (0^0 = 1)."""
-    if alpha < 0:
-        raise DomainError("fractional moment order must be >= 0")
-    if isinstance(mu, Semicircle):
-        raise DomainError("fractional moments are not evaluated for semicircles; "
-                          "semicircles are moments-only")
-    if not is_positive_supported(mu):
-        raise DomainError("fractional moments require support in [0, inf)")
-    return sum(w * u ** alpha for u, w in mu.float_atoms)
 
 
 def dilate(values: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -1,15 +1,16 @@
-"""Exact moment/cumulant conversions over truncated power series.
+"""Exact moment/cumulant conversions and free convolutions over truncated
+power series.
 
 A truncated series is the sequence of its coefficients c_1..c_D, the
 constant term fixed at zero: the moment series M(z) = sum m_k z^k, the
 boolean cumulant series K(z) = sum r_k z^k, and the subordination
-expansions in the convolution module.  The only division such sequences
-need is by 1 + (a series).
+expansions of multiplicative convolution.  The only division such
+sequences need is by 1 + (a series).
 
 Every recursion on powers of such a series u runs on one power table
 pw[j][d] = [z^d] u(z)^j, filled a degree at a time in O(D^3) integer
 operations (:func:`fill_power_degree`): both free-cumulant conversions
-and the subordination recursion of the convolution module.
+and the subordination recursion below.
 
 Boolean cumulants are the Taylor coefficients of the Krein transform at
 0: K = M/(1+M), inverted by M = K/(1-K).  Free cumulants satisfy
@@ -18,10 +19,36 @@ non-crossing partition moment formula summed by outer block; one
 recursion solves it for kappa_n or for m_n, so the conversions
 round-trip to the identity.
 
+Additive free convolution (boxplus) is free-cumulant addition.
+Multiplicative free convolution (boxtimes) of measures on [0, inf) is
+computed two independent ways:
+
+* an exact Taylor recursion on the subordination functions.  Writing
+  Z_j(-x) = t_1 x + t_2 x^2 + ... for the subordination pair and r_k for
+  boolean cumulants, the coupled system Z_1 Z_2 = z K_1(Z_1),
+  K_1(Z_1) = K_2(Z_2) turns into the series equations
+
+      Z_j = -x * ( r_1(mu_k) + r_2(mu_k) Z_k + ... + r_p(mu_k) Z_k^(p-1) )
+
+  The coefficient of x^d in Z_j needs only the powers of Z_k at degree
+  d-1, so the power tables of Z_1 and Z_2 are filled one degree at a
+  time, O(p^3) operations to order p; K of the product is then K_1
+  composed with Z_1.
+
+* a word bridge: the k-th moment of the product measure is the trace
+  of the alternating word (T S)^k, evaluated by the non-crossing
+  partition engine, which shares no code with the Taylor recursion.
+  Every (T S)^k is a prefix of (T S)^p, so the p moments read off the
+  prefixes of one table build.
+
+The two routes must agree as exact rationals.  The numerical
+subordination solve of the convolution module is the third, float route.
+
 The series are Python ints.  The dilation D_c mu (x scaled by c) has
 moments c^k m_k, boolean cumulants c^k r_k and free cumulants
-c^k kappa_k, so each conversion dilates its input to integers
-(``measures.dilate``), runs in ints, and divides coefficient k by c^k
+c^k kappa_k, and D_a mu_1 boxtimes D_b mu_2 = D_ab (mu_1 boxtimes mu_2),
+so each conversion and the Taylor route dilate their input to integers
+(``measures.dilate``), run in ints, and divide coefficient k by c^k
 once on the way out (``measures.undilate``).
 
 Cumulants are plain tuples of Fractions: :func:`boolean_from_moments`
@@ -36,6 +63,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from .errors import DomainError
 from .measures import MomentSequence, RationalLike, as_fraction, dilate, undilate
 
 __all__ = [
@@ -43,6 +71,9 @@ __all__ = [
     "moments_from_boolean",
     "free_from_moments",
     "moments_from_free",
+    "boxplus_moments",
+    "boxtimes_moments",
+    "boxtimes_word_oracle",
 ]
 
 
@@ -116,3 +147,70 @@ def moments_from_free(kappa: Sequence[RationalLike]) -> MomentSequence:
     for n in range(1, len(ks) + 1):
         ms.append(ks[n - 1] + _split_blocks(pw, n, ms[n - 1], ks))
     return MomentSequence(undilate(ms[1:], c))
+
+
+# ---------------------------------------------------------------------------
+# additive and multiplicative free convolution
+# ---------------------------------------------------------------------------
+
+
+def boxplus_moments(m1: MomentSequence, m2: MomentSequence) -> MomentSequence:
+    """Moments of the additive free convolution: free cumulants add."""
+    if m1.order != m2.order:
+        raise DomainError(f"order mismatch: {m1.order} vs {m2.order}")
+    k1 = free_from_moments(m1)
+    k2 = free_from_moments(m2)
+    return moments_from_free([a + b for a, b in zip(k1, k2)])
+
+
+def _check_boxtimes_inputs(m1: MomentSequence, m2: MomentSequence, p: int) -> None:
+    if p < 1:
+        raise DomainError("output order must be >= 1")
+    if m1.order < p or m2.order < p:
+        raise DomainError(f"need input moments to order {p}")
+    if m1.m(1) == 0 or m2.m(1) == 0:
+        raise DomainError("multiplicative convolution requires m_1 != 0")
+
+
+def boxtimes_moments(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
+    """Moments of the multiplicative free convolution to order p, exactly.
+
+    Runs the subordination Taylor recursion on the factors dilated to
+    integer moments, D_c1 mu_1 and D_c2 mu_2, whose product is
+    D_(c1 c2)(mu_1 boxtimes mu_2); the product's boolean cumulants are
+    read off K_1(Z_1(-x)) and coefficient k is divided by (c1 c2)^k once.
+    """
+    _check_boxtimes_inputs(m1, m2, p)
+    c1, s1 = dilate(m1.moments[:p])
+    c2, s2 = dilate(m2.moments[:p])
+    r1, r2 = _divide_by_one_plus(s1, s1), _divide_by_one_plus(s2, s2)  # K = M / (1 + M)
+
+    # pow1[j][d] = [x^d] Z_1(-x)^j, and pow2 likewise for Z_2.  Degree d
+    # of Z_1 needs Z_2's powers at degree d-1 only, so both tables fill
+    # one degree at a time.
+    pow1 = power_table(p)
+    pow2 = power_table(p)
+    for d in range(1, p + 1):
+        pow1[1][d] = -sum(r2[i] * pow2[i][d - 1] for i in range(d))
+        pow2[1][d] = -sum(r1[i] * pow1[i][d - 1] for i in range(d))
+        fill_power_degree(pow1, d)
+        fill_power_degree(pow2, d)
+
+    # K of the product as a series in x, K_1 composed with Z_1(-x), and
+    # its moments by M = K / (1 - K)
+    r = [(-1) ** k * sum(r1[i - 1] * pow1[i][k] for i in range(1, k + 1)) for k in range(1, p + 1)]
+    return MomentSequence(undilate(_divide_by_one_plus(r, [-v for v in r]), c1 * c2))
+
+
+def boxtimes_word_oracle(m1: MomentSequence, m2: MomentSequence, p: int) -> MomentSequence:
+    """Product moments as word traces: m_k = trace of the word (T S)^k.
+
+    (T S)^k is the prefix of length 2k of (T S)^p, so one build of the
+    word engine's tables gives every m_k.  Independent of the Taylor
+    route; the two must agree exactly.
+    """
+    # no other route of this module needs the word engine, which imports it
+    from .word_engine import Word, prefix_moments
+
+    _check_boxtimes_inputs(m1, m2, p)
+    return MomentSequence(prefix_moments((m1, m2), Word((1, 2) * p))[1::2])

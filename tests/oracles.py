@@ -75,16 +75,14 @@ from string import ascii_letters
 
 import numpy as np
 
-from freeconv.cli import (
-    cmd_boxplus,
-    cmd_boxtimes,
-    cmd_characterize,
-    cmd_cumulants,
-    cmd_diagnose,
-    cmd_matrixlab,
-    cmd_moments,
-    cmd_subordinate,
-)
+from freeconv.commands.boxplus import run as cmd_boxplus
+from freeconv.commands.boxtimes import run as cmd_boxtimes
+from freeconv.commands.characterize import run as cmd_characterize
+from freeconv.commands.cumulants import run as cmd_cumulants
+from freeconv.commands.diagnose import run as cmd_diagnose
+from freeconv.commands.matrixlab import run as cmd_matrixlab
+from freeconv.commands.moments import run as cmd_moments
+from freeconv.commands.subordinate import run as cmd_subordinate
 from freeconv.errors import ConvergenceError, DomainError
 from freeconv.measures import _hankel_matrices, dilate
 
@@ -1097,8 +1095,8 @@ def scipy_quad(func, a: float, b: float) -> tuple[float, float]:
 def quad_numpy(func, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
     """The tanh-sinh rule over numpy arrays: ``func`` maps an array of nodes
     to an array of values, and each level is one ``np.dot``.  Same nodes,
-    levels, stopping rule and error estimate as ``measures.quad``."""
-    from freeconv.measures import TANH_SINH_LEVELS, TANH_SINH_T
+    levels, stopping rule and error estimate as ``convolution.quad``."""
+    from freeconv.convolution import TANH_SINH_LEVELS, TANH_SINH_T
 
     c, r = 0.5 * (a + b), 0.5 * (b - a)
 

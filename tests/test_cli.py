@@ -236,6 +236,31 @@ class TestHugeAtoms:
             r"freeconv: domain error: (1e\+400|5e\+399) is outside the binary64 range\n", err
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"kind": "atomic", "atoms": [["1e100000000", "1"]]}', id="atomic"),
+            pytest.param('{"kind": "semicircle", "center": "0", "radius": "1e-100000000"}',
+                         id="semicircle"),
+            pytest.param('{"A": [["1E100000000", "0"], ["0", "1"]], "b": ["1", "1"]}',
+                         id="form-spec"),
+        ],
+    )
+    def test_huge_decimal_exponent_is_two_at_once(self, files, tmp_path, text):
+        # Fraction would build 10^(10^8) first, which takes minutes
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        if '"A"' in text:
+            argv = ["characterize", str(path), files["rademacher"], "--max-len", "4"]
+        else:
+            argv = ["moments", str(path), "--order", "3"]
+        result = subprocess.run(ENTRY + argv, env=entry_env(), capture_output=True, text=True,
+                                timeout=2)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("freeconv: parse error: ")
+        assert result.stderr.endswith(" as a rational: its exponent exceeds 4300 in magnitude\n")
+        assert result.stderr.count("\n") == 1
+
     def test_exact_output_prints_every_digit(self, tmp_path, capsys):
         # {10^400, 1} shifted by 10^-400: m_6 has 4,801 numerator digits,
         # past the 4,300 of Python's int-string conversion limit
@@ -426,7 +451,7 @@ class TestParser:
         code, out, err = run(["--help"], capsys)
         assert (code, err) == (0, "")
         assert all(name in out for name in [*cli.COMMANDS, *cli.GLOBAL_OPTIONS])
-        for name, (_, about, _, options) in cli.COMMANDS.items():
+        for name, (about, _, options) in cli.COMMANDS.items():
             code, out, err = run([name, "-h"], capsys)
             assert (code, err) == (0, "")
             assert about in out and all(flag in out for flag in options)
@@ -725,6 +750,14 @@ class TestCharacterize:
         assert code == 2
         assert err.startswith("freeconv: parse error:")
         assert err.count("\n") == 1
+
+    def test_spec_with_preset_is_two(self, files, capsys):
+        # the preset used to win without a word, even over a missing file
+        argv = ["characterize", "/nonexistent/spec.json", files["rademacher"],
+                "--preset", "mean-variance", "--max-len", "4"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "freeconv: parse error: give a form spec file or --preset mean-variance, not both\n"
 
     def test_explicit_spec_file(self, files, tmp_path, capsys):
         spec = tmp_path / "spec.json"

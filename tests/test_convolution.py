@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv.errors import ConvergenceError, DomainError
-from freeconv import measures
 from freeconv.measures import (
     Atomic,
     MomentSequence,
@@ -17,15 +16,15 @@ from freeconv.measures import (
 )
 from freeconv.transforms import (
     boolean_from_moments,
+    boxplus_moments,
+    boxtimes_moments,
+    boxtimes_word_oracle,
     moments_from_boolean,
 )
 from freeconv import convolution, noncrossing, word_engine
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
-    boxplus_moments,
-    boxtimes_moments,
     boxtimes_via_subordination,
-    boxtimes_word_oracle,
     fit_boolean_cumulants_from_subordination,
     fractional_diagnostics,
     solve_subordination,
@@ -385,7 +384,7 @@ def record_quadratures(monkeypatch, compare=None):
     """Route every quadrature call site through a recorder; returns the list
     of (a, b, value, error, compare(func, a, b)) it fills."""
     calls = []
-    rule = measures.quad
+    rule = convolution.quad
 
     def recording(func, a, b, tol=1e-10):
         value, error = rule(func, a, b, tol)
@@ -462,9 +461,11 @@ class TestQuadrature:
                 assert abs(value - want) <= 1e-12 * abs(want), (mu, alpha, a)
 
     def test_error_above_bound_is_convergence_error(self, monkeypatch, bernoulli):
+        rule = convolution.quad
+
         def loose_when(predicate):
             def fake(func, a, b, tol):
-                value, error = measures.quad(func, a, b, tol)
+                value, error = rule(func, a, b, tol)
                 return value, (1e-3 if predicate(a) else error)
             return fake
 
@@ -483,14 +484,14 @@ class TestQuadrature:
             (lambda x: math.sqrt(1.0 - x * x), -1.0, 1.0, math.pi / 2.0),
         ]
         for func, a, b, want in cases:
-            value, error = measures.quad(func, a, b, 1e-12)
+            value, error = convolution.quad(func, a, b, 1e-12)
             assert abs(value - want) <= 1e-13 and error <= 1e-12
 
     def test_non_finite_integrand_reports_infinite_error(self):
-        value, error = measures.quad(lambda x: math.nan, 0.0, 1.0)
+        value, error = convolution.quad(lambda x: math.nan, 0.0, 1.0)
         assert math.isnan(value) and error == math.inf
         # sums that math.fsum refuses: inf - inf, and finite terms past the range
-        value, error = measures.quad(lambda x: math.inf if x < 0.5 else -math.inf, 0.0, 1.0)
+        value, error = convolution.quad(lambda x: math.inf if x < 0.5 else -math.inf, 0.0, 1.0)
         assert math.isnan(value) and error == math.inf
-        value, error = measures.quad(lambda x: 1e308, 0.0, 1.0)
+        value, error = convolution.quad(lambda x: 1e308, 0.0, 1.0)
         assert value == math.inf and error == math.inf

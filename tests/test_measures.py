@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from freeconv.characterize import DichotomyReport, QuadraticFormSpec, ValidityReport
-from freeconv.convolution import DiagnosticsReport, SubordinationSolution, _c_mu, _moment_below_one
+from freeconv.convolution import (
+    DiagnosticsReport,
+    SubordinationSolution,
+    _c_mu,
+    _moment_below_one,
+    fractional_moment,
+)
 from freeconv.errors import DomainError, ParseError
 from freeconv.matrix_lab import InequalityReport, MatrixEnsembleSpec, TraceEstimate
 from freeconv.measures import (
@@ -19,7 +25,6 @@ from freeconv.measures import (
     Semicircle,
     as_fraction,
     dilate,
-    fractional_moment,
     hankel_psd,
     in_m_plus,
     is_positive_supported,

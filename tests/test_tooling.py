@@ -1,5 +1,6 @@
 """Repository checks: the benchmark's traced run finds every library
-function it wraps, every exported name exists, neither importing the
+function it wraps and still counts the calls of the routes it names by
+their old module, every exported name exists, neither importing the
 package nor running any subcommand loads scipy, no subcommand loads
 dataclasses, argparse or locale, and none writing JSON loads csv,
 importing the package loads only its exceptions, neither the exact
@@ -8,6 +9,9 @@ inspect, characterize and
 the convolution subcommands other than the boxtimes word oracle never load
 the word engine, the convolution subcommands without the word oracle and
 the moment and cumulant subcommands never load the non-crossing kernel,
+the exact subcommands never load the float convolution layer, each run
+loads its own handler module and no other, ``python -m freeconv.cli``
+never imports ``freeconv.cli`` a second time,
 the exact series kernels see only Python ints, every
 exported name is reachable from the CLI's source or kept for a stated
 reason, every reference engine in the oracles is reachable from some
@@ -42,10 +46,18 @@ def test_trace_boundaries_resolve():
     assert traced_job.BOUNDARIES and not missing
 
 
+def package_modules() -> dict[str, Path]:
+    """Every source file of the package by its dotted module name, the
+    modules of its subpackages included."""
+    modules = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
 def test_exported_names_resolve():
-    modules = ["freeconv"] + [
-        f"freeconv.{path.stem}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
-    ]
+    modules = list(package_modules())
     missing = [
         f"{name}.{attr}"
         for name in modules
@@ -135,12 +147,11 @@ def test_reachability_follows_reads_from_the_root():
 
 def test_every_export_is_read_or_kept():
     # read by the CLI or by a function the CLI reaches
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    sources = {name: path.read_text() for name, path in package_modules().items()}
     exported = set()
-    for stem in sources:
-        module = "freeconv" if stem == "__init__" else f"freeconv.{stem}"
-        exported.update(getattr(importlib.import_module(module), "__all__", ()))
-    assert sorted(exported - reachable(sources, "cli")) == sorted(KEEP)
+    for name in sources:
+        exported.update(getattr(importlib.import_module(name), "__all__", ()))
+    assert sorted(exported - reachable(sources, "freeconv.cli")) == sorted(KEEP)
 
 
 def test_every_oracle_is_reachable_from_a_test():
@@ -348,6 +359,78 @@ def test_characterize_leaves_word_engine_unloaded():
     assert run_probe(probe, rademacher).split() == ["0", "False"]
 
 
+def test_exact_jobs_leave_convolution_unloaded():
+    # the exact routes of boxplus and boxtimes live in transforms
+    demo = {name: str(ROOT / "demos" / "data" / f"{name}.json")
+            for name in ("bernoulli", "two_point", "rademacher")}
+    runs = [
+        ["moments", demo["two_point"], "--order", "4"],
+        ["cumulants", demo["two_point"], "--order", "4", "--kind", "free"],
+        ["boxplus", demo["bernoulli"], demo["two_point"], "--order", "4"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "taylor"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "oracle"],
+        ["characterize", "--preset", "mean-variance", demo["rademacher"], "--max-len", "4"],
+    ]
+    codes, loaded = run_in_one_process(runs, "freeconv")
+    assert codes == [0] * len(runs)
+    assert "freeconv.transforms" in loaded["freeconv"]
+    assert "freeconv.convolution" not in loaded["freeconv"]
+
+
+def test_each_run_loads_only_its_own_handler():
+    for argv in every_subcommand():
+        codes, loaded = run_in_one_process([argv], "freeconv")
+        handlers = [m for m in loaded["freeconv"] if m.startswith("freeconv.commands.")]
+        assert (codes, handlers) == ([0], [f"freeconv.commands.{argv[0]}"])
+
+
+def test_entry_point_compiles_the_cli_once():
+    # under python -m freeconv.cli the file runs as __main__; a module that
+    # imported freeconv.cli by name would compile and run it a second time.
+    # -X importtime lists the modules that import statements load, not the
+    # ones import_module loads; measures, which the handlers' package
+    # imports, shows that the list is read at all
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    for argv in every_subcommand():
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "freeconv.cli", *argv, "--output", os.devnull],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        imported = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
+        assert result.returncode == 0
+        assert "freeconv.measures" in imported and "freeconv.cli" not in imported
+
+
+def test_trace_attributes_the_moved_routes():
+    # the traced run names the exact routes of transforms as convolution.*,
+    # and quad as scipy.quad; each label must still count its calls
+    demo = {name: str(ROOT / "demos" / "data" / f"{name}.json") for name in ("bernoulli", "two_point")}
+    runs = [
+        ["boxplus", demo["bernoulli"], demo["two_point"], "--order", "4"],
+        ["boxtimes", demo["bernoulli"], demo["two_point"], "--order", "4", "--method", "all"],
+        ["diagnose", demo["two_point"], "--alpha", "0.5"],
+    ]
+    probe = (
+        "import importlib.util, json, os, sys\n"
+        "spec = importlib.util.spec_from_file_location('traced_job', sys.argv[1])\n"
+        "traced_job = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(traced_job)\n"
+        "tracer = traced_job.Tracer()\n"
+        "tracer.install()\n"
+        "from freeconv.cli import main\n"
+        "codes = [main(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([codes, {label: s['calls'] for label, s in tracer.spans.items()}]))"
+    )
+    codes, calls = json.loads(run_probe(probe, str(TRACED_JOB), json.dumps(runs)))
+    assert codes == [0] * len(runs)
+    labels = ("convolution.boxplus_moments", "convolution.boxtimes_moments",
+              "convolution.boxtimes_word_oracle", "scipy.quad")
+    assert all(calls[label] > 0 for label in labels), calls
+
+
 def test_convolution_jobs_leave_word_engine_unloaded():
     # only the word oracle of boxtimes needs the word engine
     demo = {name: str(ROOT / "demos" / "data" / f"{name}.json") for name in ("bernoulli", "two_point")}
@@ -370,7 +453,7 @@ def test_series_kernels_see_only_ints(monkeypatch):
     # give exact results, only many times slower; this counts entries, not time
     from fractions import Fraction
 
-    from freeconv import convolution, transforms
+    from freeconv import transforms
     from freeconv.measures import Atomic, moments
 
     seen = {"fill_power_degree": 0, "_divide_by_one_plus": 0}
@@ -391,14 +474,13 @@ def test_series_kernels_see_only_ints(monkeypatch):
         check("_divide_by_one_plus", [*num, *den, *out])
         return out
 
-    for module in (transforms, convolution):
-        monkeypatch.setattr(module, "fill_power_degree", fill_checked)
-        monkeypatch.setattr(module, "_divide_by_one_plus", divide_checked)
+    monkeypatch.setattr(transforms, "fill_power_degree", fill_checked)
+    monkeypatch.setattr(transforms, "_divide_by_one_plus", divide_checked)
 
     mu1 = Atomic([(Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 2), Fraction(2, 3))])
     mu2 = Atomic([(1, Fraction(1, 2)), (2, Fraction(1, 2))])
     m1, m2 = moments(mu1, 24), moments(mu2, 24)
-    convolution.boxtimes_moments(m1, m2, 24)
+    transforms.boxtimes_moments(m1, m2, 24)
     transforms.moments_from_free(transforms.free_from_moments(m1))
     transforms.moments_from_boolean(transforms.boolean_from_moments(m2))
     assert all(seen.values()) and not_int == []
@@ -451,8 +533,8 @@ def test_unused_import_scan_flags_only_unread_names():
 
 
 def test_package_has_no_unused_imports():
-    # the package's __init__.py imports in order to re-export, so it is exempt
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    # the package's own __init__.py imports in order to re-export, so it is exempt
+    paths = [path for name, path in package_modules().items() if name != "freeconv"]
     paths += sorted((ROOT / "tests").glob("*.py"))
     found = {
         str(path.relative_to(ROOT)): names
