@@ -22,12 +22,9 @@ def run(args) -> None:
         if not 1 <= args.grid <= 3076:
             raise DomainError(f"--grid must be in 1..3076, got {args.grid}")
         points = [complex(-(10.0 ** (-k / 10.0)), 0.0) for k in range(1, args.grid + 1)]
-    means = (convolution._mean(mu1), convolution._mean(mu2))  # once for every point
     rows = []
     for z in points:
-        sol = convolution.solve_subordination(
-            mu1, mu2, z, tol=args.tol, max_iter=args.max_iter, means=means
-        )
+        sol = convolution.solve_subordination(mu1, mu2, z, tol=args.tol, max_iter=args.max_iter)
         rows.append(
             (
                 _fmt(z),

@@ -18,7 +18,10 @@ and Mori, 1974), whose integrand maps one node to one float; K(-x) is a
 loop over the float atoms of an atomic or grid measure.  Each call site
 checks the rule's error estimate, the difference of its last two levels,
 against the absolute bound 1e-8 and raises ConvergenceError above it:
-the diagnostic's remainder integral and its three refinement probes.
+the diagnostic's remainder integral.
+
+Every entry point passes its measures through ``measures.float_measures``,
+the one gate, and reads m_1 from each measure's cached ``float_mean``.
 
 Everything runs in plain Python: the subordination solve, the contour
 fit (``cmath`` and ``math.fsum``), the rule and the diagnostics.
@@ -34,17 +37,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError
-from .measures import (
-    AXIS_TOLERANCE,
-    Atomic,
-    Measure,
-    Semicircle,
-    as_float,
-    in_m_plus,
-    is_positive_supported,
-    krein_k,
-    moments,
-)
+from .measures import AXIS_TOLERANCE, Atomic, Measure, as_float, float_measures, krein_k
 from .transforms import moments_from_boolean
 
 __all__ = [
@@ -86,10 +79,6 @@ class SubordinationSolution(namedtuple("SubordinationSolution",
     __slots__ = ()
 
 
-def _mean(mu: Measure) -> float:
-    return as_float(moments(mu, 1).m(1))
-
-
 def _k_over_w(mu: Measure, w: complex, mean: float) -> complex:
     if abs(w) < 1e-280:
         return complex(mean)
@@ -102,7 +91,6 @@ def solve_subordination(
     z: complex,
     tol: float = 1e-12,
     max_iter: int = 500,
-    means: Optional[tuple[float, float]] = None,
 ) -> SubordinationSolution:
     """Solve Z_1 Z_2 = z K_1(Z_1), K_1(Z_1) = K_2(Z_2) at one point.
 
@@ -113,14 +101,10 @@ def solve_subordination(
     upper half plane or on the negative real axis, which includes any z
     with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0, and needs a finite z,
     0 < tol < inf, max_iter >= 1 and two measures in M+ whose K can be
-    evaluated, so no semicircle.  ``means`` are m_1(mu_1) and m_1(mu_2)
-    as floats, computed here when not given: a caller solving at many
-    points computes them once.
+    evaluated, so no semicircle.  m_1(mu_1) and m_1(mu_2) come from the
+    measures (``float_mean``), which take them once for every point.
     """
-    if not in_m_plus(mu1) or not in_m_plus(mu2):
-        raise DomainError("subordination needs measures on [0, inf) with mass at 0 below 1")
-    if isinstance(mu1, Semicircle) or isinstance(mu2, Semicircle):
-        raise DomainError("subordination needs K evaluation; semicircles are moments-only")
+    _require_m_plus(mu1, mu2)
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
@@ -132,7 +116,7 @@ def solve_subordination(
     if on_negative_axis:
         z = complex(z.real, 0.0)
 
-    mean1, mean2 = means or (_mean(mu1), _mean(mu2))
+    mean1, mean2 = mu1.float_mean, mu2.float_mean
     z1 = mean2 * z
     z2 = mean1 * z
     prev_step1: Optional[complex] = None
@@ -164,24 +148,28 @@ def solve_subordination(
     )
 
 
-def _support_bound(mu: Measure) -> float:
-    if isinstance(mu, Semicircle):
-        return as_float(mu.center + mu.radius)
-    return mu.float_atoms[-1][0]  # in ascending order
-
-
 # trapezoidal nodes on the fit's contour (even, so the upper half mirrors
 # the lower) and the solver tolerance at each node
 FIT_POINTS = 64
 FIT_TOL = 1e-13
 
 
+def _require_m_plus(mu1: Measure, mu2: Measure) -> None:
+    float_measures(mu1, mu2, m_plus=True,
+                   support="subordination needs measures on [0, inf) with mass at 0 below 1",
+                   semicircle="subordination needs K evaluation; semicircles are moments-only")
+
+
 def _fit_radius(mu1: Measure, mu2: Measure) -> float:
     """Default contour radius: half the reciprocal of the product of the
-    support bounds, capped at 0.25."""
-    scale = _support_bound(mu1) * _support_bound(mu2)
+    support bounds, the top float atoms, capped at 0.25.  Two bounds whose
+    product underflows binary64 raise DomainError."""
+    _require_m_plus(mu1, mu2)
+    bounds = mu1.float_atoms[-1][0], mu2.float_atoms[-1][0]  # in ascending order
+    scale = bounds[0] * bounds[1]
     if not scale > 0:
-        raise DomainError("the fit needs both measures to have mass on (0, inf)")
+        raise DomainError("the fit's support bounds %.3g and %.3g multiply to 0 in binary64"
+                          % bounds)
     return min(0.25, 1.0 / (2.0 * scale))
 
 
@@ -189,7 +177,6 @@ def fit_boolean_cumulants_from_subordination(
     mu1: Measure,
     mu2: Measure,
     n_coeffs: int,
-    means: Optional[tuple[float, float]] = None,
 ) -> list[float]:
     """Boolean cumulants of the product, fitted from solver values of K.
 
@@ -203,8 +190,7 @@ def fit_boolean_cumulants_from_subordination(
     (:func:`_fit_radius`); one whose power radius^-n_coeffs is outside the
     binary64 range raises DomainError before any solve.  Each node pairs
     with its conjugate, so coefficient k is the mean of Re(K(z) z^-k) over
-    the upper half, summed by ``math.fsum``.  The means of the two
-    measures (``means``, else computed here) are taken once for all solves.
+    the upper half, summed by ``math.fsum``.
     """
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")
@@ -214,12 +200,11 @@ def fit_boolean_cumulants_from_subordination(
             f"contour radius {radius:.3g} is too small for {n_coeffs} coefficients: "
             f"radius^-{n_coeffs} is outside the binary64 range"
         )
-    means = means or (_mean(mu1), _mean(mu2))
     upper = []
     for m in range(FIT_POINTS // 2):
         angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS
         z = radius * complex(math.cos(angle), math.sin(angle))
-        sol = solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000, means=means)
+        sol = solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000)
         upper.append((z, sol.k_value))
     return [
         math.fsum((k_value * z ** -k).real for z, k_value in upper) / len(upper)
@@ -234,21 +219,22 @@ def boxtimes_via_subordination(
 ) -> tuple[list[float], tuple[float, float], int]:
     """Product moments from the numerical subordination route.
 
-    Returns (moments, worst residuals over the fit grid, worst iteration
-    count).  Only the fit adds error: its boolean cumulants become moments
-    exactly.  Accuracy degrades with p; the exact Taylor route is the
-    reference.
+    Returns (moments, worst residuals, worst iteration count), the last two
+    over three extra solves on the negative axis, at -x * shrink for
+    x in {1e-3, 3e-3, 1e-2}, where shrink = min(1, radius / 0.01) follows
+    the fit's contour radius.  Only the fit adds error: its boolean
+    cumulants become moments exactly.  Accuracy degrades with p; the exact
+    Taylor route is the reference.
     """
     if p < 1:
         raise DomainError("output order must be >= 1")
     # the residual probes shrink with the fit's contour radius, below 0.01
     shrink = min(1.0, _fit_radius(mu1, mu2) / 0.01)
-    means = (_mean(mu1), _mean(mu2))
-    r_fit = fit_boolean_cumulants_from_subordination(mu1, mu2, p, means)
+    r_fit = fit_boolean_cumulants_from_subordination(mu1, mu2, p)
     worst = (0.0, 0.0)
     iterations = 0
     for x in (1e-3, 3e-3, 1e-2):
-        sol = solve_subordination(mu1, mu2, complex(-x * shrink), means=means)
+        sol = solve_subordination(mu1, mu2, complex(-x * shrink))
         worst = (max(worst[0], sol.residuals[0]), max(worst[1], sol.residuals[1]))
         iterations = max(iterations, sol.iterations)
     if not all(math.isfinite(r) for r in r_fit):
@@ -271,6 +257,9 @@ class DiagnosticsReport(namedtuple("DiagnosticsReport", "alpha integral_value lo
 
         (m_alpha - integral over (0,1) of u^alpha) / 2 <= I
         I <= c * m_alpha / alpha,     c = 1 / integral of 1/(1+u) d mu.
+
+    ``verdict`` is always "finite": every kind in M+ has a mean m_1, and
+    0 <= I <= m_1 (proof in :func:`fractional_diagnostics`).
     """
 
     __slots__ = ()
@@ -340,11 +329,9 @@ def fractional_moment(mu: Measure, alpha: float) -> float:
     or grid measure, over its float atoms (0^0 = 1)."""
     if alpha < 0:
         raise DomainError("fractional moment order must be >= 0")
-    if isinstance(mu, Semicircle):
-        raise DomainError("fractional moments are not evaluated for semicircles; "
-                          "semicircles are moments-only")
-    if not is_positive_supported(mu):
-        raise DomainError("fractional moments require support in [0, inf)")
+    float_measures(mu, support="fractional moments require support in [0, inf)",
+                   semicircle="fractional moments are not evaluated for semicircles; "
+                   "semicircles are moments-only")
     return sum(w * u ** alpha for u, w in mu.float_atoms)
 
 
@@ -363,18 +350,6 @@ def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:
             den += w / spread
         return -x * num / den
     return evaluate
-
-
-def _integral(func: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """``quad`` whose error estimate must stay below 1e-8, otherwise
-    ConvergenceError.  The bound is absolute: the diagnostic adds its
-    remainder integral to the mean, and the two may nearly cancel."""
-    value, error = quad(func, a, b, tol)
-    if not error <= 1e-8:
-        raise ConvergenceError(
-            f"quadrature error {error:.2e} on [{a:.3g}, {b:.3g}] exceeds its 1e-8 bound"
-        )
-    return value
 
 
 def _c_mu(mu: Measure) -> float:
@@ -397,47 +372,47 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
     The integrable endpoint is handled by splitting off the known linear
     behavior K(-x) = -m_1 x + O(x^2): the linear part integrates in
     closed form and the remainder vanishes at 0.  The remainder over
-    (0, 1] and the raw integrand over [eps, 1] for the three probe
-    cutoffs eps are integrated by the tanh-sinh rule to 1e-10; any of
-    the four whose error estimate exceeds 1e-8 raises ConvergenceError.
+    (0, 1] is integrated by the tanh-sinh rule to 1e-10, and an error
+    estimate above 1e-8 raises ConvergenceError.  The bound is absolute:
+    the remainder is added to the mean, and the two may nearly cancel.
     The tanh-sinh nodes stay at least 2.7e-23 away from 0, so
     x^(-1-alpha) is finite at every node.
+
+    The verdict is "finite" on every measure this accepts, with no test
+    run for it.  Write E for integration against mu and take x > 0: then
+    -K(-x) = x E[u/(1+xu)] / E[1/(1+xu)], and as u increases while
+    1/(1+xu) decreases, Chebyshev's sum inequality gives
+    0 <= -K(-x) <= m_1 x.  So the remainder integral lies in
+    [-m_1/(1-alpha), 0] and I in [0, m_1].  By the same bound, the partial
+    integrals over [eps, 1] at eps = 5e-7 and 2.5e-7 differ by less than
+    t = m_1 (1e-6)^(1-alpha)/(1-alpha), so the probe rule this replaced,
+    which allowed max(1e-6, 2 t) beside 1e-8 of quadrature error for
+    each, could never fail.
     """
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
-    if not in_m_plus(mu):
-        raise DomainError("diagnostics require a measure in M+")
-    if isinstance(mu, Semicircle):
-        raise DomainError("diagnostics need K evaluation; semicircles are moments-only")
+    float_measures(mu, m_plus=True, support="diagnostics require a measure in M+",
+                   semicircle="diagnostics need K evaluation; semicircles are moments-only")
 
     k_neg = _krein_on_negative_axis(mu)
-    mean = _mean(mu)
+    mean = mu.float_mean
 
     def remainder(x: float) -> float:
         return (-k_neg(x) - mean * x) * x ** (-1.0 - alpha)
 
-    integral_value = mean + (1.0 - alpha) * _integral(remainder, 0.0, 1.0, 1e-10)
+    value, error = quad(remainder, 0.0, 1.0, 1e-10)
+    if not error <= 1e-8:
+        raise ConvergenceError(f"quadrature error {error:.2e} on [0, 1] exceeds its 1e-8 bound")
+    integral_value = mean + (1.0 - alpha) * value
 
     m_alpha = fractional_moment(mu, alpha)
-    lower = 0.5 * (m_alpha - _moment_below_one(mu, alpha))
     c_mu = _c_mu(mu)
-    upper = c_mu * m_alpha / alpha
-
-    # Refinement probe: the partial integrals must have stabilized.
-    def raw(x: float) -> float:
-        return -k_neg(x) * x ** (-1.0 - alpha)
-
-    probes = [_integral(raw, eps, 1.0, 1e-10) for eps in (1e-6, 5e-7, 2.5e-7)]
-    tail_scale = mean * (1e-6) ** (1.0 - alpha) / (1.0 - alpha)
-    stable = abs(probes[2] - probes[1]) <= max(1e-6, 2 * tail_scale)
-    verdict = "finite" if stable and math.isfinite(integral_value) else "infinite-indicated"
-
     return DiagnosticsReport(
         alpha=float(alpha),
         integral_value=integral_value,
-        lower_bound=lower,
-        upper_bound=upper,
+        lower_bound=0.5 * (m_alpha - _moment_below_one(mu, alpha)),
+        upper_bound=c_mu * m_alpha / alpha,
         c_mu=c_mu,
         m_alpha=m_alpha,
-        verdict=verdict,
+        verdict="finite",
     )

@@ -24,6 +24,12 @@ weight are its ``float_atoms``, and ``psi`` and the diagnostics of the
 convolution module sum over the float atoms of an atomic or grid
 measure alike.  numpy stays only in ``hankel_psd``.
 
+The float layer (``psi``, ``krein_k`` and the convolution module) has
+one gate, ``float_measures``, which passes atomic and grid measures on
+[0, inf), or in M+, and refuses the rest in its caller's words.  Those
+measures cache what the float layer reads: ``float_atoms``,
+``positive_supported`` and ``float_mean``, m_1 in binary64.
+
 Positivity is the constructors' to guarantee, and no moment path checks
 it again.  Atomic weights are nonnegative and sum to 1, a semicircle's
 radius is positive, and a grid density is nonnegative with trapezoid
@@ -61,6 +67,7 @@ __all__ = [
     "krein_k",
     "is_positive_supported",
     "in_m_plus",
+    "float_measures",
     "measure_from_json",
     "measure_to_json",
 ]
@@ -198,12 +205,10 @@ class Atomic(Value):
         transforms ask on every evaluation."""
         return self.atoms[0][0] >= 0
 
-    def weight_at(self, location: RationalLike) -> Fraction:
-        loc = as_fraction(location)
-        for x, w in self.atoms:
-            if x == loc:
-                return w
-        return Fraction(0)
+    @cached_property
+    def float_mean(self) -> float:
+        """m_1 in binary64, taken once: the exact mean, then ``as_float``."""
+        return as_float(sum(w * loc for loc, w in self.atoms))
 
 
 class Semicircle(Value):
@@ -305,6 +310,11 @@ class DensityGrid(Value):
         is positive inside each interval with a positive end."""
         return not any(a < 0 and (fa > 0 or fb > 0) for a, fa, fb in zip(self.x, self.f, self.f[1:]))
 
+    @cached_property
+    def float_mean(self) -> float:
+        """m_1 of the nodal measure, taken once: the ``math.fsum`` of ``moments``."""
+        return float(moments(self, 1).m(1))
+
 
 Measure = Union[Atomic, Semicircle, DensityGrid]
 
@@ -319,12 +329,33 @@ def is_positive_supported(mu: Measure) -> bool:
 
 
 def in_m_plus(mu: Measure) -> bool:
-    """True when ``mu`` is supported on [0, inf) with mass at 0 below 1."""
+    """True when ``mu`` is supported on [0, inf) with mass at 0 below 1: with
+    a top atom above 0 in binary64, as the float layer reads it (a grid's
+    nodal measure; an atom below 2^-1075 rounds to 0).  A semicircle has none."""
     if not is_positive_supported(mu):
         return False
     if isinstance(mu, Atomic):
-        return mu.weight_at(0) < 1
+        top = mu.atoms[-1][0]
+        return top >= 1 or float(top) > 0  # no float() of a top past binary64
+    if isinstance(mu, DensityGrid):
+        return mu.float_atoms[-1][0] > 0
     return True
+
+
+def float_measures(*mus: Measure, support: str, semicircle: str, m_plus: bool = False):
+    """The one gate into the float layer: ``mus``, atomic or grid measures
+    whose float atoms it may read, or DomainError in the caller's words:
+    ``support`` off [0, inf) (with ``m_plus``, outside M+), else
+    ``semicircle`` for a kind with no float atoms.  Every support is
+    checked before any kind, so a pair fails alike in either order."""
+    in_domain = in_m_plus if m_plus else is_positive_supported
+    for mu in mus:
+        if not in_domain(mu):
+            raise DomainError(support)
+    for mu in mus:
+        if isinstance(mu, Semicircle):
+            raise DomainError(semicircle)
+    return mus
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +483,15 @@ def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) ->
 # ---------------------------------------------------------------------------
 
 
-def _require_transform_domain(mu: Measure, z: complex) -> complex:
-    if isinstance(mu, Semicircle):
-        raise DomainError(
-            "transform evaluation is not supported for semicircle measures; "
-            "they participate through moments only"
-        )
-    if not is_positive_supported(mu):
-        raise DomainError("transform evaluation requires support in [0, inf)")
-    z = complex(z)
-    if abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real >= 0.0:
-        raise DomainError(f"evaluation point {z} lies on [0, inf)")
-    return z
-
-
 def psi(mu: Measure, z: complex) -> complex:
     """Moment generating transform: integral of z*x/(1 - z*x) d mu(x), a sum
     over the float atoms."""
-    z = _require_transform_domain(mu, z)
+    float_measures(mu, support="transform evaluation requires support in [0, inf)",
+                   semicircle="transform evaluation is not supported for semicircle measures; "
+                   "they participate through moments only")
+    z = complex(z)
+    if abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real >= 0.0:
+        raise DomainError(f"evaluation point {z} lies on [0, inf)")
     return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
 
 

@@ -54,6 +54,13 @@ that replaced it.
 The argparse parser that the command table replaced (``build_parser``)
 is the reference for the fields the table's parser sets.
 
+The refinement probes of the fractional diagnostics, three partial
+integrals of -K(-x) x^(-1-alpha) over [eps, 1] and the verdict rule they
+fed (``fractional_probes``, ``probe_verdict``), are the reference for the
+constant verdict that replaced them.  ``weight_at``, the exact mass of an
+atomic measure at a point, is a former library method with no library
+caller left.
+
 The exact Hankel check (``_exact_hankel_psd``) is the reference for the
 positivity that ``measures.moments`` does not check: every measure
 constructor guarantees it (nonnegative weights summing to 1, a positive
@@ -994,6 +1001,14 @@ def absolute_moment(mu, alpha: int) -> Fraction:
     raise TypeError(f"not a measure: {mu!r}")
 
 
+def weight_at(mu, location) -> Fraction:
+    """The exact weight of an atomic measure at ``location``, 0 off its atoms."""
+    from freeconv.measures import as_fraction
+
+    loc = as_fraction(location)
+    return next((w for x, w in mu.atoms if x == loc), Fraction(0))
+
+
 def psi_exact(mu, x) -> Fraction:
     """Exact psi at a rational point off [0, inf), for atomic measures."""
     from freeconv.measures import Atomic, as_fraction, is_positive_supported
@@ -1122,6 +1137,43 @@ def quad_numpy(func, a: float, b: float, tol: float = 1e-10) -> tuple[float, flo
         if error <= tol:
             break
     return value, error
+
+
+#: The probe cutoffs, nearest to 0 last.
+PROBE_CUTOFFS = (1e-6, 5e-7, 2.5e-7)
+
+
+def fractional_probes(mu, alpha: float) -> list[float]:
+    """The partial integrals of -K(-x) x^(-1-alpha) over [eps, 1] for each
+    of ``PROBE_CUTOFFS``, by the library's rule to 1e-10, each with the
+    error bound 1e-8 that the diagnostics' remainder integral keeps."""
+    from freeconv.convolution import _krein_on_negative_axis, quad
+
+    k_neg = _krein_on_negative_axis(mu)
+
+    def raw(x: float) -> float:
+        return -k_neg(x) * x ** (-1.0 - alpha)
+
+    probes = []
+    for eps in PROBE_CUTOFFS:
+        value, error = quad(raw, eps, 1.0, 1e-10)
+        if not error <= 1e-8:
+            raise ConvergenceError(f"quadrature error {error:.2e} on [{eps:.3g}, 1] exceeds 1e-8")
+        probes.append(value)
+    return probes
+
+
+def probe_verdict(mu, alpha: float) -> str:
+    """The verdict rule of the probes: "finite" when the last two probes
+    agree within max(1e-6, 2 t), t = m_1 (1e-6)^(1-alpha)/(1-alpha), and
+    the diagnostics' integral is finite, else "infinite-indicated"."""
+    from freeconv.convolution import fractional_diagnostics
+
+    probes = fractional_probes(mu, alpha)
+    tail_scale = mu.float_mean * (1e-6) ** (1.0 - alpha) / (1.0 - alpha)
+    stable = abs(probes[2] - probes[1]) <= max(1e-6, 2 * tail_scale)
+    finite = math.isfinite(fractional_diagnostics(mu, alpha).integral_value)
+    return "finite" if stable and finite else "infinite-indicated"
 
 
 def krein_on_negative_axis_vectorized(mu):

@@ -13,12 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import build_parser
+from test_convolution import count_float_means
 from test_tooling import benchmark_argvs, every_subcommand
 
 import freeconv
-from freeconv import cli, convolution
+from freeconv import cli
 from freeconv.cli import main
 from freeconv.errors import ParseError
+from freeconv.measures import Atomic, DensityGrid
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freeconv.__file__)))
 
@@ -118,6 +120,35 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert (code, out) == (3, "")
         assert err == "freeconv: domain error: subordination needs K evaluation; semicircles are moments-only\n"
+
+    @pytest.mark.parametrize(
+        "measure", ["semicircle_positive", "rademacher", "delta0", "grid_delta0", "delta_underflow"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subordinate", "{mu}", "{bern}"],
+            ["subordinate", "{bern}", "{mu}"],
+            ["diagnose", "{mu}", "--alpha", "0.5"],
+            ["boxtimes", "{bern}", "{mu}", "--order", "3", "--method", "subordination"],
+            ["boxtimes", "{mu}", "{bern}", "--order", "3", "--method", "all"],
+        ],
+    )
+    def test_float_layer_refuses_what_is_not_in_m_plus(self, files, tmp_path, capsys, argv, measure):
+        # the grid [0, 1] with density 2, 0 has nodal measure delta_0, which
+        # the float layer reads, and the atom 10^-400 is 0 in binary64: both
+        # are refused as the atomic delta_0 is
+        paths = dict(files)
+        for name, text in [
+            ("grid_delta0", '{"kind": "grid", "x": [0, 1], "f": [2, 0]}'),
+            ("delta_underflow", '{"kind": "atomic", "atoms": [["1e-400", "1"]]}'),
+        ]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [a.format(mu=paths[measure], bern=files["bernoulli"]) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("freeconv: domain error: ") and err.count("\n") == 1
 
     def test_nonconvergence_is_four(self, files, capsys):
         code, _, err = run(
@@ -346,6 +377,17 @@ class TestHugeAtoms:
         want = float(Fraction(3 * 10 ** 200 + 3, 4))
         assert abs(float(fitted) - want) <= 1e-6 * want
 
+    def test_fit_bounds_whose_product_underflows_are_three(self, tmp_path, capsys):
+        # each bound 1e-200 is a float, their product is not
+        path = tmp_path / "small.json"
+        path.write_text('{"kind": "atomic", "atoms": [["1e-200", "1"]]}')
+        argv = ["boxtimes", str(path), str(path), "--order", "2", "--method", "subordination"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "freeconv: domain error: the fit's support bounds 1e-200 and 1e-200 multiply to 0 in binary64\n"
+        )
+
     def test_fit_radius_overflow_is_three_without_warnings(self, tmp_path, capsys):
         # radius 2.5e-201, so radius^-3 overflows binary64
         path = tmp_path / "b200.json"
@@ -551,28 +593,17 @@ class TestSubordinate:
 
     def test_means_taken_once_per_grid(self, files, capsys, monkeypatch):
         # every grid point used to recompute both exact means: 62 moment
-        # calls on the default 31-point grid
+        # calls on the default 31-point grid; each measure takes its own once
         argv = ["subordinate", files["bernoulli"], files["delta2"]]
-        orders = []
-        moments = convolution.moments
-
-        def counted(mu, order):
-            orders.append(order)
-            return moments(mu, order)
-
-        monkeypatch.setattr(convolution, "moments", counted)
+        taken = count_float_means(monkeypatch)
         code, out, _ = run(argv, capsys)
         monkeypatch.undo()
-        assert code == 0 and orders == [1, 1]
+        assert code == 0 and taken == [Atomic([(0, "1/2"), (1, "1/2")]), Atomic([(2, 1)])]
         assert len(json.loads(out)["rows"]) == 31
 
-        # byte-identical to solving every point with its own means
-        solve = convolution.solve_subordination
-
-        def without_means(*args, means=None, **kwargs):
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(convolution, "solve_subordination", without_means)
+        # byte-identical to taking both means afresh at every point
+        for cls in (Atomic, DensityGrid):
+            monkeypatch.setattr(cls, "float_mean", property(vars(cls)["float_mean"].func))
         assert run(argv, capsys) == (0, out, "")
 
     @pytest.mark.parametrize(

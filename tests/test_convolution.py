@@ -1,17 +1,20 @@
+import functools
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freeconv.errors import ConvergenceError, DomainError
 from freeconv.measures import (
     Atomic,
+    DensityGrid,
     MomentSequence,
     as_fraction,
+    in_m_plus,
     moments,
 )
 from freeconv.transforms import (
@@ -30,13 +33,16 @@ from freeconv.convolution import (
     solve_subordination,
 )
 from oracles import (
+    PROBE_CUTOFFS,
     boolean_from_moments_by_intervals,
     boxtimes_moments_by_passes,
     fit_boolean_cumulants_numpy,
+    fractional_probes,
     krein_k_exact,
     krein_on_negative_axis_vectorized,
     moments_from_boolean_by_intervals,
     moments_from_boolean_float,
+    probe_verdict,
     quad_numpy,
     scipy_quad,
 )
@@ -65,6 +71,29 @@ COEFFICIENTS = st.one_of(
         st.integers(-300, 2),
     ),
 )
+
+
+# atom locations and grid gaps from 1e-6 to 4.5e7
+SPREAD = st.floats(min_value=-6.0, max_value=math.log10(4.5e7)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def measures_in_m_plus(draw):
+    """An atomic measure of 1 to 5 atoms in [1e-6, 4.5e7], perhaps with one
+    at 0, or a grid of up to 30 nodes from 0 or a drawn start, in M+."""
+    if draw(st.booleans()):
+        positive = draw(st.lists(SPREAD, min_size=1, max_size=5, unique=True))
+        us = [0.0] * draw(st.booleans()) + positive
+        ws = draw(st.lists(st.integers(1, 100), min_size=len(us), max_size=len(us)))
+        return Atomic([(as_fraction(u), Fraction(w, sum(ws))) for u, w in zip(us, ws)])
+    start = draw(st.one_of(st.just(0.0), SPREAD))
+    x = list(accumulate([start, *draw(st.lists(SPREAD, min_size=1, max_size=29))]))
+    density = st.one_of(st.just(0.0), st.floats(0.1, 10.0))
+    f = draw(st.lists(density, min_size=len(x), max_size=len(x)))
+    assume(any(f))
+    grid = DensityGrid.normalized(x, f)
+    assume(in_m_plus(grid))
+    return grid
 
 
 def moment_lists(p):
@@ -289,23 +318,20 @@ class TestSubordination:
         assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(ms, want))
 
     def test_means_taken_once_per_fit(self, bernoulli, two_point, monkeypatch):
-        # every solve used to recompute both exact means: 70 moment calls at p = 12
-        orders = []
-
-        def counted(mu, order):
-            orders.append(order)
-            return moments(mu, order)
-
-        monkeypatch.setattr(convolution, "moments", counted)
+        # every solve used to recompute both exact means: 70 moment calls at p = 12;
+        # each measure now takes its own once, for all 35 solves
+        taken = count_float_means(monkeypatch)
         ms, _, _ = boxtimes_via_subordination(bernoulli, two_point, 12)
+        assert taken == [bernoulli, two_point]
+        assert vars(bernoulli)["float_mean"] == 0.5 and vars(two_point)["float_mean"] == 1.5
         monkeypatch.undo()
-        assert orders == [1, 1]
-        assert ms == boxtimes_via_subordination(bernoulli, two_point, 12)[0]
+        fresh = (atomic(("0", "1/2"), ("1", "1/2")), atomic(("1", "1/2"), ("2", "1/2")))
+        assert ms == boxtimes_via_subordination(*fresh, 12)[0]
 
     def test_non_finite_fit_is_a_convergence_error(self, bernoulli, monkeypatch):
         monkeypatch.setattr(
             convolution, "fit_boolean_cumulants_from_subordination",
-            lambda mu1, mu2, p, means: [float("nan")] * p,
+            lambda mu1, mu2, p: [float("nan")] * p,
         )
         with pytest.raises(ConvergenceError):
             boxtimes_via_subordination(bernoulli, bernoulli, 3)
@@ -379,6 +405,49 @@ class TestFractionalDiagnostics:
         with pytest.raises(DomainError):
             fractional_diagnostics(rademacher, 0.5)
 
+    @given(
+        measures_in_m_plus(),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.lists(st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_is_the_probe_rule_on_m_plus(self, mu, alpha, xs):
+        # Chebyshev's sum inequality: -K(-x) <= m_1 x, up to rounding; so the
+        # probes of the reference rule always agree, and the verdict is constant
+        k_neg = convolution._krein_on_negative_axis(mu)
+        for x in xs:
+            assert 0.0 <= -k_neg(x) <= mu.float_mean * x * (1.0 + 1e-12)
+        try:
+            report = fractional_diagnostics(mu, alpha)
+        except ConvergenceError:
+            # the remainder missed its error bound, and the probe rule, which
+            # reads the same integral, reaches no verdict either
+            with pytest.raises(ConvergenceError):
+                probe_verdict(mu, alpha)
+            return
+        assert report.verdict == probe_verdict(mu, alpha) == "finite"
+        # 0 <= I <= m_1, up to the rule's error bound and rounding
+        slack = 1e-8 + 1e-12 * mu.float_mean
+        assert -slack <= report.integral_value <= mu.float_mean + slack
+
+
+def count_float_means(monkeypatch) -> list:
+    """Count every computation of ``float_mean`` on either measure kind that
+    has one; returns the list of measures it fills, one entry per
+    computation."""
+    taken = []
+    for cls in (Atomic, DensityGrid):
+        compute = vars(cls)["float_mean"].func
+
+        def counted(mu, compute=compute):
+            taken.append(mu)
+            return compute(mu)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, "float_mean")
+        monkeypatch.setattr(cls, "float_mean", prop)
+    return taken
+
 
 def record_quadratures(monkeypatch, compare=None):
     """Route every quadrature call site through a recorder; returns the list
@@ -409,21 +478,17 @@ class TestQuadrature:
         calls = record_quadratures(monkeypatch, scipy_quad)
         for mu in (bernoulli, two_point):
             for alpha in (0.25, 0.5, 0.75):
-                fractional_diagnostics(mu, alpha)  # the remainder and three probes
-        assert len(calls) == 6 * 4
+                fractional_diagnostics(mu, alpha)  # the remainder alone
+        assert [(a, b) for a, b, *_ in calls] == [(0.0, 1.0)] * 6
         for a, b, value, _, (reference, _) in calls:
             assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference)), (a, b)
 
-    def test_probes_where_scipy_lost_accuracy_match_mpmath(self, monkeypatch):
+    def test_probes_where_scipy_lost_accuracy_match_mpmath(self):
         # the measure of a benchmark diagnose job; scipy's middle probe was 2.7% off
         mu = atomic(("3/2", "2/3"), ("5/2", "1/3"))
         alpha = 0.75
-        calls = record_quadratures(monkeypatch)
-        report = fractional_diagnostics(mu, alpha)
-        assert report.verdict == "finite"
-        probes = calls[1:]
-        assert [a for a, *_ in probes] == [1e-6, 5e-7, 2.5e-7]
-        for eps, _, value, _, _ in probes:
+        assert fractional_diagnostics(mu, alpha).verdict == probe_verdict(mu, alpha) == "finite"
+        for eps, value in zip(PROBE_CUTOFFS, fractional_probes(mu, alpha)):
             cuts = [eps * 10 ** k for k in range(7)] + [1]
             with mpmath.workdps(30):
                 want = mpmath.quad(lambda x: -mp_krein_neg(mu, x) * x ** (-1 - alpha), cuts)
@@ -444,36 +509,26 @@ class TestQuadrature:
         calls = record_quadratures(monkeypatch)
         cases = [(mu, alpha) for mu in (bernoulli, two_point) for alpha in (0.25, 0.75)]
         for mu, alpha in cases:
-            fractional_diagnostics(mu, alpha)  # the remainder and three probes
-        assert len(calls) == 4 * len(cases)
-        for (mu, alpha), at in zip(cases, range(0, len(calls), 4)):
+            fractional_diagnostics(mu, alpha)  # the remainder alone
+        assert len(calls) == len(cases)
+        for (mu, alpha), (a, b, value, _, _) in zip(cases, calls):
             k_neg = krein_on_negative_axis_vectorized(mu)
             mean = float(moments(mu, 1).m(1))
 
             def remainder(x):
                 return (-k_neg(x) - mean * x) * x ** (-1.0 - alpha)
 
-            def raw(x):
-                return -k_neg(x) * x ** (-1.0 - alpha)
-
-            for a, b, value, _, _ in calls[at:at + 4]:
-                want, _ = quad_numpy(remainder if a == 0.0 else raw, a, b)
-                assert abs(value - want) <= 1e-12 * abs(want), (mu, alpha, a)
+            want, _ = quad_numpy(remainder, a, b)
+            assert abs(value - want) <= 1e-12 * abs(want), (mu, alpha, a)
 
     def test_error_above_bound_is_convergence_error(self, monkeypatch, bernoulli):
         rule = convolution.quad
 
-        def loose_when(predicate):
-            def fake(func, a, b, tol):
-                value, error = rule(func, a, b, tol)
-                return value, (1e-3 if predicate(a) else error)
-            return fake
+        def loose(func, a, b, tol):
+            return rule(func, a, b, tol)[0], 1e-3
 
-        monkeypatch.setattr(convolution, "quad", loose_when(lambda a: a > 0))  # probes only
-        with pytest.raises(ConvergenceError):
-            fractional_diagnostics(bernoulli, 0.5)
-        monkeypatch.setattr(convolution, "quad", loose_when(lambda a: a == 0))  # the remainder
-        with pytest.raises(ConvergenceError):
+        monkeypatch.setattr(convolution, "quad", loose)  # the remainder, the one quadrature
+        with pytest.raises(ConvergenceError, match=r"on \[0, 1\] exceeds its 1e-8 bound"):
             fractional_diagnostics(bernoulli, 0.5)
 
     def test_rule_on_closed_forms(self):

@@ -23,8 +23,10 @@ from freeconv.measures import (
     DensityGrid,
     MomentSequence,
     Semicircle,
+    as_float,
     as_fraction,
     dilate,
+    float_measures,
     hankel_psd,
     in_m_plus,
     is_positive_supported,
@@ -47,6 +49,7 @@ from oracles import (
     grid_psi_trapezoid,
     krein_k_exact,
     psi_exact,
+    weight_at,
 )
 
 
@@ -77,7 +80,7 @@ class TestConstruction:
 
     def test_atomic_accepts_string_rationals(self):
         mu = Atomic([("0", "1/2"), ("1", "1/2")])
-        assert mu.weight_at(1) == Fraction(1, 2)
+        assert weight_at(mu, 1) == Fraction(1, 2)
 
     def test_semicircle_radius_positive(self):
         with pytest.raises(DomainError):
@@ -153,6 +156,74 @@ class TestConstruction:
         assert not in_m_plus(Atomic([(0, 1)]))
         assert in_m_plus(Semicircle(3, 2))
         assert not is_positive_supported(Semicircle(0, 2))
+
+    @given(
+        st.lists(
+            st.tuples(st.fractions(min_value=0, max_value=3, max_denominator=6), st.integers(1, 9)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda atom: atom[0],
+        )
+    )
+    def test_m_plus_reads_the_top_atom(self, atoms):
+        # on [0, inf), mass at 0 below 1 is a support point above 0
+        total = sum(w for _, w in atoms)
+        mu = Atomic([(x, Fraction(w, total)) for x, w in atoms])
+        assert in_m_plus(mu) is (weight_at(mu, 0) < 1)
+
+    def test_m_plus_reads_the_float_atoms(self):
+        # the trapezoid density 2(1 - x) on [0, 1] has nodal measure delta_0
+        grid = DensityGrid([0.0, 1.0], [2.0, 0.0])
+        assert grid.float_atoms == ((0.0, 1.0),)
+        assert is_positive_supported(grid) and not in_m_plus(grid)
+        assert in_m_plus(DensityGrid([0.0, 1.0], [1.0, 1.0]))
+        # so is an atomic measure read in binary64: 10^-400 rounds to 0
+        assert not in_m_plus(Atomic([("1e-400", 1)]))
+        assert in_m_plus(Atomic([("1e-300", 1)])) and in_m_plus(Atomic([("1e400", 1)]))
+
+    @pytest.mark.parametrize("m_plus", [False, True])
+    def test_float_gate_checks_every_support_before_any_kind(self, rademacher, m_plus):
+        # a semicircle in M+ beside a measure off [0, inf) is refused for the
+        # support in either order; alone, for its kind
+        words = {"support": "off", "semicircle": "semicircle", "m_plus": m_plus}
+        semicircle = Semicircle(3, 2)
+        for pair in ((semicircle, rademacher), (rademacher, semicircle)):
+            with pytest.raises(DomainError, match="^off$"):
+                float_measures(*pair, **words)
+        with pytest.raises(DomainError, match="^semicircle$"):
+            float_measures(semicircle, **words)
+        with pytest.raises(DomainError, match="^off$" if m_plus else "^semicircle$"):
+            float_measures(Atomic([(0, 1)]), semicircle, **words)
+        grid = DensityGrid([0.0, 1.0], [1.0, 1.0])
+        assert float_measures(grid, **words) == (grid,)
+
+    @given(
+        st.one_of(
+            st.lists(
+                st.tuples(
+                    st.fractions(min_value=-3, max_value=10 ** 6, max_denominator=99),
+                    st.integers(1, 9),
+                ),
+                min_size=1,
+                max_size=5,
+                unique_by=lambda atom: atom[0],
+            ).map(lambda atoms: Atomic(
+                [(x, Fraction(w, sum(v for _, v in atoms))) for x, w in atoms]
+            )),
+            st.tuples(
+                st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
+                st.floats(-10.0, 10.0),
+                st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=21, max_size=21),
+            ).filter(lambda g: any(g[2][:len(g[0]) + 1])).map(lambda g: DensityGrid.normalized(
+                list(itertools.accumulate([g[1], *g[0]])), g[2][:len(g[0]) + 1]
+            )),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_mean_is_the_rounded_first_moment(self, mu):
+        # the value the float layer took from moments(mu, 1) on every solve
+        assert mu.float_mean == as_float(moments(mu, 1).m(1))
+        assert vars(mu)["float_mean"] is mu.float_mean
 
     def test_grid_support_counts_trapezoid_mass(self):
         # zero at the negative node, but the trapezoid density is positive on (-1, 0)
@@ -512,7 +583,7 @@ class TestJson:
 
     def test_schema_example(self):
         mu = measure_from_json('{"kind":"atomic","atoms":[["0","1/2"],["1","1/2"]]}')
-        assert mu.weight_at(0) == Fraction(1, 2)
+        assert weight_at(mu, 0) == Fraction(1, 2)
 
     def test_semicircle_round_trip(self, standard_semicircle):
         back = measure_from_json(measure_to_json(standard_semicircle))
