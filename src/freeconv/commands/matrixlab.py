@@ -3,12 +3,15 @@ N = infinity value."""
 
 from __future__ import annotations
 
+from ..errors import ParseError
 from ..matrix_lab import MatrixEnsembleSpec, estimate_word_traces, exact_word_moment
 from ..word_engine import Word
 from . import _emit, _fmt, _load_measure
 
 
 def run(args) -> None:
+    if args.measure is not None and args.ensemble != "diagonal":
+        raise ParseError("--measure applies only to --ensemble diagonal")
     word = Word.from_text(args.word)
     # Variables relabeled in order of first use: the family is only as
     # large as the word needs, and its first variable is member 1.

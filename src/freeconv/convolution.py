@@ -8,10 +8,12 @@ damped fixed-point solver for the subordination pair
 
     Z_1 Z_2 = z K_1(Z_1),    K_1(Z_1) = K_2(Z_2)
 
-at arbitrary points, and a contour fit of the product's boolean
-cumulants from solver values, which become moments through the exact
-recursion of the transforms module.  Fractional moment diagnostics bound
-m_alpha through the integral of K on (0, 1].
+at arbitrary points, evaluating K_1(Z_1) and K_2(Z_2) once per iterate
+for both its residuals and the next update; and one route,
+``boxtimes_via_subordination``, that fits the product's boolean
+cumulants on a contour from solver values and makes them moments by the
+exact recursion of the transforms module.  Fractional moment diagnostics
+bound m_alpha through the integral of K on (0, 1].
 
 Every integral here uses the module's tanh-sinh rule ``quad`` (Takahasi
 and Mori, 1974), whose integrand maps one node to one float; K(-x) is a
@@ -43,12 +45,10 @@ from .transforms import moments_from_boolean
 __all__ = [
     "SubordinationSolution",
     "solve_subordination",
-    "fit_boolean_cumulants_from_subordination",
     "boxtimes_via_subordination",
     "DiagnosticsReport",
     "fractional_diagnostics",
     "quad",
-    "fractional_moment",
 ]
 
 
@@ -79,12 +79,6 @@ class SubordinationSolution(namedtuple("SubordinationSolution",
     __slots__ = ()
 
 
-def _k_over_w(mu: Measure, w: complex, mean: float) -> complex:
-    if abs(w) < 1e-280:
-        return complex(mean)
-    return krein_k(mu, w) / w
-
-
 def solve_subordination(
     mu1: Measure,
     mu2: Measure,
@@ -97,9 +91,12 @@ def solve_subordination(
     Damped fixed-point iteration on the two rearrangements
     Z_1 <- z K_2(Z_2)/Z_2 and Z_2 <- z K_1(Z_1)/Z_1, started from
     Z_j = m_1(mu_k) z.  A half step replaces the full update whenever
-    the direction of successive updates flips.  Accepts z in the open
-    upper half plane or on the negative real axis, which includes any z
-    with |Im z| <= AXIS_TOLERANCE |z| and Re z < 0, and needs a finite z,
+    the direction of successive updates flips.  K_1(Z_1) and K_2(Z_2) are
+    evaluated once per iterate, for its residuals and the next update;
+    where |Z_j| < 1e-280, K(Z_j)/Z_j is taken as its limit m_1, so the
+    start evaluates no K there.  Accepts z in the open upper half plane or
+    on the negative real axis, which includes any z with
+    |Im z| <= AXIS_TOLERANCE |z| and Re z < 0, and needs a finite z,
     0 < tol < inf, max_iter >= 1 and two measures in M+ whose K can be
     evaluated, so no semicircle.  m_1(mu_1) and m_1(mu_2) come from the
     measures (``float_mean``), which take them once for every point.
@@ -130,10 +127,13 @@ def solve_subordination(
 
     last = (math.inf, math.inf)
     try:
+        k2 = krein_k(mu2, z2) if abs(z2) >= 1e-280 else None
         for iteration in range(1, max_iter + 1):
-            z1, prev_step1 = damped(z1, z * _k_over_w(mu2, z2, mean2), prev_step1)
-            z2, prev_step2 = damped(z2, z * _k_over_w(mu1, z1, mean1), prev_step2)
+            ratio2 = complex(mean2) if abs(z2) < 1e-280 else k2 / z2
+            z1, prev_step1 = damped(z1, z * ratio2, prev_step1)
             k1 = krein_k(mu1, z1)
+            ratio1 = complex(mean1) if abs(z1) < 1e-280 else k1 / z1
+            z2, prev_step2 = damped(z2, z * ratio1, prev_step2)
             k2 = krein_k(mu2, z2)
             last = (abs(z1 * z2 - z * k1), abs(k1 - k2))
             if last[0] <= tol and last[1] <= tol:
@@ -160,45 +160,42 @@ def _require_m_plus(mu1: Measure, mu2: Measure) -> None:
                    semicircle="subordination needs K evaluation; semicircles are moments-only")
 
 
-def _fit_radius(mu1: Measure, mu2: Measure) -> float:
-    """Default contour radius: half the reciprocal of the product of the
-    support bounds, the top float atoms, capped at 0.25.  Two bounds whose
-    product underflows binary64 raise DomainError."""
+def boxtimes_via_subordination(
+    mu1: Measure,
+    mu2: Measure,
+    p: int,
+) -> tuple[list[float], tuple[float, float], int]:
+    """Product moments m_1..m_p fitted from solver values of K on a contour.
+
+    The product's boolean cumulants, the Taylor coefficients of K at 0,
+    come from trapezoidal quadrature on a circle inside the analyticity
+    disc, whose radius is at least the reciprocal of the product of the
+    support bounds: the contour's radius is half that, over the top float
+    atoms, capped at 0.25.  Bounds whose product underflows binary64, or a
+    radius with radius^-p outside the binary64 range, raise DomainError
+    before any solve.  Only the open upper half of the circle is solved,
+    as K(conj z) = conj K(z): coefficient k is the mean of Re(K(z) z^-k)
+    over it, summed by ``math.fsum``.  The fit is the only error, about
+    solver tolerance / radius^k, as the cumulants become moments exactly;
+    the exact Taylor route is the reference.
+
+    Returns (moments, worst residuals, worst iteration count), the last two
+    over three extra solves on the negative axis, at -x * shrink for
+    x in {1e-3, 3e-3, 1e-2}, where shrink = min(1, radius / 0.01).
+    """
+    if p < 1:
+        raise DomainError("output order must be >= 1")
     _require_m_plus(mu1, mu2)
     bounds = mu1.float_atoms[-1][0], mu2.float_atoms[-1][0]  # in ascending order
     scale = bounds[0] * bounds[1]
     if not scale > 0:
         raise DomainError("the fit's support bounds %.3g and %.3g multiply to 0 in binary64"
                           % bounds)
-    return min(0.25, 1.0 / (2.0 * scale))
-
-
-def fit_boolean_cumulants_from_subordination(
-    mu1: Measure,
-    mu2: Measure,
-    n_coeffs: int,
-) -> list[float]:
-    """Boolean cumulants of the product, fitted from solver values of K.
-
-    Extracts the Taylor coefficients of K at 0 by trapezoidal contour
-    quadrature on a circle inside the analyticity disc (whose radius is
-    at least the reciprocal of the product of support bounds).  Only the
-    open upper half of the circle is solved; the lower half follows from
-    the reflection K(conj z) = conj K(z).  Purely numerical, used to
-    cross-check the exact Taylor route; accuracy is solver tolerance
-    divided by radius^k.  The radius comes from the supports
-    (:func:`_fit_radius`); one whose power radius^-n_coeffs is outside the
-    binary64 range raises DomainError before any solve.  Each node pairs
-    with its conjugate, so coefficient k is the mean of Re(K(z) z^-k) over
-    the upper half, summed by ``math.fsum``.
-    """
-    if n_coeffs < 1:
-        raise DomainError("need at least one coefficient")
-    radius = _fit_radius(mu1, mu2)
-    if not radius > 0 or -n_coeffs * math.log(radius) >= math.log(sys.float_info.max):
+    radius = min(0.25, 1.0 / (2.0 * scale))
+    if not radius > 0 or -p * math.log(radius) >= math.log(sys.float_info.max):
         raise DomainError(
-            f"contour radius {radius:.3g} is too small for {n_coeffs} coefficients: "
-            f"radius^-{n_coeffs} is outside the binary64 range"
+            f"contour radius {radius:.3g} is too small for {p} coefficients: "
+            f"radius^-{p} is outside the binary64 range"
         )
     upper = []
     for m in range(FIT_POINTS // 2):
@@ -206,31 +203,11 @@ def fit_boolean_cumulants_from_subordination(
         z = radius * complex(math.cos(angle), math.sin(angle))
         sol = solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000)
         upper.append((z, sol.k_value))
-    return [
+    r_fit = [
         math.fsum((k_value * z ** -k).real for z, k_value in upper) / len(upper)
-        for k in range(1, n_coeffs + 1)
+        for k in range(1, p + 1)
     ]
-
-
-def boxtimes_via_subordination(
-    mu1: Measure,
-    mu2: Measure,
-    p: int,
-) -> tuple[list[float], tuple[float, float], int]:
-    """Product moments from the numerical subordination route.
-
-    Returns (moments, worst residuals, worst iteration count), the last two
-    over three extra solves on the negative axis, at -x * shrink for
-    x in {1e-3, 3e-3, 1e-2}, where shrink = min(1, radius / 0.01) follows
-    the fit's contour radius.  Only the fit adds error: its boolean
-    cumulants become moments exactly.  Accuracy degrades with p; the exact
-    Taylor route is the reference.
-    """
-    if p < 1:
-        raise DomainError("output order must be >= 1")
-    # the residual probes shrink with the fit's contour radius, below 0.01
-    shrink = min(1.0, _fit_radius(mu1, mu2) / 0.01)
-    r_fit = fit_boolean_cumulants_from_subordination(mu1, mu2, p)
+    shrink = min(1.0, radius / 0.01)
     worst = (0.0, 0.0)
     iterations = 0
     for x in (1e-3, 3e-3, 1e-2):
@@ -324,17 +301,6 @@ def quad(
     return value, error
 
 
-def fractional_moment(mu: Measure, alpha: float) -> float:
-    """m_alpha = integral of x^alpha d mu for a positively supported atomic
-    or grid measure, over its float atoms (0^0 = 1)."""
-    if alpha < 0:
-        raise DomainError("fractional moment order must be >= 0")
-    float_measures(mu, support="fractional moments require support in [0, inf)",
-                   semicircle="fractional moments are not evaluated for semicircles; "
-                   "semicircles are moments-only")
-    return sum(w * u ** alpha for u, w in mu.float_atoms)
-
-
 def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:
     """x -> K(-x) for x > 0, one loop over the float atoms:
     K(-x) = -x sum w u/(1+xu) / sum w/(1+xu), whose denominator (= 1 + psi)
@@ -361,9 +327,16 @@ def _c_mu(mu: Measure) -> float:
     return 1.0 / math.fsum(w / (1.0 + u) for u, w in mu.float_atoms)
 
 
-def _moment_below_one(mu: Measure, alpha: float) -> float:
-    """The integral of u^alpha d mu over (0, 1), over the float atoms."""
-    return sum(w * u ** alpha for u, w in mu.float_atoms if 0 < u < 1)
+def _fractional_sums(mu: Measure, alpha: float) -> tuple[float, float]:
+    """m_alpha = integral of u^alpha d mu (0^0 = 1), and its part over
+    (0, 1), from one loop over the float atoms."""
+    total = below = 0.0
+    for u, w in mu.float_atoms:
+        term = w * u ** alpha
+        total += term
+        if 0 < u < 1:
+            below += term
+    return total, below
 
 
 def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
@@ -405,12 +378,12 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
         raise ConvergenceError(f"quadrature error {error:.2e} on [0, 1] exceeds its 1e-8 bound")
     integral_value = mean + (1.0 - alpha) * value
 
-    m_alpha = fractional_moment(mu, alpha)
+    m_alpha, below_one = _fractional_sums(mu, alpha)
     c_mu = _c_mu(mu)
     return DiagnosticsReport(
         alpha=float(alpha),
         integral_value=integral_value,
-        lower_bound=0.5 * (m_alpha - _moment_below_one(mu, alpha)),
+        lower_bound=0.5 * (m_alpha - below_one),
         upper_bound=c_mu * m_alpha / alpha,
         c_mu=c_mu,
         m_alpha=m_alpha,

@@ -1191,9 +1191,10 @@ def fit_boolean_cumulants_numpy(mu1, mu2, n_coeffs: int) -> list[float]:
     """The subordination contour fit with its mean taken by numpy over all
     ``FIT_POINTS`` nodes, the lower half mirrored from the solved upper
     half."""
-    from freeconv.convolution import FIT_POINTS, FIT_TOL, _fit_radius, solve_subordination
+    from freeconv.convolution import FIT_POINTS, FIT_TOL, solve_subordination
 
-    radius = _fit_radius(mu1, mu2)
+    # half the reciprocal of the product of the top atoms, capped at 0.25
+    radius = min(0.25, 0.5 / (mu1.float_atoms[-1][0] * mu2.float_atoms[-1][0]))
     upper = []
     for m in range(FIT_POINTS // 2):
         angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS

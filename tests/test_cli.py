@@ -817,6 +817,15 @@ class TestMatrixlab:
         assert out1 == out2
         assert "T1 T2 T1 T2" in out1
 
+    def test_measure_without_diagonal_is_two(self, files, capsys):
+        # --measure used to be read and ignored: the GOE default was sampled
+        for ensemble in ([], ["--ensemble", "goe"]):
+            argv = ["matrixlab", "--word", "T1^2", "--N", "8", "--trials", "4",
+                    "--measure", files["bernoulli"], *ensemble]
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == "freeconv: parse error: --measure applies only to --ensemble diagonal\n"
+
     def test_goe_word(self, files, capsys):
         code, out, _ = run(
             ["matrixlab", "--word", "T1^4", "--N", "64", "--trials", "12",

@@ -28,7 +28,6 @@ from freeconv import convolution, noncrossing, word_engine
 from freeconv.word_engine import Word, mixed_moment
 from freeconv.convolution import (
     boxtimes_via_subordination,
-    fit_boolean_cumulants_from_subordination,
     fractional_diagnostics,
     solve_subordination,
 )
@@ -292,7 +291,7 @@ class TestSubordination:
         m1 = moments(bernoulli, 6)
         m2 = moments(two_point, 6)
         exact = boolean_from_moments(boxtimes_moments(m1, m2, 6))
-        fitted = fit_boolean_cumulants_from_subordination(bernoulli, two_point, 3)
+        fitted = fitted_cumulants(bernoulli, two_point, 3)
         for k in range(1, 4):
             rel = abs(fitted[k - 1] - float(exact[k - 1])) / abs(float(exact[k - 1]))
             assert rel < 1e-6
@@ -306,15 +305,14 @@ class TestSubordination:
         assert iterations >= 1
 
     def test_fitted_cumulants_match_numpy_mean(self, bernoulli, two_point):
-        got = fit_boolean_cumulants_from_subordination(bernoulli, two_point, 8)
+        got = fitted_cumulants(bernoulli, two_point, 8)
         want = fit_boolean_cumulants_numpy(bernoulli, two_point, 8)
         assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
 
     def test_subordination_moments_match_float_loop(self, bernoulli, two_point):
         # the replaced binary64 recursion is the reference
         ms, _, _ = boxtimes_via_subordination(bernoulli, two_point, 8)
-        fitted = fit_boolean_cumulants_from_subordination(bernoulli, two_point, 8)
-        want = moments_from_boolean_float(fitted)
+        want = moments_from_boolean_float(fit_boolean_cumulants_numpy(bernoulli, two_point, 8))
         assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(ms, want))
 
     def test_means_taken_once_per_fit(self, bernoulli, two_point, monkeypatch):
@@ -329,12 +327,41 @@ class TestSubordination:
         assert ms == boxtimes_via_subordination(*fresh, 12)[0]
 
     def test_non_finite_fit_is_a_convergence_error(self, bernoulli, monkeypatch):
-        monkeypatch.setattr(
-            convolution, "fit_boolean_cumulants_from_subordination",
-            lambda mu1, mu2, p: [float("nan")] * p,
-        )
-        with pytest.raises(ConvergenceError):
+        # every contour solve (z in C+) returns K = nan; the three residual
+        # probes on the negative axis are solved as usual
+        solve = convolution.solve_subordination
+
+        def nan_on_contour(mu1, mu2, z, **kwargs):
+            sol = solve(mu1, mu2, z, **kwargs)
+            return sol._replace(k_value=complex("nan")) if z.imag > 0 else sol
+
+        monkeypatch.setattr(convolution, "solve_subordination", nan_on_contour)
+        with pytest.raises(ConvergenceError, match="non-finite boolean cumulant"):
             boxtimes_via_subordination(bernoulli, bernoulli, 3)
+
+    def test_solve_evaluates_k_once_per_iterate(self, bernoulli, two_point, monkeypatch):
+        # K_1(Z_1) serves the update of Z_2 and the residuals, K_2(Z_2) the
+        # residuals and the next update of Z_1: 2 per iterate, 1 at the start
+        calls = count_calls(monkeypatch, convolution, "krein_k")
+        points = [complex(-x) for x in (1e-3, 0.1, 0.9)] + [0.01j, complex(-0.1, 0.2)]
+        for mu1, mu2 in ((bernoulli, two_point), (two_point, two_point)):
+            for z in points:
+                calls.clear()
+                sol = solve_subordination(mu1, mu2, z)
+                assert sol.iterations > 1 and len(calls) == 2 * sol.iterations + 1
+        # a start below |Z| = 1e-280 takes K(Z)/Z as m_1 and evaluates no K there
+        calls.clear()
+        sol = solve_subordination(bernoulli, two_point, complex(-1e-300))
+        assert (sol.iterations, len(calls)) == (1, 2)
+
+    def test_route_gates_once_and_once_per_solve(self, bernoulli, two_point, monkeypatch):
+        # one gate for the route, one in each of the 32 contour solves and
+        # the 3 residual probes, at any order
+        gated = count_calls(monkeypatch, convolution, "_require_m_plus")
+        for p in (1, 4, 12):
+            gated.clear()
+            boxtimes_via_subordination(bernoulli, two_point, p)
+            assert len(gated) == 1 + convolution.FIT_POINTS // 2 + 3
 
     def test_rejects_bad_points(self, bernoulli):
         with pytest.raises(DomainError):
@@ -396,6 +423,11 @@ class TestFractionalDiagnostics:
                 assert report.integral_value <= report.upper_bound + 1e-8
                 assert report.verdict == "finite"
 
+    def test_gate_runs_once(self, bernoulli, monkeypatch):
+        gated = count_calls(monkeypatch, convolution, "float_measures")
+        fractional_diagnostics(bernoulli, 0.5)
+        assert gated == [(bernoulli,)]
+
     def test_alpha_domain(self, delta_one):
         for bad in (0.0, 1.0, -0.2, 2.0):
             with pytest.raises(DomainError):
@@ -429,6 +461,27 @@ class TestFractionalDiagnostics:
         # 0 <= I <= m_1, up to the rule's error bound and rounding
         slack = 1e-8 + 1e-12 * mu.float_mean
         assert -slack <= report.integral_value <= mu.float_mean + slack
+
+
+def fitted_cumulants(mu1, mu2, p: int) -> list[float]:
+    """The boolean cumulants the subordination route fitted, read back
+    exactly from its moments."""
+    ms, _, _ = boxtimes_via_subordination(mu1, mu2, p)
+    return [float(r) for r in boolean_from_moments(MomentSequence(ms))]
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` through the module's global; returns
+    the list of positional arguments it fills, one entry per call."""
+    calls = []
+    func = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def count_float_means(monkeypatch) -> list:

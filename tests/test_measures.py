@@ -12,8 +12,8 @@ from freeconv.convolution import (
     DiagnosticsReport,
     SubordinationSolution,
     _c_mu,
-    _moment_below_one,
-    fractional_moment,
+    _fractional_sums,
+    fractional_diagnostics,
 )
 from freeconv.errors import DomainError, ParseError
 from freeconv.matrix_lab import InequalityReport, MatrixEnsembleSpec, TraceEstimate
@@ -325,7 +325,7 @@ class TestMoments:
     def test_fractional_moment_rejects_semicircles(self):
         # semicircles are moments-only: m_alpha has no evaluation path
         with pytest.raises(DomainError, match="moments-only"):
-            fractional_moment(Semicircle(3, 2), 0.5)
+            fractional_diagnostics(Semicircle(3, 2), 0.5)
 
     def test_order_must_be_positive(self, bernoulli):
         with pytest.raises(DomainError):
@@ -469,9 +469,10 @@ class TestGridNodalMeasure:
         for point in (complex(-x), z):
             scale = sum(w * abs(point * u / (1 - point * u)) for u, w in grid.float_atoms)
             assert abs(psi(grid, point) - grid_psi_trapezoid(grid, point)) <= 1e-12 * scale
+        m_alpha, below_one = _fractional_sums(grid, alpha)
         pairs = [
-            (fractional_moment(grid, alpha), grid_fractional_moment_trapezoid(grid, alpha)),
-            (_moment_below_one(grid, alpha), grid_moment_below_one_trapezoid(grid, alpha)),
+            (m_alpha, grid_fractional_moment_trapezoid(grid, alpha)),
+            (below_one, grid_moment_below_one_trapezoid(grid, alpha)),
             (_c_mu(grid), grid_c_mu_trapezoid(grid)),
         ]
         for got, want in pairs:  # sums of positive terms
