@@ -23,7 +23,7 @@ from .errors import ConvergenceError, DomainError, FreeconvError, ParseError
 _EXPORTS = {
     "measures": (
         "Atomic", "DensityGrid", "Measure", "MomentSequence", "Semicircle", "catalan",
-        "krein_k", "measure_from_json", "measure_to_json", "moments", "psi",
+        "krein_k", "measure_from_json", "measure_to_json", "moments",
     ),
     "transforms": (
         "boolean_from_moments", "boxplus_moments", "boxtimes_moments", "boxtimes_word_oracle",

@@ -16,11 +16,11 @@ exact recursion of the transforms module.  Fractional moment diagnostics
 bound m_alpha through the integral of K on (0, 1].
 
 Every integral here uses the module's tanh-sinh rule ``quad`` (Takahasi
-and Mori, 1974), whose integrand maps one node to one float; K(-x) is a
-loop over the float atoms of an atomic or grid measure.  Each call site
-checks the rule's error estimate, the difference of its last two levels,
-against the absolute bound 1e-8 and raises ConvergenceError above it:
-the diagnostic's remainder integral.
+and Mori, 1974), whose integrand maps one node to one float; K(-x) is
+the sum over the float atoms that ``krein_k`` evaluates too.  Its one
+call site, the diagnostic's remainder integral, checks the rule's error
+estimate, the difference of its last two levels, against the bound
+1e-8 max(1, m_1) and raises ConvergenceError above it.
 
 Every entry point passes its measures through ``measures.float_measures``,
 the one gate, and reads m_1 from each measure's cached ``float_mean``.
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError
-from .measures import AXIS_TOLERANCE, Atomic, Measure, as_float, float_measures, krein_k
+from .measures import AXIS_TOLERANCE, Atomic, Measure, _krein, as_float, float_measures, krein_k
 from .transforms import moments_from_boolean
 
 __all__ = [
@@ -181,7 +181,9 @@ def boxtimes_via_subordination(
 
     Returns (moments, worst residuals, worst iteration count), the last two
     over three extra solves on the negative axis, at -x * shrink for
-    x in {1e-3, 3e-3, 1e-2}, where shrink = min(1, radius / 0.01).
+    x in {1e-3, 3e-3, 1e-2}, where shrink = min(1, radius / 0.01), which
+    keeps each start m_1 z near m_1 radius: from a start far above its
+    first proposal, Z + (proposal - Z) rounds to 0, the edge of K's domain.
     """
     if p < 1:
         raise DomainError("output order must be >= 1")
@@ -301,23 +303,6 @@ def quad(
     return value, error
 
 
-def _krein_on_negative_axis(mu: Measure) -> Callable[[float], float]:
-    """x -> K(-x) for x > 0, one loop over the float atoms:
-    K(-x) = -x sum w u/(1+xu) / sum w/(1+xu), whose denominator (= 1 + psi)
-    is a sum of positive terms.
-    """
-    atoms = mu.float_atoms
-
-    def evaluate(x: float) -> float:
-        num = den = 0.0
-        for u, w in atoms:
-            spread = 1.0 + x * u
-            num += w * u / spread
-            den += w / spread
-        return -x * num / den
-    return evaluate
-
-
 def _c_mu(mu: Measure) -> float:
     """1 / integral of 1/(1+u) d mu: exact over an atomic measure's atoms,
     else over the float atoms."""
@@ -346,8 +331,8 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
     behavior K(-x) = -m_1 x + O(x^2): the linear part integrates in
     closed form and the remainder vanishes at 0.  The remainder over
     (0, 1] is integrated by the tanh-sinh rule to 1e-10, and an error
-    estimate above 1e-8 raises ConvergenceError.  The bound is absolute:
-    the remainder is added to the mean, and the two may nearly cancel.
+    estimate above 1e-8 max(1, m_1) raises ConvergenceError: I lies in
+    [0, m_1] (below), and for a large m_1 rounding alone exceeds 1e-8.
     The tanh-sinh nodes stay at least 2.7e-23 away from 0, so
     x^(-1-alpha) is finite at every node.
 
@@ -367,15 +352,17 @@ def fractional_diagnostics(mu: Measure, alpha: float) -> DiagnosticsReport:
     float_measures(mu, m_plus=True, support="diagnostics require a measure in M+",
                    semicircle="diagnostics need K evaluation; semicircles are moments-only")
 
-    k_neg = _krein_on_negative_axis(mu)
+    atoms = mu.float_atoms
     mean = mu.float_mean
 
     def remainder(x: float) -> float:
-        return (-k_neg(x) - mean * x) * x ** (-1.0 - alpha)
+        return (-_krein(atoms, -x) - mean * x) * x ** (-1.0 - alpha)
 
     value, error = quad(remainder, 0.0, 1.0, 1e-10)
-    if not error <= 1e-8:
-        raise ConvergenceError(f"quadrature error {error:.2e} on [0, 1] exceeds its 1e-8 bound")
+    scale = max(1.0, mean)
+    if not error <= 1e-8 * scale:
+        raise ConvergenceError(f"quadrature error {error:.2e} on [0, 1] exceeds its 1e-8 bound "
+                               f"scaled by max(1, m_1) = {scale:.3g}")
     integral_value = mean + (1.0 - alpha) * value
 
     m_alpha, below_one = _fractional_sums(mu, alpha)

@@ -5,13 +5,15 @@ rational atoms, the semicircle family, and tabulated densities on a grid.
 Atomic measures are carried in exact rational arithmetic end to end; the
 analytic path (transform evaluation) uses binary64.
 
-For a measure ``mu`` supported on [0, inf) the module evaluates
+For a measure ``mu`` supported on [0, inf) the module evaluates the
+Krein transform, psi/(1 + psi) for psi(z) = E[z u/(1 - z u)], as
 
-    psi(z)  = integral of z*x / (1 - z*x) d mu(x),   z outside [0, inf),
-    K(z)    = psi(z) / (1 + psi(z)),
+    K(z) = z E[u/(1 - z u)] / E[1/(1 - z u)],   z outside [0, inf),
 
-the moment generating transform and its Krein-class companion.  K is
-analytic and nonpositive on the negative real axis and vanishes at 0-;
+E the integral against ``mu``.  K has no pole: E[1/(1 - z u)] is not 0
+off [0, inf), as every term's imaginary part has the sign of Im z, and
+on the negative axis every term is positive.  K is analytic and
+nonpositive on the negative real axis and vanishes at 0-;
 multiplicative free convolution is subordinated at the level of K.
 
 User rationals become floats through ``as_float``, which turns binary64
@@ -20,11 +22,11 @@ overflow into a DomainError.
 A grid is read as its nodal measure, sum of w_i delta(x_i) with
 w_i = f_i (x_(i+1) - x_(i-1))/2 >= 0 (half an interval at either end),
 against which its trapezoid integrals are sums.  Its nodes of positive
-weight are its ``float_atoms``, and ``psi`` and the diagnostics of the
-convolution module sum over the float atoms of an atomic or grid
-measure alike.  numpy stays only in ``hankel_psd``.
+weight are its ``float_atoms``, and K, for ``krein_k`` and the
+diagnostics of the convolution module alike, sums over the float atoms
+of an atomic or grid measure.  numpy stays only in ``hankel_psd``.
 
-The float layer (``psi``, ``krein_k`` and the convolution module) has
+The float layer (``krein_k`` and the convolution module) has
 one gate, ``float_measures``, which passes atomic and grid measures on
 [0, inf), or in M+, and refuses the rest in its caller's words.  Those
 measures cache what the float layer reads: ``float_atoms``,
@@ -63,7 +65,6 @@ __all__ = [
     "catalan",
     "moments",
     "hankel_psd",
-    "psi",
     "krein_k",
     "is_positive_supported",
     "in_m_plus",
@@ -75,9 +76,6 @@ __all__ = [
 #: How close to the positive real axis an evaluation point may get,
 #: relative to its modulus: |Im z| <= AXIS_TOLERANCE * |z| counts as on it.
 AXIS_TOLERANCE = 1e-14
-
-#: How close 1 + psi may get to zero before K is considered at a pole.
-POLE_TOLERANCE = 1e-14
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -301,7 +299,8 @@ class DensityGrid(Value):
     @cached_property
     def float_atoms(self) -> tuple[tuple[float, float], ...]:
         """The nodal measure as (location, weight) pairs, leaving out each
-        node of zero weight: one may sit at the pole 1/z of psi."""
+        node of zero weight: one below 0 may sit at 1/z, where its term in
+        K would be 0/0."""
         return tuple((u, w) for u, w in zip(self.x, _nodal_weights(self.x, self.f)) if w > 0)
 
     @cached_property
@@ -483,29 +482,33 @@ def hankel_psd(seq: MomentSequence, shifted: bool = False, tol: float = 1e-9) ->
 # ---------------------------------------------------------------------------
 
 
-def psi(mu: Measure, z: complex) -> complex:
-    """Moment generating transform: integral of z*x/(1 - z*x) d mu(x), a sum
-    over the float atoms."""
+def _krein(atoms: Sequence[tuple[float, float]], z: Union[float, complex]):
+    """K(z) = z sum w u/(1 - z u) / sum w/(1 - z u) over ``atoms``, for z
+    off [0, inf), which the callers check.  The denominator underflows to
+    0 only when every 1 - z u overflows, and K with it: DomainError, as
+    for any non-finite K."""
+    num = den = 0.0
+    for u, w in atoms:
+        spread = 1.0 - z * u
+        num += w * u / spread
+        den += w / spread
+    value = z * num / den if den else math.inf
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"K at z={z} is outside the binary64 range")
+    return value
+
+
+def krein_k(mu: Measure, z: complex) -> complex:
+    """Krein transform K at z off [0, inf), in real arithmetic when z is
+    real.  On the negative real axis K is real, nonpositive, and tends to
+    0 at 0-."""
     float_measures(mu, support="transform evaluation requires support in [0, inf)",
                    semicircle="transform evaluation is not supported for semicircle measures; "
                    "they participate through moments only")
     z = complex(z)
     if abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real >= 0.0:
         raise DomainError(f"evaluation point {z} lies on [0, inf)")
-    return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
-
-
-def krein_k(mu: Measure, z: complex) -> complex:
-    """Krein transform K = psi / (1 + psi).
-
-    On the negative real axis K is real, nonpositive, and tends to 0 at
-    0-.  Raises when 1 + psi comes within ``POLE_TOLERANCE`` of zero.
-    """
-    p = psi(mu, z)
-    denom = 1.0 + p
-    if abs(denom) <= POLE_TOLERANCE:
-        raise DomainError(f"K evaluated too close to a pole at z={z}")
-    return p / denom
+    return complex(_krein(mu.float_atoms, z.real if z.imag == 0.0 else z))
 
 
 # ---------------------------------------------------------------------------

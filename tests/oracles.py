@@ -27,7 +27,7 @@ its plain-Python routes: the tanh-sinh rule over arrays of nodes, K(-x)
 of an atomic measure as one expression over all nodes, and the contour
 fit's mean over all its nodes.  numpy's trapezoid rule over a grid's
 arrays is the reference for the grid's nodal measure, which the library
-sums over in plain Python: the grid's moments, psi, fractional moment,
+sums over in plain Python: the grid's moments, K, fractional moment,
 the diagnostics' c_mu and their inner sum over (0, 1).  Singular values
 from the eigenvalues of x^T x are the reference for the SVD.  The dense
 GOE draw that family member 1 used before it took its tridiagonal form
@@ -38,11 +38,12 @@ The L^p
 inequality sweep that stacked every matrix of every tuple on one list
 and read the norms back tuple by tuple is the reference for the sweep
 over the tuple axis.  The operator norm, the integer absolute moment,
-series composition, the dichotomy report's freeness flag, the exact psi
-and K of an atomic measure, and the Krein expansion check (|K(-x) minus
-its boolean-cumulant polynomial| / x^p on a dyadic grid, decaying
-monotonically) are former library functions with no library caller
-left; the exact K is the reference for the float K(-x) loop.  The (L, Q) dichotomy
+series composition, the dichotomy report's freeness flag, the float psi,
+the exact psi and K of an atomic measure, and the Krein expansion check
+(|K(-x) minus its boolean-cumulant polynomial| / x^p on a dyadic grid,
+decaying monotonically) are former library functions with no library
+caller left; the exact K is the reference for the library's K.  The
+(L, Q) dichotomy
 that expanded each centered pattern into its 2^#Q uncentered
 sub-patterns, and subtracted the prediction for a free pair with the
 forms' own moment sequences, is the reference for the filtered
@@ -1009,6 +1010,20 @@ def weight_at(mu, location) -> Fraction:
     return next((w for x, w in mu.atoms if x == loc), Fraction(0))
 
 
+def psi(mu, z: complex) -> complex:
+    """Moment generating transform: integral of z*x/(1 - z*x) d mu(x), a sum
+    over the float atoms, behind the library's gate and axis check."""
+    from freeconv.measures import AXIS_TOLERANCE, float_measures
+
+    float_measures(mu, support="transform evaluation requires support in [0, inf)",
+                   semicircle="transform evaluation is not supported for semicircle measures; "
+                   "they participate through moments only")
+    z = complex(z)
+    if abs(z.imag) <= AXIS_TOLERANCE * abs(z) and z.real >= 0.0:
+        raise DomainError(f"evaluation point {z} lies on [0, inf)")
+    return sum(w * z * loc / (1.0 - z * loc) for loc, w in mu.float_atoms)
+
+
 def psi_exact(mu, x) -> Fraction:
     """Exact psi at a rational point off [0, inf), for atomic measures."""
     from freeconv.measures import Atomic, as_fraction, is_positive_supported
@@ -1146,19 +1161,23 @@ PROBE_CUTOFFS = (1e-6, 5e-7, 2.5e-7)
 def fractional_probes(mu, alpha: float) -> list[float]:
     """The partial integrals of -K(-x) x^(-1-alpha) over [eps, 1] for each
     of ``PROBE_CUTOFFS``, by the library's rule to 1e-10, each with the
-    error bound 1e-8 that the diagnostics' remainder integral keeps."""
-    from freeconv.convolution import _krein_on_negative_axis, quad
+    error bound 1e-8 max(1, m_1) that the diagnostics' remainder integral
+    keeps."""
+    from freeconv.convolution import quad
+    from freeconv.measures import _krein
 
-    k_neg = _krein_on_negative_axis(mu)
+    atoms = mu.float_atoms
+    bound = 1e-8 * max(1.0, mu.float_mean)
 
     def raw(x: float) -> float:
-        return -k_neg(x) * x ** (-1.0 - alpha)
+        return -_krein(atoms, -x) * x ** (-1.0 - alpha)
 
     probes = []
     for eps in PROBE_CUTOFFS:
         value, error = quad(raw, eps, 1.0, 1e-10)
-        if not error <= 1e-8:
-            raise ConvergenceError(f"quadrature error {error:.2e} on [{eps:.3g}, 1] exceeds 1e-8")
+        if not error <= bound:
+            raise ConvergenceError(
+                f"quadrature error {error:.2e} on [{eps:.3g}, 1] exceeds {bound:.3g}")
         probes.append(value)
     return probes
 
@@ -1215,12 +1234,13 @@ def grid_moments_trapezoid(grid, order: int) -> list[float]:
     return [float(np.trapezoid(f * x ** k, x)) for k in range(1, order + 1)]
 
 
-def grid_psi_trapezoid(grid, z: complex) -> complex:
-    """psi of a grid by the trapezoid rule over all its nodes."""
+def grid_krein_trapezoid(grid, z: complex) -> complex:
+    """K(z) = z E[x/(1 - z x)] / E[1/(1 - z x)] of a grid, each mean by the
+    trapezoid rule over all its nodes."""
     x, f = _grid_arrays(grid)
-    # a node with f = 0 may sit at the pole x = 1/z
-    vals = np.divide(z * x, 1.0 - z * x, out=np.zeros(x.shape, complex), where=f > 0)
-    return complex(np.trapezoid(f * vals, x))
+    # a node with f = 0 may sit at x = 1/z
+    spread = np.where(f > 0, 1.0 - z * x, 1.0)
+    return complex(z * np.trapezoid(f * x / spread, x) / np.trapezoid(f / spread, x))
 
 
 def grid_fractional_moment_trapezoid(grid, alpha: float) -> float:

@@ -362,8 +362,9 @@ class TestHugeAtoms:
             assert abs(float(fitted) - want) <= 1e-6 * want
 
     def test_residual_probes_shrink_with_the_contour(self, tmp_path, capsys):
-        # radius 2.5e-201: probes at a fixed x >= 1e-3 start the solver at
-        # -5e196, within the pole tolerance of two_point's K
+        # radius 2.5e-201: a probe at a fixed x >= 1e-3 starts the solver at
+        # Z_2 = -5e196, and the first step to the proposal -0.752 rounds to
+        # Z_2 = 0, on [0, inf)
         path = tmp_path / "b200.json"
         path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1", "1/2"]]}' % ("0" * 200))
         two_point = tmp_path / "two_point.json"
@@ -636,6 +637,18 @@ class TestSubordinate:
         assert (code, err) == (0, "")
         assert json.loads(out)["rows"] == json.loads(run([*argv, f"--z={z}"], capsys)[1])["rows"]
 
+    def test_huge_atoms_reach_no_pole(self, tmp_path, capsys):
+        # at Z_1 = -5.5e-100 every z u is -5.5e100 or below, so 1 + psi
+        # cancelled to 0, a pole of psi/(1 + psi) that K does not have; here
+        # K(z) is z / E[1/u] of the product, E[1/u] = (5.5e-201)^2
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1%s", "1/2"]]}'
+                        % ("0" * 200, "0" * 201))
+        code, out, err = run(["subordinate", str(path), str(path), "--z=-1e-300"], capsys)
+        assert (code, err) == (0, "")
+        ((z, _, _, k_value, _, _, iterations),) = json.loads(out)["rows"]
+        assert (z, k_value, iterations) == ("-1e-300+0j", "-3.30578512397e+100+0j", 2)
+
     def test_huge_grid_is_rejected_before_any_point_is_built(self, files):
         # under a 1 GiB address-space cap, a grid built before the check
         # fails fast as a MemoryError line that does not name --grid
@@ -684,6 +697,16 @@ class TestDiagnose:
         doc = json.loads(out)
         assert doc["verdict"] == "finite"
         assert doc["sandwich"].startswith("0.5 <= 1 <= 4")
+
+    @pytest.mark.parametrize("atom, alpha", [("1000000000", "0.9"), ("100000000", "0.99")])
+    def test_large_mean_meets_its_scaled_bound(self, tmp_path, capsys, atom, alpha):
+        # the quadrature error, 1.29e-8 and 1.02e-8, is rounding of a remainder
+        # of size m_1/(1 - alpha): an absolute bound of 1e-8 refused it
+        path = tmp_path / "delta.json"
+        path.write_text('{"kind": "atomic", "atoms": [["%s", "1"]]}' % atom)
+        code, out, err = run(["diagnose", str(path), "--alpha", alpha], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sandwich"].split(" <= ")[1] == atom  # I = c for delta_c
 
     def test_grid_with_mass_below_zero_is_three(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -34,7 +34,6 @@ from freeconv.measures import (
     measure_from_json,
     measure_to_json,
     moments,
-    psi,
 )
 from freeconv.word_engine import Word
 from oracles import (
@@ -46,8 +45,9 @@ from oracles import (
     grid_fractional_moment_trapezoid,
     grid_moment_below_one_trapezoid,
     grid_moments_trapezoid,
-    grid_psi_trapezoid,
+    grid_krein_trapezoid,
     krein_k_exact,
+    psi,
     psi_exact,
     weight_at,
 )
@@ -140,8 +140,8 @@ class TestConstruction:
         assert bernoulli.float_atoms is bernoulli.float_atoms == ((0.0, 0.5), (1.0, 0.5))
 
     def test_atomic_caches_positivity(self, bernoulli):
-        # psi checks the support on every call; the Fraction comparison runs once
-        psi(bernoulli, -0.5)
+        # krein_k checks the support on every call; the Fraction comparison runs once
+        krein_k(bernoulli, -0.5)
         assert vars(bernoulli)["positive_supported"] is True
         mixed = Atomic([(2, "1/2"), (-1, "1/4"), (0, "1/4")])
         assert not is_positive_supported(mixed) and vars(mixed)["positive_supported"] is False
@@ -467,8 +467,14 @@ class TestGridNodalMeasure:
                 scale = sum(w * abs(u) ** k for u, w in mu.float_atoms)
                 assert abs(float(m) - want[k - 1]) <= 1e-12 * scale
         for point in (complex(-x), z):
-            scale = sum(w * abs(point * u / (1 - point * u)) for u, w in grid.float_atoms)
-            assert abs(psi(grid, point) - grid_psi_trapezoid(grid, point)) <= 1e-12 * scale
+            # K = point * num / den: 1e-12 of the sums of absolute terms in
+            # num and den, carried through the quotient
+            num = sum(w * u / (1 - point * u) for u, w in grid.float_atoms)
+            den = sum(w / (1 - point * u) for u, w in grid.float_atoms)
+            num_scale = sum(w * abs(u / (1 - point * u)) for u, w in grid.float_atoms)
+            den_scale = sum(w * abs(1 / (1 - point * u)) for u, w in grid.float_atoms)
+            scale = abs(point) * (num_scale + abs(num) * den_scale / abs(den)) / abs(den)
+            assert abs(krein_k(grid, point) - grid_krein_trapezoid(grid, point)) <= 1e-12 * scale
         m_alpha, below_one = _fractional_sums(grid, alpha)
         pairs = [
             (m_alpha, grid_fractional_moment_trapezoid(grid, alpha)),
@@ -516,31 +522,36 @@ class TestPsi:
         grid = DensityGrid([-1.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 0.0])
         assert psi(grid, -1 + 0j) == -0.5
 
+    # psi and krein_k share a domain; the oracle psi keeps the library's
+    # gate and axis check, so each refusal and symmetry holds for both
+
     def test_conjugate_symmetry(self, bernoulli, two_point):
         rng = np.random.default_rng(11)
         for mu in (bernoulli, two_point):
             for _ in range(100):
                 z = complex(rng.normal(scale=2.0), abs(rng.normal(scale=2.0)) + 1e-3)
-                assert abs(psi(mu, z.conjugate()) - psi(mu, z).conjugate()) < 1e-12
+                for transform in (psi, krein_k):
+                    got = transform(mu, z.conjugate())
+                    assert abs(got - transform(mu, z).conjugate()) < 1e-12
 
     def test_rejects_positive_axis(self, bernoulli):
-        with pytest.raises(DomainError):
-            psi(bernoulli, 0.5 + 0j)
-        with pytest.raises(DomainError):
-            psi(bernoulli, 0j)
-        with pytest.raises(DomainError):
-            psi(bernoulli, complex(1e-20, 1e-35))
+        for transform in (psi, krein_k):
+            for z in (0.5 + 0j, 0j, complex(1e-20, 1e-35)):
+                with pytest.raises(DomainError, match="lies on"):
+                    transform(bernoulli, z)
 
     def test_axis_test_is_relative_to_the_modulus(self, bernoulli):
         # far off the axis in angle, though Im z is below 1e-14
         z = 1e-20 * (1 + 1j)
         assert abs(psi(bernoulli, z) - 0.5 * z / (1 - z)) < 1e-35
+        assert abs(krein_k(bernoulli, z) - z / (2 - z)) < 1e-35
 
     def test_rejects_unsupported_measures(self, rademacher, standard_semicircle):
-        with pytest.raises(DomainError):
-            psi(rademacher, -1 + 0j)
-        with pytest.raises(DomainError):
-            psi(standard_semicircle, -1 + 0j)
+        for transform in (psi, krein_k):
+            with pytest.raises(DomainError, match=r"support in \[0, inf\)"):
+                transform(rademacher, -1 + 0j)
+            with pytest.raises(DomainError):
+                transform(standard_semicircle, -1 + 0j)
 
 
 class TestKrein:
@@ -569,11 +580,58 @@ class TestKrein:
     def test_vanishes_at_zero_minus(self, two_point):
         assert abs(krein_k(two_point, complex(-1e-12)).real) < 1e-11
 
-    def test_pole_detection(self):
-        # psi of delta_1 at z -> +inf on the real line tends to -1
-        mu = Atomic([(1, 1)])
-        with pytest.raises(DomainError):
-            krein_k(mu, complex(1e14, 1e-20))
+    def test_no_pole_off_the_positive_axis(self, two_point, delta_one):
+        # 1 + psi tends to 0 as |z| grows, where psi/(1 + psi) cancelled to a
+        # pole; the sum E[1/(1 - z u)] has no zero off [0, inf)
+        assert krein_k(delta_one, complex(-1e15)) == -1e15
+        want = krein_k_exact(two_point, Fraction(-10 ** 15))
+        assert abs(krein_k(two_point, complex(-1e15)).real - float(want)) <= 4e-16 * -want
+        for z in (complex(1e14, 10.0), complex(-1e14, 1e-3), complex(1e8, 1e-5)):
+            assert abs(krein_k(delta_one, z) - z) <= 4e-16 * abs(z)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e-6, 1e6), st.integers(1, 8)),
+            min_size=1, max_size=6, unique_by=lambda atom: atom[0],
+        ),
+        st.floats(1e-6, 1e12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_on_atomic_measures(self, atoms, x):
+        # binary64 atoms and dyadic weights, so that the float atoms are the
+        # exact ones: the error is the kernel's alone
+        total = 1 << sum(count for _, count in atoms).bit_length()
+        counts = [count for _, count in atoms]
+        counts[0] += total - sum(counts)
+        mu = Atomic([(Fraction(u), Fraction(c, total)) for (u, _), c in zip(atoms, counts)])
+        want = krein_k_exact(mu, -Fraction(x))
+        got = krein_k(mu, complex(-x))
+        assert got.imag == 0.0
+        assert abs(Fraction(got.real) - want) <= 4 * 2.0 ** -52 * abs(want)
+
+    @given(
+        st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+        st.floats(-6.0, 14.0).map(lambda e: 10.0 ** e),
+        st.floats(1e-6, math.pi - 1e-6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_point_mass_is_linear_far_into_c_plus(self, c, modulus, angle):
+        # K(delta_c, z) = c z to 4 * 2^-52 of |c z|, off the axis in C+:
+        # three complex divisions and a product, against the exact c z
+        z = modulus * complex(math.cos(angle), math.sin(angle))
+        got = krein_k(Atomic([(Fraction(c), 1)]), z)
+        want = (Fraction(c) * Fraction(z.real), Fraction(c) * Fraction(z.imag))
+        error = abs(complex(Fraction(got.real) - want[0], Fraction(got.imag) - want[1]))
+        assert error <= 4 * 2.0 ** -52 * abs(c * z)
+
+    def test_overflow_is_a_one_line_domain_error(self):
+        # every 1 - z u overflows, so E[1/(1 - z u)] underflows to 0 on the
+        # negative axis; in C+ the terms are nan
+        mu = Atomic([(10 ** 10, "1/2"), (10 ** 12, "1/2")])
+        for z in (complex(-1e300), complex(-1e300, 1e300)):
+            with pytest.raises(DomainError, match="outside the binary64 range") as info:
+                krein_k(mu, z)
+            assert "\n" not in str(info.value)
 
 
 class TestJson:
