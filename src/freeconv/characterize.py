@@ -5,25 +5,29 @@ the linear form L = sum b_j T_j and the quadratic form
 Q = sum a_jk T_j T_k over free, identically distributed variables, and
 probes whether L and Q behave like a free pair.
 
-The probe evaluates, for every alternating pattern in the centered forms,
-the exact trace of the pattern: a sum over the non-crossing partitions of
-the pattern's positions, each weighted by free cumulants and contracted
-with the coefficients.  Freeness of (L, Q) sets every such trace to 0,
-so the trace itself is the deviation from freeness.  All values are
-exact rationals, so a verdict of "consistent with freeness" is a
-certified zero of every deviation up to the configured degree, and a
-nonzero deviation is an exact witness against freeness.
+A pattern is a string of the letters L and Q, such as "LQQL" for
+L Q^2 L; its degree counts 1 per L and 2 per Q.  The probe evaluates,
+for every alternating pattern in the centered forms, the exact trace of
+the pattern: a sum over the non-crossing partitions of the pattern's
+positions, each weighted by free cumulants and contracted with the
+coefficients.  Freeness of (L, Q) sets every such trace to 0, so the
+trace itself is the deviation from freeness.  All values are exact
+rationals, so a verdict of "consistent with freeness" is a certified
+zero of every deviation up to the configured degree, and a nonzero
+deviation is an exact witness against freeness.
 
-The admissibility conditions on (A, b) are: A b = 0, the diagonal power
-sums s_m = sum_j b_j^m a_jj never vanish, and b_j a_jj != 0 for some j.
-The power-sum condition quantifies over every positive integer m.
-Grouping indices with equal b_j, and +u with -u, writes s_m for m of one
-parity as sum_u e_u u^m over distinct u > 0.  Either every e_u is 0, and
-s_m vanishes at that parity, or the largest u with e_u != 0 outgrows the
-rest: once |e_u| u^m exceeds the sum of the other |e_u'| u'^m it does so
-for every larger m.  So s_m is checked exactly for m = 1, 2, ... until
-that holds at both parities.  A term past 2^16 bits before then leaves
-the condition undecided, which is a DomainError.
+Besides a symmetric A, the admissibility conditions on (A, b) are two:
+A b = 0, and the diagonal power sums s_m = sum_j b_j^m a_jj never
+vanish.  The coupling condition b_j a_jj != 0 for some j follows from
+s_1 != 0, so it is not checked on its own.  The power-sum condition
+quantifies over every positive integer m.  Grouping indices with equal
+b_j, and +u with -u, writes s_m for m of one parity as sum_u e_u u^m
+over distinct u > 0.  Either every e_u is 0, and s_m vanishes at that
+parity, or the largest u with e_u != 0 outgrows the rest: once
+|e_u| u^m exceeds the sum of the other |e_u'| u'^m it does so for every
+larger m.  So s_m is checked exactly for m = 1, 2, ... until that holds
+at both parities.  A term past 2^16 bits before then leaves the
+condition undecided, which is a DomainError.
 
 A joint moment is a sum over the non-crossing partitions pi of the
 pattern's d positions, and each term contracts the coefficients with one
@@ -72,9 +76,6 @@ __all__ = [
     "alternating_form_patterns",
 ]
 
-Pattern = tuple[tuple[str, int], ...]
-
-
 class QuadraticFormSpec(Value):
     """Coefficients (A, b) of the quadratic form Q and linear form L."""
 
@@ -99,8 +100,8 @@ class QuadraticFormSpec(Value):
         object.__setattr__(self, "b", vec)
 
 
-class ValidityReport(namedtuple("ValidityReport", "symmetric annihilates_b power_sums_nonzero "
-                                 "power_sums has_diagonal_coupling failures")):
+class ValidityReport(namedtuple("ValidityReport",
+                                 "symmetric annihilates_b power_sums_nonzero failures")):
     """Exact pass/fail for each admissibility condition on (A, b)."""
 
     __slots__ = ()
@@ -153,9 +154,7 @@ def _first_vanishing_power_sum(
 
 
 def validate_spec(spec: QuadraticFormSpec) -> ValidityReport:
-    """Check symmetry, A b = 0, nonvanishing diagonal power sums, coupling.
-
-    ``power_sums`` holds s_1..s_n; the condition is checked for every m."""
+    """Check symmetry, A b = 0 and the diagonal power sums for every m."""
     n = spec.n
     symmetric = all(
         spec.a[i][j] == spec.a[j][i] for i in range(n) for j in range(i + 1, n)
@@ -164,13 +163,7 @@ def validate_spec(spec: QuadraticFormSpec) -> ValidityReport:
         sum((spec.a[i][j] * spec.b[j] for j in range(n)), start=Fraction(0)) == 0
         for i in range(n)
     )
-    diag = [spec.a[j][j] for j in range(n)]
-    sums = tuple(
-        sum((v ** m * c for v, c in zip(spec.b, diag)), start=Fraction(0))
-        for m in range(1, n + 1)
-    )
-    vanishing = _first_vanishing_power_sum(spec.b, diag)
-    coupling = any(spec.b[j] * spec.a[j][j] != 0 for j in range(n))
+    vanishing = _first_vanishing_power_sum(spec.b, [spec.a[j][j] for j in range(n)])
 
     failures = []
     if not symmetric:
@@ -181,14 +174,10 @@ def validate_spec(spec: QuadraticFormSpec) -> ValidityReport:
         failures.append(
             f"diagonal power-sum condition sum b_j^m a_jj != 0 fails at m = {vanishing}"
         )
-    if not coupling:
-        failures.append("diagonal coupling condition b_j a_jj != 0 for some j fails")
     return ValidityReport(
         symmetric=symmetric,
         annihilates_b=annihilates,
         power_sums_nonzero=vanishing is None,
-        power_sums=sums,
-        has_diagonal_coupling=coupling,
         failures=tuple(failures),
     )
 
@@ -216,27 +205,14 @@ def preset_sample_mean_variance(n: int) -> QuadraticFormSpec:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_pattern(pattern: Sequence[tuple[str, int]]) -> Pattern:
-    if not pattern:
-        raise DomainError("empty pattern")
-    out = []
-    for name, exp in pattern:
-        if name not in ("L", "Q"):
-            raise DomainError(f"pattern letters must be 'L' or 'Q', got {name!r}")
-        if exp < 1:
-            raise DomainError("pattern exponents must be >= 1")
-        out.append((name, int(exp)))
-    return tuple(out)
-
-
-def pattern_degree(pattern: Sequence[tuple[str, int]]) -> int:
-    return sum((1 if name == "L" else 2) * exp for name, exp in pattern)
+def pattern_degree(pattern: str) -> int:
+    return len(pattern) + pattern.count("Q")
 
 
 def _prefix_traces(
     spec: QuadraticFormSpec,
     kappa: Sequence[Fraction],
-    letters: Sequence[str],
+    letters: str,
     lone_q: bool,
 ) -> list[Fraction]:
     """The non-crossing sum of every prefix ``letters[:m]``, m = 1, 2, ...,
@@ -265,23 +241,25 @@ def _prefix_traces(
     return [sums[t] / den ** m for m, t in enumerate(ends, 1)]
 
 
-def _letters(pattern: Sequence[tuple[str, int]], marginal: MomentSequence) -> list[str]:
-    """The letters of a pattern, once the marginal is known to reach its degree."""
-    pattern = _normalize_pattern(pattern)
+def _checked_pattern(pattern: str, marginal: MomentSequence) -> str:
+    """A pattern checked to be a nonempty string of L and Q whose degree
+    the marginal reaches."""
+    if not isinstance(pattern, str) or not pattern or not set(pattern) <= {"L", "Q"}:
+        raise DomainError(f"a pattern is a nonempty string of L and Q, got {pattern!r}")
     degree = pattern_degree(pattern)
     if marginal.order < degree:
         raise DomainError(
             f"pattern has degree {degree} but marginal order is {marginal.order}"
         )
-    return [name for name, exp in pattern for _ in range(exp)]
+    return pattern
 
 
 def joint_moment(
     spec: QuadraticFormSpec,
     marginal: MomentSequence,
-    pattern: Sequence[tuple[str, int]],
+    pattern: str,
 ) -> Fraction:
-    """Exact trace of an (uncentered) L/Q pattern such as L Q^2 L.
+    """Exact trace of an (uncentered) L/Q pattern such as "LQQL", L Q^2 L.
 
     All variables carry the same marginal, and their mixed free cumulants
     vanish unless every index agrees.  So the trace is a sum over the
@@ -290,8 +268,8 @@ def joint_moment(
     one index per block, b at an L position and A at the two positions of
     a Q, and ``noncrossing.prefix_sums`` computes it.
     """
-    letters = _letters(pattern, marginal)
-    return _prefix_traces(spec, free_from_moments(marginal), letters, False)[-1]
+    pattern = _checked_pattern(pattern, marginal)
+    return _prefix_traces(spec, free_from_moments(marginal), pattern, False)[-1]
 
 
 def form_moments(
@@ -304,8 +282,8 @@ def form_moments(
     the prefixes of L^order or Q^order."""
     if which not in ("L", "Q"):
         raise DomainError("which must be 'L' or 'Q'")
-    letters = _letters(((which, order),), marginal)
-    return MomentSequence(_prefix_traces(spec, free_from_moments(marginal), letters, False))
+    pattern = _checked_pattern(which * order, marginal)
+    return MomentSequence(_prefix_traces(spec, free_from_moments(marginal), pattern, False))
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +291,17 @@ def form_moments(
 # ---------------------------------------------------------------------------
 
 
-def alternating_form_patterns(max_degree: int) -> list[Pattern]:
+def alternating_form_patterns(max_degree: int) -> list[str]:
     """All alternating patterns in L and Q with total degree <= max_degree.
 
-    Patterns are sequences of single L and Q letters with adjacent
-    letters distinct, at least two letters long, sorted by degree.
+    Patterns are strings of L and Q with adjacent letters distinct, at
+    least two letters long, sorted by degree.
     """
-    if max_degree < 3:
-        return []
-    out: list[Pattern] = []
-    for start in ("L", "Q"):
-        letters = [start]
-        while True:
-            letters.append("Q" if letters[-1] == "L" else "L")
-            pattern = tuple((name, 1) for name in letters)
-            if pattern_degree(pattern) > max_degree:
-                break
+    out = []
+    for pattern in ("LQ", "QL"):
+        while pattern_degree(pattern) <= max_degree:
             out.append(pattern)
+            pattern += "Q" if pattern[-1] == "L" else "L"
     out.sort(key=lambda p: (pattern_degree(p), p))
     return out
 
@@ -397,11 +369,10 @@ def freeness_dichotomy(
 
     patterns = alternating_form_patterns(max_word_length)
     kappa = free_from_moments(marginal)
-    traces = {}
-    for start in {pattern[0][0] for pattern in patterns}:
-        longest = max((p for p in patterns if p[0][0] == start), key=len)
-        traces[start] = _prefix_traces(spec, kappa, [name for name, _ in longest], True)
-    deviations = [(p, traces[p[0][0]][len(p) - 1]) for p in patterns]
+    # sorted by degree, so the last pattern with each first letter is its longest
+    longest = {p[0]: p for p in patterns}
+    traces = {start: _prefix_traces(spec, kappa, p, True) for start, p in longest.items()}
+    deviations = [(p, traces[p[0]][len(p) - 1]) for p in patterns]
     note = (
         "scan depth is an empirical default; freeness violations are only "
         "guaranteed to surface at some finite degree"

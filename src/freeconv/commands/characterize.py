@@ -46,11 +46,7 @@ def run(args) -> None:
     marginal = moments(_load_measure(args.marginal), args.max_len)
     result = freeness_dichotomy(spec, marginal, args.max_len)
     rows = [
-        (
-            " ".join(name for name, _ in pattern),
-            pattern_degree(pattern),
-            _exact(dev),
-        )
+        (" ".join(pattern), pattern_degree(pattern), _exact(dev))
         for pattern, dev in result.deviations
     ]
     payload = {

@@ -100,6 +100,12 @@ def solve_subordination(
     0 < tol < inf, max_iter >= 1 and two measures in M+ whose K can be
     evaluated, so no semicircle.  m_1(mu_1) and m_1(mu_2) come from the
     measures (``float_mean``), which take them once for every point.
+
+    An iterate is accepted when each residual, |Z_1 Z_2 - z K_1(Z_1)| and
+    |K_1(Z_1) - K_2(Z_2)|, is at most max(tol, 4 ulp) of the larger term
+    it subtracts: past about 10^3 a difference of binary64 values cannot
+    resolve an absolute 1e-12, and a few ulp is rounding, not distance
+    from the solution.  ``residuals`` are those of the accepted iterate.
     """
     _require_m_plus(mu1, mu2)
     if not 0 < tol < math.inf:
@@ -135,8 +141,9 @@ def solve_subordination(
             ratio1 = complex(mean1) if abs(z1) < 1e-280 else k1 / z1
             z2, prev_step2 = damped(z2, z * ratio1, prev_step2)
             k2 = krein_k(mu2, z2)
-            last = (abs(z1 * z2 - z * k1), abs(k1 - k2))
-            if last[0] <= tol and last[1] <= tol:
+            zz, zk = z1 * z2, z * k1
+            last = (abs(zz - zk), abs(k1 - k2))
+            if _settled(last[0], tol, zz, zk) and _settled(last[1], tol, k1, k2):
                 return SubordinationSolution(
                     z=z, z1=z1, z2=z2, k_value=k1, residuals=last, iterations=iteration
                 )
@@ -146,6 +153,12 @@ def solve_subordination(
         f"subordination did not reach tol={tol} in {max_iter} iterations "
         f"(last residuals {last[0]:.3e}, {last[1]:.3e})"
     )
+
+
+def _settled(residual: float, tol: float, a: complex, b: complex) -> bool:
+    """Whether the residual |a - b| is within tol, or within 4 ulp of the
+    larger of |a| and |b|, the rounding of the subtraction's terms."""
+    return residual <= tol or residual <= 4 * math.ulp(max(abs(a), abs(b)))
 
 
 # trapezoidal nodes on the fit's contour (even, so the upper half mirrors
@@ -180,10 +193,11 @@ def boxtimes_via_subordination(
     the exact Taylor route is the reference.
 
     Returns (moments, worst residuals, worst iteration count), the last two
-    over three extra solves on the negative axis, at -x * shrink for
-    x in {1e-3, 3e-3, 1e-2}, where shrink = min(1, radius / 0.01), which
-    keeps each start m_1 z near m_1 radius: from a start far above its
-    first proposal, Z + (proposal - Z) rounds to 0, the edge of K's domain.
+    over the contour solves the moments come from.  Each solve is accepted
+    at ``FIT_TOL`` or within 4 ulp of its terms, whichever is larger (see
+    ``solve_subordination``).  Inside the disc K of the product stays
+    below 2 in modulus, and so does Z_1 Z_2 = z K, where 4 ulp is under
+    1e-15: the residuals are at most ``FIT_TOL``.
     """
     if p < 1:
         raise DomainError("output order must be >= 1")
@@ -203,19 +217,13 @@ def boxtimes_via_subordination(
     for m in range(FIT_POINTS // 2):
         angle = 2.0 * math.pi * (m + 0.5) / FIT_POINTS
         z = radius * complex(math.cos(angle), math.sin(angle))
-        sol = solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000)
-        upper.append((z, sol.k_value))
+        upper.append(solve_subordination(mu1, mu2, z, tol=FIT_TOL, max_iter=2000))
     r_fit = [
-        math.fsum((k_value * z ** -k).real for z, k_value in upper) / len(upper)
+        math.fsum((sol.k_value * sol.z ** -k).real for sol in upper) / len(upper)
         for k in range(1, p + 1)
     ]
-    shrink = min(1.0, radius / 0.01)
-    worst = (0.0, 0.0)
-    iterations = 0
-    for x in (1e-3, 3e-3, 1e-2):
-        sol = solve_subordination(mu1, mu2, complex(-x * shrink))
-        worst = (max(worst[0], sol.residuals[0]), max(worst[1], sol.residuals[1]))
-        iterations = max(iterations, sol.iterations)
+    worst = tuple(max(sol.residuals[i] for sol in upper) for i in (0, 1))
+    iterations = max(sol.iterations for sol in upper)
     if not all(math.isfinite(r) for r in r_fit):
         raise ConvergenceError("subordination fit produced a non-finite boolean cumulant")
     ms = moments_from_boolean(r_fit).moments

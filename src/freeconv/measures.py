@@ -261,9 +261,8 @@ class DensityGrid(Value):
     """Density tabulated on an ascending grid, trapezoid-normalized.
 
     ``x`` and ``f`` are tuples of floats.  The trapezoid integral of ``f``
-    over ``x`` must equal 1 within 1e-12; use :meth:`normalized` to
-    rescale raw samples.  The float routines read the grid as its nodal
-    measure, ``float_atoms``.
+    over ``x`` must equal 1 within 1e-12.  The float routines read the
+    grid as its nodal measure, ``float_atoms``.
     """
 
     x: tuple[float, ...]
@@ -287,14 +286,6 @@ class DensityGrid(Value):
             raise DomainError(f"density must integrate to 1 within 1e-12, got {mass!r}")
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "f", fs)
-
-    @classmethod
-    def normalized(cls, x: Sequence[float], f: Sequence[float]) -> "DensityGrid":
-        xs, fs = _grid_fields(x, f)
-        mass = sum(_nodal_weights(xs, fs))
-        if mass <= 0:
-            raise DomainError("cannot normalize a density with nonpositive mass")
-        return cls(xs, [v / mass for v in fs])
 
     @cached_property
     def float_atoms(self) -> tuple[tuple[float, float], ...]:

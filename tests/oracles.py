@@ -60,7 +60,11 @@ integrals of -K(-x) x^(-1-alpha) over [eps, 1] and the verdict rule they
 fed (``fractional_probes``, ``probe_verdict``), are the reference for the
 constant verdict that replaced them.  ``weight_at``, the exact mass of an
 atomic measure at a point, is a former library method with no library
-caller left.
+caller left, and so is ``normalized_grid``, which rescales raw density
+samples to a grid of mass 1.  The admissibility rule that also checked
+the coupling condition b_j a_jj != 0 on its own, with each power sum
+evaluated directly (``admissible_by_three_conditions``), is the
+reference for the rule without it.
 
 The exact Hankel check (``_exact_hankel_psd``) is the reference for the
 positivity that ``measures.moments`` does not check: every measure
@@ -92,7 +96,7 @@ from freeconv.commands.matrixlab import run as cmd_matrixlab
 from freeconv.commands.moments import run as cmd_moments
 from freeconv.commands.subordinate import run as cmd_subordinate
 from freeconv.errors import ConvergenceError, DomainError
-from freeconv.measures import _hankel_matrices, dilate
+from freeconv.measures import DensityGrid, _grid_fields, _hankel_matrices, _nodal_weights, dilate
 
 
 def set_partitions(elems: list) -> list[list[list]]:
@@ -556,9 +560,8 @@ def joint_moment_by_words(spec, marginal, pattern) -> Fraction:
     q_options = [
         (spec.a[j][k], (j, k)) for j in range(n) for k in range(n) if spec.a[j][k] != 0
     ]
-    factors = [name for name, exp in pattern for _ in range(exp)]
     grouped: dict[tuple[int, ...], Fraction] = {}
-    for combo in product(*[l_options if f == "L" else q_options for f in factors]):
+    for combo in product(*[l_options if f == "L" else q_options for f in pattern]):
         coeff = Fraction(1)
         first_seen: dict[int, int] = {}
         letters = []
@@ -581,18 +584,15 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
     """Trace of an L/Q pattern as a sum over the NC partitions of its
     positions, each contracted over all n^|pi| index assignments by one
     object-array ``np.einsum`` in integer arithmetic."""
-    from freeconv.characterize import _normalize_pattern, pattern_degree
     from freeconv.transforms import free_from_moments
 
-    pattern = _normalize_pattern(pattern)
-    degree = pattern_degree(pattern)
+    degree = len(pattern) + pattern.count("Q")
     kappa = free_from_moments(marginal)
     den = math.lcm(*(v.denominator for v in (*spec.b, *chain.from_iterable(spec.a))))
     b = np.array([int(v * den) for v in spec.b], dtype=object)
     a = np.array([[int(v * den) for v in row] for row in spec.a], dtype=object)
-    factors = [name for name, exp in pattern for _ in range(exp)]
-    operands = [b if name == "L" else a for name in factors]
-    starts = list(accumulate((1 if name == "L" else 2 for name in factors), initial=0))
+    operands = [b if name == "L" else a for name in pattern]
+    starts = list(accumulate((1 if name == "L" else 2 for name in pattern), initial=0))
 
     total = Fraction(0)
     index = [""] * degree
@@ -604,7 +604,7 @@ def joint_moment_by_einsum(spec, marginal, pattern) -> Fraction:
                 index[position] = letter
         subscripts = ",".join("".join(index[s:e]) for s, e in zip(starts, starts[1:]))
         total += weight * np.einsum(subscripts + "->", *operands)
-    return total / den ** len(factors)
+    return total / den ** len(pattern)
 
 
 def nc_blocks(elements: tuple[int, ...], kappa=None):
@@ -1228,6 +1228,15 @@ def _grid_arrays(grid) -> tuple[np.ndarray, np.ndarray]:
     return np.array(grid.x), np.array(grid.f)
 
 
+def normalized_grid(x, f) -> DensityGrid:
+    """A grid from raw density samples, rescaled to trapezoid mass 1."""
+    xs, fs = _grid_fields(x, f)
+    mass = sum(_nodal_weights(xs, fs))
+    if mass <= 0:
+        raise DomainError("cannot normalize a density with nonpositive mass")
+    return DensityGrid(xs, [v / mass for v in fs])
+
+
 def grid_moments_trapezoid(grid, order: int) -> list[float]:
     """Grid moments m_1..m_order by numpy's composite trapezoid rule."""
     x, f = _grid_arrays(grid)
@@ -1289,6 +1298,22 @@ def compose(outer, inner) -> tuple[Fraction, ...]:
     )
 
 
+def admissible_by_three_conditions(spec, max_m: int = 100) -> bool:
+    """The admissibility rule that also checked the coupling condition on
+    its own: A symmetric, A b = 0, s_m = sum_j b_j^m a_jj != 0 for every
+    m, and b_j a_jj != 0 for some j.  Each s_m is evaluated directly for
+    m <= max_m, which decides the power-sum condition once the largest
+    |b_j| with a nonzero coefficient outgrows the others by then."""
+    n, a, b = spec.n, spec.a, spec.b
+    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
+    annihilates = all(sum(a[i][j] * b[j] for j in range(n)) == 0 for i in range(n))
+    power_sums = all(
+        sum(b[j] ** m * a[j][j] for j in range(n)) != 0 for m in range(1, max_m + 1)
+    )
+    coupling = any(b[j] * a[j][j] != 0 for j in range(n))
+    return symmetric and annihilates and power_sums and coupling
+
+
 def consistent_with_free(report) -> bool:
     """Whether a DichotomyReport found every deviation zero."""
     return report.verdict == "consistent-with-free"
@@ -1324,18 +1349,18 @@ def dichotomy_deviations_by_expansion(spec, marginal, max_word_length):
     patterns = alternating_form_patterns(max_word_length)
     if not patterns:
         return ()
-    centers = {name: joint_moment(spec, marginal, ((name, 1),)) for name in "LQ"}
-    max_l = max(sum(1 for n, _ in p if n == "L") for p in patterns)
-    max_q = max(sum(1 for n, _ in p if n == "Q") for p in patterns)
+    centers = {name: joint_moment(spec, marginal, name) for name in "LQ"}
+    max_l = max(p.count("L") for p in patterns)
+    max_q = max(p.count("Q") for p in patterns)
     l_moments = form_moments(spec, marginal, "L", max(max_l, 1))
     q_moments = form_moments(spec, marginal, "Q", max(max_q, 1))
     deviations = []
     for pattern in patterns:
         true_value = _expand_centered_product(
-            [centers[name] for name, _ in pattern],
-            lambda kept: joint_moment(spec, marginal, [pattern[i] for i in kept]),
+            [centers[name] for name in pattern],
+            lambda kept: joint_moment(spec, marginal, "".join(pattern[i] for i in kept)),
         )
-        letters = tuple((1 if name == "L" else 2, 1) for name, _ in pattern)
+        letters = tuple((1 if name == "L" else 2, 1) for name in pattern)
         predicted = centered_product_moment((l_moments, q_moments), letters)
         deviations.append((pattern, true_value - predicted))
     return tuple(deviations)

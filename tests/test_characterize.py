@@ -21,6 +21,7 @@ from freeconv.characterize import (
 )
 from oracles import (
     WordPoly,
+    admissible_by_three_conditions,
     consistent_with_free,
     contract_blocks,
     dichotomy_deviations_by_expansion,
@@ -46,11 +47,7 @@ SKEW_MARGINAL = Atomic([(-1, F(2, 3)), (2, F(1, 3))])
 SKEW_SPEC = QuadraticFormSpec(
     [[14 * (j == k) - j * k for k in (1, 2, 3)] for j in (1, 2, 3)], [1, 2, 3]
 )
-EXTRA_PATTERNS = [
-    (("L", 2), ("Q", 1), ("L", 1)),
-    (("Q", 3),),
-    (("L", 2), ("Q", 1), ("L", 1), ("Q", 2)),
-]
+EXTRA_PATTERNS = ["LLQL", "QQQ", "LLQLQQ"]
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -82,6 +79,59 @@ def forms_marginals_words(draw):
     return QuadraticFormSpec(a, b), marginal, word
 
 
+def rref_nullspace(rows, width):
+    """A basis of the rational null space of ``rows``, by Gauss-Jordan
+    elimination."""
+    rows = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        at = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if at is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[at] = rows[at], rows[top]
+        rows[top] = [v / rows[top][col] for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                rows[r] = [v - rows[r][col] * p for v, p in zip(rows[r], rows[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [F(0)] * width
+        vec[free] = F(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def annihilating_forms(draw):
+    """A random symmetric form with A b = 0 on 2-4 variables, integer b in
+    [-3, 3].  Its diagonal is free, 0 wherever b_j != 0 (every b_j a_jj
+    is 0), or 0 throughout, each a third of the time."""
+    n = draw(st.integers(2, 4))
+    b = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    zero_diagonal = draw(st.sampled_from(["none", "where b != 0", "all"]))
+    cells = [(j, k) for j in range(n) for k in range(j, n)]
+    # (A b)_i = 0 in the entries a_jk = a_kj, j <= k, then each zeroed a_jj
+    rows = [
+        [(b[k] if j == i else 0) + (b[j] if k == i != j else 0) for j, k in cells]
+        for i in range(n)
+    ]
+    for i in range(n):
+        if zero_diagonal == "all" or (zero_diagonal == "where b != 0" and b[i]):
+            rows.append([int(cell == (i, i)) for cell in cells])
+    entries = [F(0)] * len(cells)
+    for vec in rref_nullspace(rows, len(cells)):
+        c = draw(st.integers(-3, 3))
+        entries = [e + c * v for e, v in zip(entries, vec)]
+    a = [[F(0)] * n for _ in range(n)]
+    for (j, k), v in zip(cells, entries):
+        a[j][k] = a[k][j] = v
+    return QuadraticFormSpec(a, b)
+
+
 @pytest.fixture
 def semicircle_marginal():
     return moments(Semicircle(0, 2), 8)
@@ -110,7 +160,7 @@ class TestValidation:
         report = validate_spec(preset_sample_mean_variance(n))
         assert report.passed
         assert report.annihilates_b
-        assert all(s != 0 for s in report.power_sums)
+        assert report.power_sums_nonzero
 
     def test_identity_matrix_fails_annihilation(self):
         spec = QuadraticFormSpec([[1, 0], [0, 1]], [1, 1])
@@ -119,10 +169,22 @@ class TestValidation:
         assert not report.annihilates_b
         assert any("mean-annihilation" in f for f in report.failures)
 
-    def test_zero_diagonal_fails_coupling(self):
-        spec = QuadraticFormSpec([[0, 1], [1, 0]], [1, -1])
+    def test_no_diagonal_coupling_fails_at_the_first_power_sum(self):
+        # A b = 0 and every b_j a_jj = 0, so s_1 = sum_j b_j a_jj = 0
+        spec = QuadraticFormSpec([[0, 0, 1], [0, 0, 1], [1, 1, 5]], [1, -1, 0])
         report = validate_spec(spec)
-        assert not report.has_diagonal_coupling
+        assert report.symmetric and report.annihilates_b
+        assert report.failures == (
+            "diagonal power-sum condition sum b_j^m a_jj != 0 fails at m = 1",
+        )
+
+    @given(annihilating_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_rule_with_the_coupling_condition(self, spec):
+        # the same forms are refused, none for the coupling condition itself
+        report = validate_spec(spec)
+        assert report.passed == admissible_by_three_conditions(spec)
+        assert not any("coupling" in failure for failure in report.failures)
 
     def test_asymmetric_matrix_detected(self):
         spec = QuadraticFormSpec([[1, 2], [3, 1]], [1, 1])
@@ -136,7 +198,7 @@ class TestValidation:
         )
         report = validate_spec(spec)
         assert not report.power_sums_nonzero
-        assert report.power_sums[0] == 0
+        assert report.failures[-1].endswith("fails at m = 1")
 
     def test_power_sum_vanishing_past_n_detected(self):
         # A b = 0 for b = (1, -1, 2); s_m = -16, -12, -10, 0, 14, ... so the
@@ -144,9 +206,12 @@ class TestValidation:
         spec = QuadraticFormSpec(
             [[-17, -10, F(7, 2)], [-10, 1, F(11, 2)], [F(7, 2), F(11, 2), 1]], [1, -1, 2]
         )
+        diag = [spec.a[j][j] for j in range(3)]
+        assert [sum(v ** m * c for v, c in zip(spec.b, diag)) for m in range(1, 6)] == [
+            -16, -12, -10, 0, 14
+        ]
         report = validate_spec(spec)
-        assert report.symmetric and report.annihilates_b and report.has_diagonal_coupling
-        assert report.power_sums == (-16, -12, -10)
+        assert report.symmetric and report.annihilates_b
         assert not report.power_sums_nonzero
         assert report.failures == (
             "diagonal power-sum condition sum b_j^m a_jj != 0 fails at m = 4",
@@ -180,20 +245,20 @@ class TestValidation:
 class TestJointMoments:
     def test_centered_linear_form_vanishes(self, semicircle_marginal):
         spec = preset_sample_mean_variance(2)
-        assert joint_moment(spec, semicircle_marginal, (("L", 1),)) == 0
+        assert joint_moment(spec, semicircle_marginal, "L") == 0
 
     def test_variance_mean_value(self, rademacher_marginal):
         # tau(V) = (1 - 1/n) m_2 for the preset
         for n in (2, 3):
             spec = preset_sample_mean_variance(n)
-            got = joint_moment(spec, rademacher_marginal, (("Q", 1),))
+            got = joint_moment(spec, rademacher_marginal, "Q")
             assert got == (1 - Fraction(1, n)) * rademacher_marginal.m(2)
 
     def test_mean_square_value(self, rademacher_marginal):
         # tau(L^2) = m_2 / n for the preset
         for n in (2, 3):
             spec = preset_sample_mean_variance(n)
-            got = joint_moment(spec, rademacher_marginal, (("L", 2),))
+            got = joint_moment(spec, rademacher_marginal, "LL")
             assert got == rademacher_marginal.m(2) / n
 
     def test_ql_matches_word_polynomial_expansion(self, rademacher_marginal):
@@ -216,9 +281,9 @@ class TestJointMoments:
             return nc_moment_by_chains([kappa] * n, [l - 1 for l in word], memo)
 
         for pattern, poly in [
-            ((("Q", 1), ("L", 1)), Q * L),
-            ((("Q", 1), ("L", 2)), Q * L * L),
-            ((("L", 1), ("Q", 2)), L * Q * Q),
+            ("QL", Q * L),
+            ("QLL", Q * L * L),
+            ("LQQ", L * Q * Q),
         ]:
             assert joint_moment(spec, marginal, pattern) == poly.trace(tau)
 
@@ -303,7 +368,18 @@ class TestJointMoments:
     def test_degree_guard(self, rademacher):
         spec = preset_sample_mean_variance(2)
         with pytest.raises(DomainError):
-            joint_moment(spec, moments(rademacher, 2), (("Q", 2),))
+            joint_moment(spec, moments(rademacher, 2), "QQ")
+
+    @pytest.mark.parametrize(
+        "pattern", [(("L", 1), ("Q", 1)), ["L", "Q"], "", "LXQ", "LQ\nX", None]
+    )
+    def test_malformed_pattern_is_a_one_line_domain_error(self, rademacher, pattern):
+        # only a nonempty string of L and Q is a pattern; the (letter,
+        # exponent) pairs of older callers included
+        spec = preset_sample_mean_variance(2)
+        with pytest.raises(DomainError) as err:
+            joint_moment(spec, moments(rademacher, 8), pattern)
+        assert "\n" not in str(err.value)
 
     def test_form_moments_order(self, semicircle_marginal):
         spec = preset_sample_mean_variance(2)
@@ -328,8 +404,7 @@ class TestIntervalTables:
 class TestPatternEnumeration:
     def test_patterns_up_to_degree_eight(self):
         pats = alternating_form_patterns(8)
-        texts = ["".join(n for n, _ in p) for p in pats]
-        assert texts == ["LQ", "QL", "LQL", "QLQ", "LQLQ", "QLQL", "LQLQL", "QLQLQ"]
+        assert pats == ["LQ", "QL", "LQL", "QLQ", "LQLQ", "QLQL", "LQLQL", "QLQLQ"]
         assert [pattern_degree(p) for p in pats] == [3, 3, 4, 5, 6, 6, 7, 8]
 
     def test_no_patterns_below_three(self):
@@ -352,7 +427,7 @@ class TestDichotomy:
         pattern, dev = report.first_nonzero()
         # frozen: tau(L_c Q_c L_c) = tau(L^2 Q) - q0 tau(L^2) = 1/8 - 1/4
         assert dev == Fraction(-1, 8)
-        assert pattern_degree(pattern) == 4
+        assert pattern == "LQL" and pattern_degree(pattern) == 4
 
     def test_rademacher_detected_n3(self, rademacher_marginal):
         report = freeness_dichotomy(preset_sample_mean_variance(3), rademacher_marginal, 6)
@@ -418,7 +493,7 @@ class TestDichotomy:
         kappa = free_from_moments(m)
         report = freeness_dichotomy(SKEW_SPEC, m, 12)
         assert report.deviations == tuple(
-            (p, nc_sum_by_enumeration(SKEW_SPEC, kappa, [name for name, _ in p], True))
+            (p, nc_sum_by_enumeration(SKEW_SPEC, kappa, p, True))
             for p in alternating_form_patterns(12)
         )
 

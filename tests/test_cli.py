@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -361,10 +362,11 @@ class TestHugeAtoms:
             want = float(Fraction(taylor))
             assert abs(float(fitted) - want) <= 1e-6 * want
 
-    def test_residual_probes_shrink_with_the_contour(self, tmp_path, capsys):
-        # radius 2.5e-201: a probe at a fixed x >= 1e-3 starts the solver at
-        # Z_2 = -5e196, and the first step to the proposal -0.752 rounds to
-        # Z_2 = 0, on [0, inf)
+    def test_tiny_contour_reports_the_residuals_of_its_own_solves(self, tmp_path, capsys):
+        # radius 2.5e-201: a solve at a fixed x >= 1e-3 on the negative axis
+        # would start at Z_2 = -5e196, and its first step to the proposal
+        # -0.752 would round to Z_2 = 0, on [0, inf).  The route solves only
+        # on its contour, and reports those solves.
         path = tmp_path / "b200.json"
         path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1", "1/2"]]}' % ("0" * 200))
         two_point = tmp_path / "two_point.json"
@@ -374,9 +376,11 @@ class TestHugeAtoms:
             warnings.simplefilter("error")
             code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
-        ((_, fitted),) = json.loads(out)["rows"]
+        doc = json.loads(out)
+        ((_, fitted),) = doc["rows"]
         want = float(Fraction(3 * 10 ** 200 + 3, 4))
         assert abs(float(fitted) - want) <= 1e-6 * want
+        assert max(doc["residuals"]) <= 1e-13 and doc["iterations"] >= 1
 
     def test_fit_bounds_whose_product_underflows_are_three(self, tmp_path, capsys):
         # each bound 1e-200 is a float, their product is not
@@ -640,14 +644,31 @@ class TestSubordinate:
     def test_huge_atoms_reach_no_pole(self, tmp_path, capsys):
         # at Z_1 = -5.5e-100 every z u is -5.5e100 or below, so 1 + psi
         # cancelled to 0, a pole of psi/(1 + psi) that K does not have; here
-        # K(z) is z / E[1/u] of the product, E[1/u] = (5.5e-201)^2
+        # K(z) is z / E[1/u] of the product, E[1/u] = (5.5e-201)^2.  The
+        # first iterate is accepted: |K_1 - K_2| = 7.8e84 is 2 ulp of |K|.
         path = tmp_path / "huge.json"
         path.write_text('{"kind": "atomic", "atoms": [["1%s", "1/2"], ["1%s", "1/2"]]}'
                         % ("0" * 200, "0" * 201))
         code, out, err = run(["subordinate", str(path), str(path), "--z=-1e-300"], capsys)
         assert (code, err) == (0, "")
         ((z, _, _, k_value, _, _, iterations),) = json.loads(out)["rows"]
-        assert (z, k_value, iterations) == ("-1e-300+0j", "-3.30578512397e+100+0j", 2)
+        assert (z, k_value, iterations) == ("-1e-300+0j", "-3.30578512397e+100+0j", 1)
+
+    @pytest.mark.parametrize("z", ["-5", "-10", "-20"])
+    def test_residuals_at_rounding_of_large_terms_are_accepted(self, tmp_path, capsys, z):
+        # |K| is about 1.8e6 at z = -10: its 1 ulp, 2.3e-10, is far above
+        # tol = 1e-12, and was the last residual_2 of 500 iterations at
+        # z = -10 and z = -20
+        point = tmp_path / "d1e4.json"
+        point.write_text('{"kind": "atomic", "atoms": [["10000", "1"]]}')
+        pair = tmp_path / "d10_100.json"
+        pair.write_text('{"kind": "atomic", "atoms": [["10", "1/2"], ["100", "1/2"]]}')
+        code, out, err = run(["subordinate", str(point), str(pair), f"--z={z}"], capsys)
+        assert (code, err) == (0, "")
+        ((_, _, _, k_value, res1, res2, _),) = json.loads(out)["rows"]
+        k = abs(complex(k_value))
+        assert 9e5 < k < 4e6
+        assert max(float(res1), float(res2)) <= 4 * math.ulp(k)
 
     def test_huge_grid_is_rejected_before_any_point_is_built(self, files):
         # under a 1 GiB address-space cap, a grid built before the check
@@ -785,6 +806,22 @@ class TestCharacterize:
         assert code == 3
         assert "power-sum condition sum b_j^m a_jj != 0 fails at m = 4" in err
         assert err.count("\n") == 1
+
+    def test_form_without_diagonal_coupling_exits_three_at_the_first_power_sum(
+        self, files, tmp_path, capsys
+    ):
+        # A b = 0 and every b_j a_jj = 0: s_1 = 0 says it, and no separate
+        # coupling clause follows
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"A": [[0, 0, 1], [0, 0, 1], [1, 1, 5]], "b": [1, -1, 0]}')
+        code, out, err = run(
+            ["characterize", str(spec), files["rademacher"], "--max-len", "6"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "freeconv: domain error: refusing to run the dichotomy on an inadmissible "
+            "form: diagonal power-sum condition sum b_j^m a_jj != 0 fails at m = 1\n"
+        )
 
     @pytest.mark.parametrize(
         "text",

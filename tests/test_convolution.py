@@ -42,6 +42,7 @@ from oracles import (
     krein_on_negative_axis_vectorized,
     moments_from_boolean_by_intervals,
     moments_from_boolean_float,
+    normalized_grid,
     probe_verdict,
     quad_numpy,
     scipy_quad,
@@ -91,7 +92,7 @@ def measures_in_m_plus(draw):
     density = st.one_of(st.just(0.0), st.floats(0.1, 10.0))
     f = draw(st.lists(density, min_size=len(x), max_size=len(x)))
     assume(any(f))
-    grid = DensityGrid.normalized(x, f)
+    grid = normalized_grid(x, f)
     assume(in_m_plus(grid))
     return grid
 
@@ -318,7 +319,7 @@ class TestSubordination:
 
     def test_means_taken_once_per_fit(self, bernoulli, two_point, monkeypatch):
         # every solve used to recompute both exact means: 70 moment calls at p = 12;
-        # each measure now takes its own once, for all 35 solves
+        # each measure now takes its own once, for all 32 solves
         taken = count_float_means(monkeypatch)
         ms, _, _ = boxtimes_via_subordination(bernoulli, two_point, 12)
         assert taken == [bernoulli, two_point]
@@ -328,13 +329,11 @@ class TestSubordination:
         assert ms == boxtimes_via_subordination(*fresh, 12)[0]
 
     def test_non_finite_fit_is_a_convergence_error(self, bernoulli, monkeypatch):
-        # every contour solve (z in C+) returns K = nan; the three residual
-        # probes on the negative axis are solved as usual
+        # every contour solve returns K = nan
         solve = convolution.solve_subordination
 
         def nan_on_contour(mu1, mu2, z, **kwargs):
-            sol = solve(mu1, mu2, z, **kwargs)
-            return sol._replace(k_value=complex("nan")) if z.imag > 0 else sol
+            return solve(mu1, mu2, z, **kwargs)._replace(k_value=complex("nan"))
 
         monkeypatch.setattr(convolution, "solve_subordination", nan_on_contour)
         with pytest.raises(ConvergenceError, match="non-finite boolean cumulant"):
@@ -356,13 +355,30 @@ class TestSubordination:
         assert (sol.iterations, len(calls)) == (1, 2)
 
     def test_route_gates_once_and_once_per_solve(self, bernoulli, two_point, monkeypatch):
-        # one gate for the route, one in each of the 32 contour solves and
-        # the 3 residual probes, at any order
+        # one gate for the route and one in each of the 32 contour solves,
+        # at any order
         gated = count_calls(monkeypatch, convolution, "_require_m_plus")
         for p in (1, 4, 12):
             gated.clear()
             boxtimes_via_subordination(bernoulli, two_point, p)
-            assert len(gated) == 1 + convolution.FIT_POINTS // 2 + 3
+            assert len(gated) == 1 + convolution.FIT_POINTS // 2
+
+    def test_route_reports_the_worst_of_its_contour_solves(self, bernoulli, two_point, monkeypatch):
+        # the residuals and iterations come from the solves the moments
+        # come from, each within FIT_TOL, and no other point is solved
+        solve, solved = convolution.solve_subordination, []
+
+        def recorded(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(convolution, "solve_subordination", recorded)
+        _, residuals, iterations = boxtimes_via_subordination(bernoulli, two_point, 12)
+        assert len(solved) == convolution.FIT_POINTS // 2
+        assert all(sol.z.imag > 0 for sol in solved)
+        assert residuals == tuple(max(sol.residuals[i] for sol in solved) for i in (0, 1))
+        assert iterations == max(sol.iterations for sol in solved)
+        assert max(residuals) <= convolution.FIT_TOL
 
     def test_rejects_bad_points(self, bernoulli):
         with pytest.raises(DomainError):

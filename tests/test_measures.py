@@ -47,6 +47,7 @@ from oracles import (
     grid_moments_trapezoid,
     grid_krein_trapezoid,
     krein_k_exact,
+    normalized_grid,
     psi,
     psi_exact,
     weight_at,
@@ -95,7 +96,7 @@ class TestConstruction:
             DensityGrid([0.0, 1.0], [2.0, 2.0])
         with pytest.raises(DomainError):  # mass nan: 0 * inf on an interval past binary64
             DensityGrid([-1e308, 1e308], [0.0, 0.0])
-        grid = DensityGrid.normalized([0.0, 1.0], [2.0, 2.0])
+        grid = normalized_grid([0.0, 1.0], [2.0, 2.0])
         assert abs(np.trapezoid(grid.f, grid.x) - 1.0) < 1e-14
 
     @pytest.mark.parametrize(
@@ -214,7 +215,7 @@ class TestConstruction:
                 st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
                 st.floats(-10.0, 10.0),
                 st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=21, max_size=21),
-            ).filter(lambda g: any(g[2][:len(g[0]) + 1])).map(lambda g: DensityGrid.normalized(
+            ).filter(lambda g: any(g[2][:len(g[0]) + 1])).map(lambda g: normalized_grid(
                 list(itertools.accumulate([g[1], *g[0]])), g[2][:len(g[0]) + 1]
             )),
         )
@@ -263,7 +264,7 @@ class TestMoments:
     def test_grid_moments_match_atomic_limit(self):
         xs = np.linspace(0.0, 4.0, 4001)
         fs = np.where(np.abs(xs - 2.0) <= 1.0, 0.5, 0.0)
-        grid = DensityGrid.normalized(xs, fs)
+        grid = normalized_grid(xs, fs)
         seq = moments(grid, 3)
         # uniform on [1, 3]: m_1 = 2, m_2 = 13/3, m_3 = 10
         assert abs(float(seq.m(1)) - 2.0) < 1e-3
@@ -311,7 +312,7 @@ class TestMoments:
         # so they pass the Hankel check that moments does not run
         x = start + np.cumsum(gaps)
         assume(any(heights[: len(x)]))
-        grid = DensityGrid.normalized(x, heights[: len(x)])
+        grid = normalized_grid(x, heights[: len(x)])
         xs = [Fraction(v) for v in grid.x]
         ends = [xs[0], *xs, xs[-1]]
         weights = [Fraction(f) * (ends[i + 2] - ends[i]) / 2 for i, f in enumerate(grid.f)]
@@ -460,8 +461,8 @@ class TestGridNodalMeasure:
         heights[-1] = 0.0 if last_zero else rnd.uniform(0.1, 10.0)
         assume(any(heights))
         zero %= n
-        grid = DensityGrid.normalized(xs, heights)
-        for mu in (grid, DensityGrid.normalized([v - xs[zero] for v in xs], heights)):
+        grid = normalized_grid(xs, heights)
+        for mu in (grid, normalized_grid([v - xs[zero] for v in xs], heights)):
             want = grid_moments_trapezoid(mu, order)
             for k, m in enumerate(moments(mu, order), 1):
                 scale = sum(w * abs(u) ** k for u, w in mu.float_atoms)
@@ -512,7 +513,7 @@ class TestPsi:
         # narrow bump around 1 approximates a point mass at 1
         xs = np.linspace(0.9, 1.1, 2001)
         fs = np.ones_like(xs)
-        grid = DensityGrid.normalized(xs, fs)
+        grid = normalized_grid(xs, fs)
         z = complex(-0.7, 0.0)
         expected = z * 1.0 / (1 - z * 1.0)
         assert abs(psi(grid, z) - expected) < 5e-3
@@ -689,12 +690,12 @@ class TestJson:
     @settings(max_examples=50, deadline=None)
     def test_grid_round_trip_is_lossless(self, gaps, heights, start):
         x = start + np.cumsum(gaps)
-        grid = DensityGrid.normalized(x, heights[: len(x)])
+        grid = normalized_grid(x, heights[: len(x)])
         back = measure_from_json(measure_to_json(grid))
         assert np.array_equal(back.x, grid.x) and np.array_equal(back.f, grid.f)
 
     def test_grid_round_trip(self):
-        grid = DensityGrid.normalized([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        grid = normalized_grid([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         back = measure_from_json(measure_to_json(grid))
         assert np.allclose(back.x, grid.x)
 

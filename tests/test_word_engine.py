@@ -208,7 +208,7 @@ class TestMixedMoment:
         mixed_moment((m, m), Word((1, 2, 1, 2)))
         prefix_moments((m, m), Word((1, 2, 2, 1, 1, 2)))
         spec, r = preset_sample_mean_variance(3), moments(rademacher, 8)
-        joint_moment(spec, r, (("L", 1), ("Q", 2), ("L", 1)))
+        joint_moment(spec, r, "LQQL")
         freeness_dichotomy(spec, r, 8)
         assert before and sizes() == before
 
